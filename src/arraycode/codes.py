@@ -16,11 +16,23 @@ All families live on a grid of byte blocks over a prime ``p``:
 Slope-v parity of the evenodd family tree is
 ``b[i, v] = adjuster(v) XOR sum_j a[<i + v*(1-j)>, j]`` where the adjuster
 is the XOR of the index-0 line of that slope and ``adjuster(0) = 0``.
+
+:func:`mds_decode` runs a schedule compiled once per erasure pattern. The
+schedule peels the parity checks: a check with one unknown cell left solves
+that cell, from survivors and cells solved before it. In the evenodd tree
+each sloped adjuster is a virtual cell ``Coord(0, parity column)``, defined
+by its line and by the XOR of the slope-0 and slope-v parity columns, so
+every two-column erasure peels. Cells peeling cannot reach are solved by
+GF(2) elimination. One work buffer holds the cells and the virtual cells;
+each step gathers its sources and XOR-reduces them into its target, in
+fixed-size byte chunks.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from threading import Lock
 
 import numpy as np
@@ -35,7 +47,6 @@ from .core import (
     is_prime,
     mod_index,
     parity_group_members,
-    xor_blocks,
 )
 
 __all__ = [
@@ -315,22 +326,141 @@ def parity_check_equations(code: Code) -> list[list[Coord]]:
 # generic erasure decoding
 # ---------------------------------------------------------------------------
 
-_recipe_cache: dict[tuple, dict[Coord, tuple[Coord, ...]]] = {}
+# bytes of each block one gather reads: a step's sources stay in cache, and a
+# gather of whole 64 KiB blocks was measured slower than this
+_CHUNK = 8192
+# compiled schedules kept; each holds about 0.1 MB at p=53
+_CACHE_SIZE = 128
+
+_recipe_cache: OrderedDict[tuple, "DecodeSchedule"] = OrderedDict()
 _recipe_lock = Lock()
 
 
-def _solve_recipe(code: Code, erased: tuple[int, ...]) -> dict[Coord, tuple[Coord, ...]]:
-    """Express each erased cell as an XOR of surviving cells.
+class DecodeSchedule(dict):
+    """Peel-order decode recipe: rebuilt cell -> the cells XORed into it.
 
-    Gauss-Jordan elimination over GF(2) on the parity-check equations,
-    tracking which equations were combined; the surviving-cell lists of the
-    combined equations symmetric-difference into the recovery set.
+    Entries run in order; every source is a surviving cell or the key of an
+    earlier entry. ``Coord(0, c)`` is the virtual adjuster cell of the
+    evenodd-tree parity column ``c``. ``eliminated`` names the cells peeling
+    could not reach, solved by GF(2) elimination instead. ``steps`` is the
+    schedule compiled to ``(target, sources)`` row indices of a work buffer
+    holding the ``rows * n`` cells followed by ``slots`` virtual cells.
     """
-    unknowns: list[Coord] = [Coord(r, c) for c in erased
-                             for r in range(1, code.rows + 1)]
+
+    def __init__(self, code: Code, recipe: dict[Coord, tuple[Coord, ...]],
+                 eliminated: tuple[Coord, ...]):
+        super().__init__(recipe)
+        self.eliminated = eliminated
+        n, base = code.n, code.rows * code.n
+        virtual: dict[Coord, int] = {}
+
+        def index(c: Coord) -> int:
+            if c.row:
+                return (c.row - 1) * n + c.col - 1
+            return virtual.setdefault(c, base + len(virtual))
+
+        self.steps = tuple((index(t), np.array([index(c) for c in srcs], dtype=np.intp))
+                           for t, srcs in recipe.items())
+        self.slots = len(virtual)
+
+
+@lru_cache(maxsize=8)
+def _decode_equations(code: Code) -> tuple[tuple[Coord, ...], ...]:
+    """Parity checks with each sloped adjuster replaced by its virtual cell.
+
+    Two more equations define the virtual cell ``s`` of slope ``v``: the
+    adjuster line itself, and ``s = (XOR of the slope-0 parity column) XOR
+    (XOR of the slope-v parity column)``, which holds because p-1 is even.
+    With them every two-column erasure peels without elimination. Cached
+    per code, so the schedules of one code share its Coord objects.
+    """
+    eqs = parity_check_equations(code)
+    if code.family not in _EVENODD_TREE:
+        return tuple(map(tuple, eqs))
+    p = code.p
+    column = {c: [Coord(i, c) for i in range(1, p)] for c in range(p + 1, code.n + 1)}
+    adjusters = {}
+    for v in code.slopes:
+        if v:
+            pcol = code.parity_col(v)
+            adjusters[pcol] = frozenset(c for c in adjuster_line(p, v) if c.row != p)
+    out = []
+    for eq in eqs:
+        adj = adjusters.get(eq[0].col)
+        if adj is not None:  # a slope-v check: name the adjuster cell instead
+            eq = [c for c in eq if c not in adj] + [Coord(0, eq[0].col)]
+        out.append(tuple(eq))
+    for pcol, adj in adjusters.items():
+        out.append((Coord(0, pcol), *sorted(adj)))
+        out.append((Coord(0, pcol), *column[code.parity_col(0)], *column[pcol]))
+    return tuple(out)
+
+
+def _solve_schedule(code: Code, erased: tuple[int, ...]) -> DecodeSchedule:
+    """Peel the parity checks into a triangular schedule of erased cells.
+
+    Repeatedly take a check with exactly one unknown cell left and solve that
+    cell from the others, which may be cells solved earlier. Cells left when
+    peeling stalls (three-erasure patterns of some families, and r > 3) are
+    solved by elimination; steps no erased cell depends on are dropped.
+    """
+    eqs = _decode_equations(code)
+    lost = [Coord(r, c) for c in erased for r in range(1, code.rows + 1)]
+    lost_set = set(lost)
+    unknown_of = [[c for c in eq if c in lost_set or c.row == 0] for eq in eqs]
+    eqs_of: dict[Coord, list[int]] = {}
+    for e, unknowns in enumerate(unknown_of):
+        for c in unknowns:
+            eqs_of.setdefault(c, []).append(e)
+    left = [len(u) for u in unknown_of]
+    queue = [e for e, count in enumerate(left) if count == 1]
+    recipe: dict[Coord, tuple[Coord, ...]] = {}
+    eliminated: list[Coord] = []
+
+    def solve(target: Coord, sources: tuple[Coord, ...]) -> None:
+        recipe[target] = sources
+        for e2 in eqs_of[target]:
+            left[e2] -= 1
+            if left[e2] == 1:
+                queue.append(e2)
+
+    unknowns = lost + sorted(c for c in eqs_of if c.row == 0)
+    options: dict[Coord, tuple[Coord, ...]] = {}
+    while True:
+        while queue:
+            e = queue.pop()
+            target = next((c for c in unknown_of[e] if c not in recipe), None)
+            if target is not None:  # else another check solved its last unknown
+                solve(target, tuple(c for c in eqs[e] if c != target))
+        rest = [c for c in unknowns if c not in recipe]
+        if not rest:
+            break
+        # peeling stalled: solve the cheapest cell elimination offers, then peel on
+        if not options:
+            options = _eliminate(code, erased, eqs, rest)
+        target = min(rest, key=lambda c: len(options[c]))
+        eliminated.append(target)
+        solve(target, options[target])
+    needed = set(lost)
+    for target in reversed(list(recipe)):
+        if target in needed:
+            needed.update(recipe[target])
+        else:
+            del recipe[target]
+    return DecodeSchedule(code, recipe, tuple(c for c in eliminated if c in recipe))
+
+
+def _eliminate(code: Code, erased: tuple[int, ...], eqs,
+               unknowns: list[Coord]) -> dict[Coord, tuple[Coord, ...]]:
+    """Express each of ``unknowns`` as an XOR of surviving or solved cells.
+
+    Gauss-Jordan elimination over GF(2), tracking which equations were
+    combined; their known-cell lists symmetric-difference into the recovery
+    set. Raises :class:`UnrecoverableError` if the system is rank-deficient.
+    """
     idx = {coord: i for i, coord in enumerate(unknowns)}
-    rows: list[tuple[int, set[Coord]]] = []
-    for eq in parity_check_equations(code):
+    pivots: dict[int, tuple[int, set[Coord]]] = {}
+    for eq in eqs:
         mask = 0
         knowns: set[Coord] = set()
         for coord in eq:
@@ -338,12 +468,6 @@ def _solve_recipe(code: Code, erased: tuple[int, ...]) -> dict[Coord, tuple[Coor
                 mask |= 1 << idx[coord]
             else:
                 knowns.add(coord)
-        if mask:
-            rows.append((mask, knowns))
-
-    nu = len(unknowns)
-    pivots: dict[int, tuple[int, set[Coord]]] = {}
-    for mask, knowns in rows:
         while mask:
             bit = mask & -mask
             if bit in pivots:
@@ -353,7 +477,7 @@ def _solve_recipe(code: Code, erased: tuple[int, ...]) -> dict[Coord, tuple[Coor
             else:
                 pivots[bit] = (mask, knowns)
                 break
-    if len(pivots) < nu:
+    if len(pivots) < len(unknowns):
         raise UnrecoverableError(
             f"erasure pattern {sorted(erased)} is not decodable for {code.family} p={code.p}")
     # back-substitute so every pivot row holds a single unknown
@@ -368,22 +492,40 @@ def _solve_recipe(code: Code, erased: tuple[int, ...]) -> dict[Coord, tuple[Coor
             rest = mask ^ bit
         pivots[bit] = (mask, knowns)
     return {unknowns[_bit_index(bit)]: tuple(sorted(knowns))
-            for bit, (_, knowns) in pivots.items()}
+            for bit, (_, knowns) in sorted(pivots.items())}
 
 
 def _bit_index(bit: int) -> int:
     return bit.bit_length() - 1
 
 
-def decode_recipe(code: Code, erased: tuple[int, ...]) -> dict[Coord, tuple[Coord, ...]]:
+def decode_recipe(code: Code, erased: tuple[int, ...]) -> DecodeSchedule:
+    """The cached peel-order schedule that rebuilds the ``erased`` columns."""
     key = (code.family, code.p, code.r, tuple(sorted(erased)))
     with _recipe_lock:
         recipe = _recipe_cache.get(key)
-    if recipe is None:
-        recipe = _solve_recipe(code, tuple(sorted(erased)))
-        with _recipe_lock:
-            _recipe_cache.setdefault(key, recipe)
+        if recipe is not None:
+            _recipe_cache.move_to_end(key)
+            return recipe
+    recipe = _solve_schedule(code, key[3])
+    with _recipe_lock:
+        recipe = _recipe_cache.setdefault(key, recipe)
+        _recipe_cache.move_to_end(key)
+        while len(_recipe_cache) > _CACHE_SIZE:
+            _recipe_cache.popitem(last=False)
     return recipe
+
+
+def _run_steps(buf: np.ndarray, steps) -> None:
+    """XOR each step's source rows of ``buf`` into its target row, in order.
+
+    Runs chunk by chunk over the block bytes: a step only reads bytes of the
+    same chunk that earlier steps wrote, and one chunk's gather stays small.
+    """
+    for lo in range(0, buf.shape[1], _CHUNK):
+        hi = lo + _CHUNK
+        for target, sources in steps:
+            np.bitwise_xor.reduce(buf[sources, lo:hi], axis=0, out=buf[target, lo:hi])
 
 
 def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
@@ -391,12 +533,16 @@ def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
     """Rebuild erased columns from the surviving ones.
 
     ``grid`` supplies the surviving columns (erased ones are ignored). The
-    repaired grid is re-encoded and compared against every surviving block;
-    any mismatch raises :class:`CorruptionError`.
+    cells are copied once into a work buffer with one extra row per virtual
+    adjuster cell, and the peel-order schedule of :func:`decode_recipe` is
+    run on it: each step gathers its source rows and XOR-reduces them into
+    its target, in fixed-size byte chunks. The repaired grid is re-encoded
+    and compared against every surviving block; any mismatch raises
+    :class:`CorruptionError`.
 
     Patterns beyond the family's proven tolerance are refused unless
-    ``allow_unchecked`` is set (extended codes with r > 3); the generic
-    solver then decides solvability case by case.
+    ``allow_unchecked`` is set (extended codes with r > 3); the elimination
+    fallback then decides solvability case by case.
     """
     erased = tuple(sorted(set(erased)))
     if not erased:
@@ -410,15 +556,12 @@ def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
         raise UnrecoverableError(
             f"{len(erased)} erasures exceed the supported tolerance {limit}")
     recipe = decode_recipe(code, erased)
-    out = grid.copy()
-    for col in erased:
-        out.cells[:, col - 1] = 0
-    for coord, sources in recipe.items():
-        if sources:
-            out.set_cell(coord, xor_blocks(grid.cell(c) for c in sources))
-        else:
-            out.set_cell(coord, np.zeros(grid.block_size, dtype=np.uint8))
-    reencoded = encode(code, out.info())
+    rows, n, block = grid.cells.shape
+    buf = np.empty((rows * n + recipe.slots, block), dtype=np.uint8)
+    cells = buf[:rows * n].reshape(rows, n, block)
+    cells[...] = grid.cells
+    _run_steps(buf, recipe.steps)
+    reencoded = encode(code, CodeGrid(code, cells).info())
     live = [c for c in range(1, code.n + 1) if c not in erased]
     for col in live:
         if not np.array_equal(reencoded.column(col), grid.column(col)):

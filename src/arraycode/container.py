@@ -91,11 +91,12 @@ def unpack_grid(data: bytes) -> tuple[CodeGrid, int]:
         raise ContainerError(f"unknown family tag {tag}")
     code = Code.make(_TAG_FAMILIES[tag], p, r)
     expected = code.rows * code.n * block_size
-    body = data[_HEADER.size:]
-    if len(body) != expected:
+    body = len(data) - _HEADER.size
+    if body != expected:
         raise ContainerError(
-            f"body holds {len(body)} bytes, header implies {expected}")
-    cells = (np.frombuffer(body, dtype=np.uint8)
+            f"body holds {body} bytes, header implies {expected}")
+    # read the body in place: slicing it off first would copy it once more
+    cells = (np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
              .reshape(code.n, code.rows, block_size)
              .transpose(1, 0, 2).copy())
     if payload_length > capacity(code, block_size):

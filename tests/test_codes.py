@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraycode import (
     Code,
@@ -9,6 +11,7 @@ from arraycode import (
     CorruptionError,
     ParameterError,
     UnrecoverableError,
+    codes,
     encode,
     mds_decode,
     parity_check_equations,
@@ -165,3 +168,83 @@ def test_grid_copy_is_deep():
     dup = grid.copy()
     dup.cells[0, 0, 0] ^= 0xFF
     assert grid.cells[0, 0, 0] != dup.cells[0, 0, 0]
+
+
+def _within_tolerance(code):
+    cols = range(1, code.n + 1)
+    for t in range(1, code.erasure_tolerance + 1):
+        yield from itertools.combinations(cols, t)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_schedule_reads_only_known_cells(p):
+    """Each step reads surviving stored cells or targets of earlier steps,
+    and the schedule rebuilds every erased cell."""
+    for code in _families(p):
+        stored_rows = range(1, code.rows + 1)
+        for pattern in _within_tolerance(code):
+            recipe = codes.decode_recipe(code, pattern)
+            lost = {Coord(r, c) for c in pattern for r in stored_rows}
+            assert lost <= recipe.keys(), (code.family, pattern)
+            done = set()
+            for target, sources in recipe.items():
+                for c in sources:
+                    assert c in done or (c.row in stored_rows and c.col not in pattern), \
+                        (code.family, pattern, target, c)
+                done.add(target)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_two_column_patterns_peel(p):
+    """Virtual adjuster cells make every two-column erasure peel, each step
+    XORing at most 2(p-1) blocks."""
+    for code in _families(p):
+        for pattern in itertools.combinations(range(1, code.n + 1), 2):
+            recipe = codes.decode_recipe(code, pattern)
+            assert not recipe.eliminated, (code.family, pattern)
+            assert max(map(len, recipe.values())) <= 2 * (p - 1), (code.family, pattern)
+
+
+def test_decode_cache_is_bounded():
+    code = Code.star(13)
+    rng = np.random.default_rng(5)
+    grid = encode(code, random_info(code, 3, rng))
+    codes._recipe_cache.clear()
+    patterns = list(itertools.islice(_within_tolerance(code), codes._CACHE_SIZE + 20))
+    assert len(patterns) > codes._CACHE_SIZE
+    for pattern in patterns:
+        broken = grid.copy()
+        broken.cells[:, [c - 1 for c in pattern]] = 0
+        assert np.array_equal(mds_decode(code, broken, pattern).cells, grid.cells)
+        assert len(codes._recipe_cache) <= codes._CACHE_SIZE
+    assert len(codes._recipe_cache) == codes._CACHE_SIZE
+
+
+@st.composite
+def _erased_grids(draw):
+    family = draw(st.sampled_from(["evenodd", "evenodd-ext", "rdp", "xcode", "star"]))
+    code = Code.make(family, draw(st.sampled_from([5, 7, 11, 13])),
+                     draw(st.sampled_from([2, 3])))
+    erased = draw(st.lists(st.integers(1, code.n), min_size=1,
+                           max_size=code.erasure_tolerance, unique=True))
+    block = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = encode(code, random_info(code, block, rng))
+    flip = (draw(st.sampled_from([c for c in range(1, code.n + 1) if c not in erased])),
+            draw(st.integers(1, code.rows)), draw(st.integers(0, block - 1)),
+            draw(st.integers(1, 255)))
+    return code, grid, erased, flip
+
+
+@settings(max_examples=60, deadline=None)
+@given(_erased_grids())
+def test_random_roundtrip_and_corruption(case):
+    code, grid, erased, (col, row, byte, mask) = case
+    broken = grid.copy()
+    broken.cells[:, [c - 1 for c in erased]] = 0xA5
+    assert np.array_equal(mds_decode(code, broken, erased).cells, grid.cells)
+    if len(erased) < code.erasure_tolerance:
+        # column distance is tolerance + 1, so one bad surviving byte shows
+        broken.cells[row - 1, col - 1, byte] ^= mask
+        with pytest.raises(CorruptionError):
+            mds_decode(code, broken, erased)
