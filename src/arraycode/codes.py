@@ -17,15 +17,21 @@ Slope-v parity of the evenodd family tree is
 ``b[i, v] = adjuster(v) XOR sum_j a[<i + v*(1-j)>, j]`` where the adjuster
 is the XOR of the index-0 line of that slope and ``adjuster(0) = 0``.
 
-:func:`mds_decode` runs a schedule compiled once per erasure pattern. The
-schedule peels the parity checks: a check with one unknown cell left solves
-that cell, from survivors and cells solved before it. In the evenodd tree
-each sloped adjuster is a virtual cell ``Coord(0, parity column)``, defined
-by its line and by the XOR of the slope-0 and slope-v parity columns, so
-every two-column erasure peels. Cells peeling cannot reach are solved by
-GF(2) elimination. One work buffer holds the cells and the virtual cells;
-each step gathers its sources and XOR-reduces them into its target, in
-fixed-size byte chunks.
+Encoding and decoding run on one executor. Both compile the parity-check
+equations to an ordered ``(target, sources)`` XOR schedule over a work
+buffer that holds the cells and one row per virtual cell; each step gathers
+its sources and XOR-reduces them into its target, in fixed-size byte chunks.
+In the evenodd tree each sloped adjuster is a virtual cell
+``Coord(0, parity column)``.
+
+* :func:`encode` runs one schedule per code: each adjuster from its line,
+  then every parity cell from its check.
+* :func:`mds_decode` runs a schedule compiled once per erasure pattern. It
+  peels the parity checks: a check with one unknown cell left solves that
+  cell, from survivors and cells solved before it. Adjusters are also
+  defined by the XOR of the slope-0 and slope-v parity columns, so every
+  two-column erasure peels. Cells peeling cannot reach are solved by GF(2)
+  elimination.
 """
 
 from __future__ import annotations
@@ -214,87 +220,26 @@ def random_info(code: Code, block_size: int, rng: np.random.Generator) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# parity-check equations (shared by the encoder, the decoder and the planner)
 # ---------------------------------------------------------------------------
 
-def encode(code: Code, info: np.ndarray) -> CodeGrid:
-    """Encode an information array of shape ``code.info_shape + (block,)``."""
-    info = np.asarray(info, dtype=np.uint8)
-    if info.ndim != 3 or info.shape[:2] != code.info_shape:
-        raise ParameterError(
-            f"info shape {info.shape} does not match {code.info_shape} + (block,)")
-    block = info.shape[2]
-    grid = CodeGrid(code, np.zeros((code.rows, code.n, block), dtype=np.uint8))
-    if code.family in _EVENODD_TREE:
-        _encode_evenodd_tree(code, info, grid)
-    elif code.family == "rdp":
-        _encode_rdp(code, info, grid)
-    else:
-        _encode_xcode(code, info, grid)
-    return grid
+def xcode_line(p: int, slope: int, col: int) -> list[Coord]:
+    """Data cells covered by the X-code parity of ``slope`` stored in ``col``.
 
+    Slope -1 parity sits at (p-1, col); slope +1 parity sits at (p, col) and
+    covers the line through the cell (p-1, col) it skips.
+    """
+    step = 1 if slope == -1 else -1
+    return [Coord(r, mod_index(col + step * (r + 1), p)) for r in range(1, p - 1)]
 
-def _line_xor(grid_info: np.ndarray, p: int, coords: list[Coord]) -> np.ndarray:
-    """XOR of real (non-imaginary) cells of a line over an info array."""
-    block = grid_info.shape[2]
-    out = np.zeros(block, dtype=np.uint8)
-    for c in coords:
-        if c.row != p:
-            out ^= grid_info[c.row - 1, c.col - 1]
-    return out
-
-
-def _encode_evenodd_tree(code: Code, info: np.ndarray, grid: CodeGrid) -> None:
-    p = code.p
-    grid.cells[:, :p] = info
-    for v in code.slopes:
-        col = code.parity_col(v) - 1
-        if v == 0:
-            # plain row parity across the data columns
-            grid.cells[:, col] = np.bitwise_xor.reduce(info, axis=1)
-            continue
-        adjuster = _line_xor(info, p, adjuster_line(p, v))
-        for i in range(1, p):
-            members = parity_group_members(p, ParityGroupId(v, i))
-            grid.cells[i - 1, col] = adjuster ^ _line_xor(info, p, members)
-
-
-def _encode_rdp(code: Code, info: np.ndarray, grid: CodeGrid) -> None:
-    p = code.p
-    grid.cells[:, : p - 1] = info
-    # row parity over the data columns
-    grid.cells[:, p - 1] = np.bitwise_xor.reduce(info, axis=1)
-    # diagonal parity: the slope-1 line through (i, 1) over columns 1..p,
-    # which picks up one row-parity block; the line through (p, 1) is skipped
-    left = grid.cells[:, :p]
-    for i in range(1, p):
-        members = parity_group_members(p, ParityGroupId(1, i))
-        grid.cells[i - 1, p] = _line_xor(left, p, members)
-
-
-def _encode_xcode(code: Code, info: np.ndarray, grid: CodeGrid) -> None:
-    p = code.p
-    grid.cells[: p - 2] = info
-    for c in range(1, p + 1):
-        # slope -1 parity covers the line through its own cell (p-1, c),
-        # skipping the row-p cell: data member of row r sits in col <c+r+1>
-        grid.cells[p - 2, c - 1] = _line_xor(
-            info, p, [Coord(r, mod_index(c + r + 1, p)) for r in range(1, p - 1)])
-        # slope +1 parity at (p, c) covers the line through the excluded cell
-        # (p-1, c): data member of row r sits in col <c-r-1>
-        grid.cells[p - 1, c - 1] = _line_xor(
-            info, p, [Coord(r, mod_index(c - r - 1, p)) for r in range(1, p - 1)])
-
-
-# ---------------------------------------------------------------------------
-# parity-check equations (shared by the decoder and by tests)
-# ---------------------------------------------------------------------------
 
 def parity_check_equations(code: Code) -> list[list[Coord]]:
     """Coordinate sets of stored cells, each XOR-summing to zero.
 
     Imaginary cells are dropped. Every stored parity block appears in
-    exactly one equation together with the cells that define it.
+    exactly one equation, listed first, together with the cells that define
+    it; in RDP the row-parity checks precede the diagonal ones that read
+    row parity.
     """
     p = code.p
     eqs: list[list[Coord]] = []
@@ -315,15 +260,13 @@ def parity_check_equations(code: Code) -> list[list[Coord]]:
             eqs.append([Coord(i, p + 1)] + members)
     else:
         for c in range(1, p + 1):
-            eqs.append([Coord(p - 1, c)] + [
-                Coord(r, mod_index(c + r + 1, p)) for r in range(1, p - 1)])
-            eqs.append([Coord(p, c)] + [
-                Coord(r, mod_index(c - r - 1, p)) for r in range(1, p - 1)])
+            eqs.append([Coord(p - 1, c)] + xcode_line(p, -1, c))
+            eqs.append([Coord(p, c)] + xcode_line(p, 1, c))
     return eqs
 
 
 # ---------------------------------------------------------------------------
-# generic erasure decoding
+# XOR schedules: parity generation and erasure decoding
 # ---------------------------------------------------------------------------
 
 # bytes of each block one gather reads: a step's sources stay in cache, and a
@@ -332,23 +275,24 @@ _CHUNK = 8192
 # compiled schedules kept; each holds about 0.1 MB at p=53
 _CACHE_SIZE = 128
 
-_recipe_cache: OrderedDict[tuple, "DecodeSchedule"] = OrderedDict()
+_recipe_cache: OrderedDict[tuple, "XorSchedule"] = OrderedDict()
 _recipe_lock = Lock()
 
 
-class DecodeSchedule(dict):
-    """Peel-order decode recipe: rebuilt cell -> the cells XORed into it.
+class XorSchedule(dict):
+    """An ordered XOR recipe: computed cell -> the cells XORed into it.
 
-    Entries run in order; every source is a surviving cell or the key of an
-    earlier entry. ``Coord(0, c)`` is the virtual adjuster cell of the
-    evenodd-tree parity column ``c``. ``eliminated`` names the cells peeling
+    Entries run in order; every source is a given cell (surviving, or
+    information when encoding) or the key of an earlier entry.
+    ``Coord(0, c)`` is the virtual adjuster cell of the evenodd-tree parity
+    column ``c``. ``eliminated`` names the cells a decode schedule's peeling
     could not reach, solved by GF(2) elimination instead. ``steps`` is the
     schedule compiled to ``(target, sources)`` row indices of a work buffer
     holding the ``rows * n`` cells followed by ``slots`` virtual cells.
     """
 
     def __init__(self, code: Code, recipe: dict[Coord, tuple[Coord, ...]],
-                 eliminated: tuple[Coord, ...]):
+                 eliminated: tuple[Coord, ...] = ()):
         super().__init__(recipe)
         self.eliminated = eliminated
         n, base = code.n, code.rows * code.n
@@ -396,7 +340,22 @@ def _decode_equations(code: Code) -> tuple[tuple[Coord, ...], ...]:
     return tuple(out)
 
 
-def _solve_schedule(code: Code, erased: tuple[int, ...]) -> DecodeSchedule:
+@lru_cache(maxsize=8)
+def _encode_schedule(code: Code) -> XorSchedule:
+    """Parity generation, compiled from the decoder's equations.
+
+    Each sloped adjuster line is solved into its virtual cell first, then
+    every parity check for the parity cell it lists first, in equation
+    order. The column identities that also define the adjusters are left
+    out: they serve decoding only and would double a step's sources.
+    """
+    eqs = _decode_equations(code)
+    lines = [eq for eq in eqs if eq[0].row == 0 and eq[1].col <= code.info_cols]
+    checks = [eq for eq in eqs if eq[0].row]
+    return XorSchedule(code, {eq[0]: eq[1:] for eq in lines + checks})
+
+
+def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
     """Peel the parity checks into a triangular schedule of erased cells.
 
     Repeatedly take a check with exactly one unknown cell left and solve that
@@ -447,7 +406,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...]) -> DecodeSchedule:
             needed.update(recipe[target])
         else:
             del recipe[target]
-    return DecodeSchedule(code, recipe, tuple(c for c in eliminated if c in recipe))
+    return XorSchedule(code, recipe, tuple(c for c in eliminated if c in recipe))
 
 
 def _eliminate(code: Code, erased: tuple[int, ...], eqs,
@@ -499,7 +458,7 @@ def _bit_index(bit: int) -> int:
     return bit.bit_length() - 1
 
 
-def decode_recipe(code: Code, erased: tuple[int, ...]) -> DecodeSchedule:
+def decode_recipe(code: Code, erased: tuple[int, ...]) -> XorSchedule:
     """The cached peel-order schedule that rebuilds the ``erased`` columns."""
     key = (code.family, code.p, code.r, tuple(sorted(erased)))
     with _recipe_lock:
@@ -526,6 +485,26 @@ def _run_steps(buf: np.ndarray, steps) -> None:
         hi = lo + _CHUNK
         for target, sources in steps:
             np.bitwise_xor.reduce(buf[sources, lo:hi], axis=0, out=buf[target, lo:hi])
+
+
+def encode(code: Code, info: np.ndarray) -> CodeGrid:
+    """Encode an information array of shape ``code.info_shape + (block,)``.
+
+    The information blocks are copied into a work buffer with one extra row
+    per virtual adjuster cell, and the code's parity schedule is run on it
+    by the same executor that decodes erasures.
+    """
+    info = np.asarray(info, dtype=np.uint8)
+    if info.ndim != 3 or info.shape[:2] != code.info_shape:
+        raise ParameterError(
+            f"info shape {info.shape} does not match {code.info_shape} + (block,)")
+    schedule = _encode_schedule(code)
+    rows, cols, block = info.shape
+    buf = np.empty((code.rows * code.n + schedule.slots, block), dtype=np.uint8)
+    cells = buf[:code.rows * code.n].reshape(code.rows, code.n, block)
+    cells[:rows, :cols] = info
+    _run_steps(buf, schedule.steps)
+    return CodeGrid(code, cells)
 
 
 def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],

@@ -73,12 +73,14 @@ def extract_payload(grid: CodeGrid, payload_length: int) -> bytes:
     return flat[:payload_length].tobytes()
 
 
-def pack_grid(grid: CodeGrid, payload_length: int) -> bytes:
+def _pack_header(grid: CodeGrid, payload_length: int) -> bytes:
     code = grid.code
-    header = _HEADER.pack(MAGIC, FAMILY_TAGS[code.family], code.p, code.r,
-                          grid.block_size, payload_length)
-    body = grid.cells.transpose(1, 0, 2).tobytes()
-    return header + body
+    return _HEADER.pack(MAGIC, FAMILY_TAGS[code.family], code.p, code.r,
+                        grid.block_size, payload_length)
+
+
+def pack_grid(grid: CodeGrid, payload_length: int) -> bytes:
+    return _pack_header(grid, payload_length) + grid.cells.transpose(1, 0, 2).tobytes()
 
 
 def unpack_grid(data: bytes) -> tuple[CodeGrid, int]:
@@ -105,8 +107,11 @@ def unpack_grid(data: bytes) -> tuple[CodeGrid, int]:
 
 
 def write_container(path, grid: CodeGrid, payload_length: int) -> None:
+    # header, then one column at a time: no copy of the whole body is built
     with open(path, "wb") as fh:
-        fh.write(pack_grid(grid, payload_length))
+        fh.write(_pack_header(grid, payload_length))
+        for col in range(1, grid.code.n + 1):
+            fh.write(np.ascontiguousarray(grid.column(col)))
 
 
 def read_container(path) -> tuple[CodeGrid, int]:

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import Code, CodeGrid
+from .codes import Code, CodeGrid, xcode_line
 from .core import (
     Coord,
     ParameterError,
@@ -136,16 +136,9 @@ def _rdp_group(code: Code, gid: ParityGroupId, target: Coord) -> GroupUse:
     return GroupUse(gid, target, parity, members)
 
 
-def _xcode_line(p: int, slope: int, col: int) -> list[Coord]:
-    """Data cells covered by the X-code parity stored in ``col``."""
-    if slope == -1:
-        return [Coord(r, mod_index(col + r + 1, p)) for r in range(1, p - 1)]
-    return [Coord(r, mod_index(col - r - 1, p)) for r in range(1, p - 1)]
-
-
 def _xcode_group(p: int, slope: int, parity_col: int, target: Coord) -> GroupUse:
     parity_cell = Coord(p - 1 if slope == -1 else p, parity_col)
-    members = tuple(c for c in _xcode_line(p, slope, parity_col) if c != target)
+    members = tuple(c for c in xcode_line(p, slope, parity_col) if c != target)
     gid = ParityGroupId(slope, parity_col)
     if parity_cell == target:
         return GroupUse(gid, target, None, members)

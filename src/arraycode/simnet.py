@@ -130,8 +130,12 @@ def create_cluster(family: str, p: int, r: int | None = None, *,
 
 
 def cluster_from_grid(grid: CodeGrid) -> Cluster:
-    nodes = [Node(c, grid.cells[:, c - 1].copy())
-             for c in range(1, grid.code.n + 1)]
+    """Nodes view their columns of ``grid``; the shadow is the one copy.
+
+    Node columns are never written in place (a failure drops the column, a
+    repair installs a new array), so only the shadow needs its own bytes.
+    """
+    nodes = [Node(c, grid.column(c)) for c in range(1, grid.code.n + 1)]
     return Cluster(grid.code, grid.block_size, nodes, grid.copy())
 
 

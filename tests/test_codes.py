@@ -111,6 +111,87 @@ def test_parity_equations_hold(p):
             assert not acc.any(), (code.family, eq)
 
 
+def _reference_encode(code, info):
+    """Per-line encoder written from the family definitions.
+
+    It shares no code with ``parity_check_equations`` or the schedule
+    executor: lines are indexed directly, 0-based, and the imaginary row p
+    is a zero row appended to the array it reads.
+    """
+    p, fam = code.p, code.family
+    rows, cols, block = info.shape
+    grid = np.zeros((code.rows, code.n, block), dtype=np.uint8)
+    grid[:rows, :cols] = info
+
+    def line(a, i, v, width):
+        """XOR over columns j of a[<i + v*(1-j)>, j]; a has p rows."""
+        out = np.zeros(block, dtype=np.uint8)
+        for j in range(1, width + 1):
+            out ^= a[(i + v * (1 - j) - 1) % p, j - 1]
+        return out
+
+    if fam == "xcode":
+        for c in range(1, p + 1):
+            for r in range(1, p - 1):
+                grid[p - 2, c - 1] ^= info[r - 1, (c + r) % p]      # slope -1
+                grid[p - 1, c - 1] ^= info[r - 1, (c - r - 2) % p]  # slope +1
+        return grid
+    if fam == "rdp":
+        grid[:, p - 1] = np.bitwise_xor.reduce(info, axis=1)
+        left = np.zeros((p, p, block), dtype=np.uint8)
+        left[:p - 1] = grid[:, :p]  # data plus row parity, row p imaginary
+        for i in range(1, p):
+            grid[i - 1, p] = line(left, i, 1, p)
+        return grid
+    padded = np.zeros((p, p, block), dtype=np.uint8)
+    padded[:p - 1] = info
+    for s, v in enumerate(code.slopes):
+        adjuster = line(padded, p, v, p) if v else 0  # the index-0 line
+        for i in range(1, p):
+            grid[i - 1, p + s] = adjuster ^ line(padded, i, v, p)
+    return grid
+
+
+@st.composite
+def _info_arrays(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    family = draw(st.sampled_from(
+        ["evenodd", "evenodd-ext", "rdp", "star"] + (["xcode"] if p >= 5 else [])))
+    code = Code.make(family, p, draw(st.integers(2, min(5, p - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return code, random_info(code, draw(st.integers(1, 64)), rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_info_arrays())
+def test_encode_matches_reference(case):
+    code, info = case
+    assert np.array_equal(encode(code, info).cells, _reference_encode(code, info))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_encode_schedule_shape(p):
+    """Every parity cell is computed exactly once, from information cells or
+    cells computed before it, by a step of at most p sources."""
+    extra = [Code.evenodd_ext(p, 5)] if p > 5 else []
+    for code in _families(p) + extra:
+        schedule = codes._encode_schedule(code)
+        rows, cols = code.info_shape
+        stored = code.rows * code.n
+        info = {(r - 1) * code.n + c - 1 for r in range(1, rows + 1)
+                for c in range(1, cols + 1)}
+        targets = [t for t, _ in schedule.steps]
+        assert sorted(t for t in targets if t < stored) == \
+            sorted(set(range(stored)) - info), code
+        assert sorted(t for t in targets if t >= stored) == \
+            list(range(stored, stored + schedule.slots)), code
+        done = set()
+        for target, sources in schedule.steps:
+            assert len(sources) <= p, (code, target)
+            assert all(s in info or s in done for s in sources), (code, target)
+            done.add(target)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_decode_exhaustive_within_tolerance(p):
     """Every erasure pattern the family promises to survive decodes back

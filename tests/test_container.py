@@ -76,3 +76,12 @@ def test_file_io(tmp_path):
     ct.write_container(path, grid, len(payload))
     restored, length = ct.read_container(path)
     assert ct.extract_payload(restored, length) == payload
+
+
+def test_written_file_matches_pack_grid(tmp_path):
+    code = Code.star(5)
+    payload = bytes(range(150))
+    grid = ct.encode_payload(code, payload, 8)
+    path = tmp_path / "s.aerc"
+    ct.write_container(path, grid, len(payload))
+    assert path.read_bytes() == ct.pack_grid(grid, len(payload))

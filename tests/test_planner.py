@@ -138,6 +138,13 @@ def test_xcode_within_bound_and_exact(p):
         assert gamma <= xcode_bandwidth_bound(p)
 
 
+def test_xcode_gamma_pinned():
+    """Plan sizes for every erased column, as first measured."""
+    expected = {5: 12, 7: 28, 11: 78, 13: 112}
+    for p, gamma in expected.items():
+        assert {plan_xcode_single(p, e).gamma for e in range(1, p + 1)} == {gamma}
+
+
 def test_xcode_parity_rows_force_own_groups():
     plan = plan_xcode_single(7, 4)
     targets = {g.target for g in plan.groups}

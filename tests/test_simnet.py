@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arraycode import simnet
+from arraycode import Code, encode, random_info, simnet
 from arraycode.core import ParameterError, UnrecoverableError
 
 
@@ -75,6 +75,21 @@ def test_rebuild_restores_node():
     assert cluster.node(2).alive
     assert np.array_equal(cluster.node(2).column, original)
     assert result.verified
+
+
+def test_nodes_view_grid_and_shadow_is_private():
+    code = Code.rdp(5)
+    grid = encode(code, random_info(code, 4, np.random.default_rng(8)))
+    original = grid.copy()
+    cluster = simnet.cluster_from_grid(grid)
+    for node in cluster.nodes:
+        assert np.shares_memory(node.column, grid.cells)
+        assert not np.shares_memory(node.column, cluster.shadow.cells)
+    assert np.array_equal(cluster.shadow.cells, grid.cells)
+    simnet.fail_nodes(cluster, [2])
+    assert simnet.run_repair(cluster, 2).verified
+    assert not np.shares_memory(cluster.node(2).column, grid.cells)
+    assert np.array_equal(grid.cells, original.cells)
 
 
 def test_determinism_same_seed_same_ledger():
