@@ -24,6 +24,11 @@ its sources and XOR-reduces them into its target, in fixed-size byte chunks.
 In the evenodd tree each sloped adjuster is a virtual cell
 ``Coord(0, parity column)``.
 
+Grids are stored column-major, as the container file stores them: column
+``c`` is one contiguous run of ``rows`` blocks, so the stored cell
+``(r, c)`` is row ``(c-1)*rows + r-1`` of a work buffer (:func:`cell_view`
+gives the logical ``(rows, n, block)`` view of such a buffer).
+
 * :func:`encode` runs one schedule per code: each adjuster from its line,
   then every parity cell from its check.
 * :func:`mds_decode` runs a schedule compiled once per erasure pattern. It
@@ -58,6 +63,7 @@ from .core import (
 __all__ = [
     "Code",
     "CodeGrid",
+    "cell_view",
     "encode",
     "mds_decode",
     "parity_check_equations",
@@ -186,7 +192,12 @@ def _check_prime(p: int) -> None:
 
 @dataclass
 class CodeGrid:
-    """An encoded array: ``cells[row-1, col-1]`` is one block (uint8 vector)."""
+    """An encoded array: ``cells[row-1, col-1]`` is one block (uint8 vector).
+
+    Grids built here are a transposed view of C-contiguous
+    ``(n, rows, block)`` storage (:func:`cell_view`), so each column is one
+    contiguous run; any ``(rows, n, block)`` array is accepted.
+    """
 
     code: Code
     cells: np.ndarray  # shape (rows, n, block_size)
@@ -207,11 +218,24 @@ class CodeGrid:
         return self.cells[:, col - 1]
 
     def copy(self) -> "CodeGrid":
-        return CodeGrid(self.code, self.cells.copy())
+        return CodeGrid(self.code, self.cells.copy(order="K"))
 
     def info(self) -> np.ndarray:
         rows, cols = self.code.info_shape
         return self.cells[:rows, :cols]
+
+
+def cell_view(code: Code, buf: np.ndarray) -> np.ndarray:
+    """The ``(rows, n, block)`` cells over the first ``rows * n`` rows of a
+    ``(cells, block)`` buffer, stored column by column."""
+    stored = buf[:code.rows * code.n].reshape(code.n, code.rows, buf.shape[1])
+    return stored.transpose(1, 0, 2)
+
+
+def _cell_index(rows: int, c: Coord) -> int:
+    """Row of the stored cell ``c`` of a code with ``rows`` rows, in a buffer
+    laid out by :func:`cell_view`."""
+    return (c.col - 1) * rows + c.row - 1
 
 
 def random_info(code: Code, block_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,19 +312,20 @@ class XorSchedule(dict):
     column ``c``. ``eliminated`` names the cells a decode schedule's peeling
     could not reach, solved by GF(2) elimination instead. ``steps`` is the
     schedule compiled to ``(target, sources)`` row indices of a work buffer
-    holding the ``rows * n`` cells followed by ``slots`` virtual cells.
+    holding the ``rows * n`` cells (:func:`_cell_index`) followed by
+    ``slots`` virtual cells.
     """
 
     def __init__(self, code: Code, recipe: dict[Coord, tuple[Coord, ...]],
                  eliminated: tuple[Coord, ...] = ()):
         super().__init__(recipe)
         self.eliminated = eliminated
-        n, base = code.n, code.rows * code.n
+        rows, base = code.rows, code.rows * code.n
         virtual: dict[Coord, int] = {}
 
         def index(c: Coord) -> int:
             if c.row:
-                return (c.row - 1) * n + c.col - 1
+                return _cell_index(rows, c)
             return virtual.setdefault(c, base + len(virtual))
 
         self.steps = tuple((index(t), np.array([index(c) for c in srcs], dtype=np.intp))
@@ -501,7 +526,7 @@ def encode(code: Code, info: np.ndarray) -> CodeGrid:
     schedule = _encode_schedule(code)
     rows, cols, block = info.shape
     buf = np.empty((code.rows * code.n + schedule.slots, block), dtype=np.uint8)
-    cells = buf[:code.rows * code.n].reshape(code.rows, code.n, block)
+    cells = cell_view(code, buf)
     cells[:rows, :cols] = info
     _run_steps(buf, schedule.steps)
     return CodeGrid(code, cells)
@@ -535,9 +560,8 @@ def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
         raise UnrecoverableError(
             f"{len(erased)} erasures exceed the supported tolerance {limit}")
     recipe = decode_recipe(code, erased)
-    rows, n, block = grid.cells.shape
-    buf = np.empty((rows * n + recipe.slots, block), dtype=np.uint8)
-    cells = buf[:rows * n].reshape(rows, n, block)
+    buf = np.empty((code.rows * code.n + recipe.slots, grid.block_size), dtype=np.uint8)
+    cells = cell_view(code, buf)
     cells[...] = grid.cells
     _run_steps(buf, recipe.steps)
     reencoded = encode(code, CodeGrid(code, cells).info())

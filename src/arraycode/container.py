@@ -11,17 +11,20 @@ Layout: a fixed 26-byte little-endian header followed by the grid body.
 
 The body stores all n columns column-major, each column a contiguous run
 of ``rows * block_size`` bytes, so byte ranges map one-to-one onto nodes.
+Grids in memory use the same layout (:func:`codes.cell_view`), so
+:func:`read_container` reads the body straight into the grid's buffer.
 Information blocks are filled column-major from the payload, zero-padded
 up to ``k * rows * block_size``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
-from .codes import Code, CodeGrid, encode
+from .codes import Code, CodeGrid, cell_view, encode
 from .core import ParameterError
 
 __all__ = [
@@ -83,27 +86,36 @@ def pack_grid(grid: CodeGrid, payload_length: int) -> bytes:
     return _pack_header(grid, payload_length) + grid.cells.transpose(1, 0, 2).tobytes()
 
 
-def unpack_grid(data: bytes) -> tuple[CodeGrid, int]:
-    if len(data) < _HEADER.size:
+def _parse_header(header: bytes, size: int) -> tuple[Code, int, int]:
+    """Code, block size and payload length of a container of ``size`` bytes
+    whose first bytes are ``header``; raises :class:`ContainerError` unless
+    the body is exactly as large as the header implies."""
+    if len(header) < _HEADER.size:
         raise ContainerError("truncated header")
-    magic, tag, p, r, block_size, payload_length = _HEADER.unpack_from(data)
+    magic, tag, p, r, block_size, payload_length = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise ContainerError(f"bad magic {magic!r}")
     if tag not in _TAG_FAMILIES:
         raise ContainerError(f"unknown family tag {tag}")
-    code = Code.make(_TAG_FAMILIES[tag], p, r)
+    try:
+        code = Code.make(_TAG_FAMILIES[tag], p, r)
+    except ParameterError as exc:
+        raise ContainerError(f"bad code parameters: {exc}") from None
     expected = code.rows * code.n * block_size
-    body = len(data) - _HEADER.size
+    body = size - _HEADER.size
     if body != expected:
         raise ContainerError(
             f"body holds {body} bytes, header implies {expected}")
-    # read the body in place: slicing it off first would copy it once more
-    cells = (np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
-             .reshape(code.n, code.rows, block_size)
-             .transpose(1, 0, 2).copy())
     if payload_length > capacity(code, block_size):
         raise ContainerError("payload length exceeds container capacity")
-    return CodeGrid(code, cells), payload_length
+    return code, block_size, payload_length
+
+
+def unpack_grid(data: bytes) -> tuple[CodeGrid, int]:
+    code, block_size, payload_length = _parse_header(data, len(data))
+    buf = (np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
+           .reshape(code.rows * code.n, block_size).copy())
+    return CodeGrid(code, cell_view(code, buf)), payload_length
 
 
 def write_container(path, grid: CodeGrid, payload_length: int) -> None:
@@ -115,5 +127,13 @@ def write_container(path, grid: CodeGrid, payload_length: int) -> None:
 
 
 def read_container(path) -> tuple[CodeGrid, int]:
+    # the body is read once, into the buffer the grid views
     with open(path, "rb") as fh:
-        return unpack_grid(fh.read())
+        size = os.fstat(fh.fileno()).st_size
+        code, block_size, payload_length = _parse_header(fh.read(_HEADER.size), size)
+        buf = np.empty((code.rows * code.n, block_size), dtype=np.uint8)
+        got = fh.readinto(buf)
+        if got != buf.nbytes or fh.read(1):
+            raise ContainerError(f"body changed while reading: {got} bytes read, "
+                                 f"{buf.nbytes} expected")
+    return CodeGrid(code, cell_view(code, buf)), payload_length

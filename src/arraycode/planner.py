@@ -19,6 +19,10 @@ over one-group-per-block accounting come from.
 
 Plans only target data columns. Rebuilding a parity column is a plain
 decode-then-reencode job and is handled by the cluster layer at naive cost.
+
+:func:`execute_plan` compiles a plan to ``(target, sources)`` XOR steps and
+runs them on the executor that encodes and decodes (``codes._run_steps``).
+It reads only the shipped blocks, straight from the live columns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import Code, CodeGrid, xcode_line
+from .codes import _CHUNK, Code, _run_steps, xcode_line
 from .core import (
     Coord,
     ParameterError,
@@ -36,7 +40,6 @@ from .core import (
     PlanError,
     mod_index,
     parity_group_members,
-    xor_blocks,
 )
 
 __all__ = [
@@ -418,47 +421,72 @@ def _greedy_star_groups(code: Code, erased: tuple[int, int], recover_col: int,
 # execution
 # ---------------------------------------------------------------------------
 
-def execute_plan(plan: RepairPlan, grid: CodeGrid) -> dict[Coord, np.ndarray]:
+def execute_plan(plan: RepairPlan, source) -> dict[Coord, np.ndarray]:
     """Run a plan against surviving data and return the recovered cells.
 
-    Only blocks named by the plan's transmissions are read from the grid;
-    a member block that was neither shipped nor recovered earlier in the
-    chain means the plan is rank deficient and raises :class:`PlanError`.
+    ``source`` is a :class:`CodeGrid` or anything else with ``column(c)``
+    and ``block_size``, such as a simulated cluster. The plan is compiled to
+    ``(target, sources)`` steps over one buffer: a row per transmission, a
+    row per adjuster (the slope-v column sum XOR the slope-0 one) and a row
+    per group target. Only the shipped blocks are read, one gather per
+    source column, and the steps run on the executor that encodes and
+    decodes. The plan is checked before any byte is read: a transmission
+    from an erased column, an adjuster whose sums were not shipped, or a
+    member block neither shipped nor recovered by an earlier group (the
+    plan is rank deficient) raises :class:`PlanError`.
     """
-    code = plan.code
-    store: dict[Coord, np.ndarray] = {}
-    sums: dict[int, np.ndarray] = {}
-    for t in plan.transmissions:
+    row_of: dict[Coord, int] = {}  # shipped or recovered cell -> buffer row
+    sum_rows: dict[int, int] = {}  # slope -> buffer row of its column sum
+    gathers: dict[int, tuple[list[int], list[int]]] = {}  # col -> (buffer rows, its rows)
+    for i, t in enumerate(plan.transmissions):
         if t.source in plan.erased:
             raise PlanError(f"transmission sourced from erased column {t.source}")
         if t.kind == "sum":
-            sums[t.slope] = np.bitwise_xor.reduce(grid.column(t.source), axis=0)
+            sum_rows[t.slope] = i
         else:
-            store[t.coord] = grid.cell(t.coord)
-    adjusters: dict[int, np.ndarray] = {}
-    if code.family in _EVENODD_TREE and 0 in sums:
-        for v, s in sums.items():
+            row_of[t.coord] = i
+            rows, col_rows = gathers.setdefault(t.source, ([], []))
+            rows.append(i)
+            col_rows.append(t.coord.row - 1)
+    steps = []
+    adjuster_rows: dict[int, int] = {}
+    if plan.code.family in _EVENODD_TREE and 0 in sum_rows:
+        for v, row in sum_rows.items():
             if v != 0:
-                adjusters[v] = s ^ sums[0]
-    recovered: dict[Coord, np.ndarray] = {}
-    block = grid.block_size
-    for g in plan.groups:
-        parts: list[np.ndarray] = [np.zeros(block, dtype=np.uint8)]
-        if g.parity_coord is not None:
-            parts.append(store[g.parity_coord])
+                adjuster_rows[v] = len(plan.transmissions) + len(steps)
+                steps.append((adjuster_rows[v],
+                              np.array([row, sum_rows[0]], dtype=np.intp)))
+    first = len(plan.transmissions) + len(steps)  # buffer row of the first group target
+    for k, g in enumerate(plan.groups):
+        sources = []
         if g.adjuster_slope is not None:
-            if g.adjuster_slope not in adjusters:
+            if g.adjuster_slope not in adjuster_rows:
                 raise PlanError(f"adjuster for slope {g.adjuster_slope} not shipped")
-            parts.append(adjusters[g.adjuster_slope])
-        for m in g.members:
-            if m in store:
-                parts.append(store[m])
-            elif m in recovered:
-                parts.append(recovered[m])
-            else:
+            sources.append(adjuster_rows[g.adjuster_slope])
+        wanted = g.members if g.parity_coord is None else (g.parity_coord, *g.members)
+        for m in wanted:
+            if m not in row_of:
                 raise PlanError(f"member {m} neither shipped nor recovered yet")
-        recovered[g.target] = xor_blocks(parts)
-    return recovered
+            sources.append(row_of[m])
+        row_of[g.target] = first + k
+        steps.append((first + k, np.array(sources, dtype=np.intp)))
+    sums = [(row, plan.transmissions[row].source) for row in sum_rows.values()]
+    columns = {c: source.column(c) for c in {*gathers, *(c for _, c in sums)}}
+    block = source.block_size
+    out = np.empty((len(plan.groups), block), dtype=np.uint8)
+    buf = np.empty((first + len(plan.groups), min(block, _CHUNK)), dtype=np.uint8)
+    # gather and run one chunk of every block at a time: the shipped blocks
+    # then stay in cache between the gather and the steps that read them
+    for lo in range(0, block, _CHUNK):
+        chunk = buf[:, :min(block - lo, _CHUNK)]
+        hi = lo + chunk.shape[1]
+        for col, (rows, col_rows) in gathers.items():
+            chunk[rows] = columns[col][col_rows, lo:hi]
+        for row, col in sums:
+            np.bitwise_xor.reduce(columns[col][:, lo:hi], axis=0, out=chunk[row])
+        _run_steps(chunk, steps)
+        out[:, lo:hi] = chunk[first:]
+    return {g.target: out[row_of[g.target] - first] for g in plan.groups}
 
 
 def recovered_column(plan: RepairPlan, recovered: dict[Coord, np.ndarray],

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import Code, CodeGrid, encode, mds_decode, random_info
-from .core import Coord, ParameterError, UnrecoverableError
+from .codes import Code, CodeGrid, cell_view, encode, mds_decode, random_info
+from .core import ParameterError, PlanError, UnrecoverableError
 from .planner import (
     RepairPlan,
     execute_plan,
@@ -94,15 +94,13 @@ class Cluster:
     def dead_ids(self) -> list[int]:
         return [n.id for n in self.nodes if not n.alive]
 
-    def live_view(self) -> CodeGrid:
-        """Grid assembled from live columns only; dead columns read as
-        zeros and the repair path never touches them."""
-        cells = np.zeros((self.code.rows, self.code.n, self.block_size),
-                         dtype=np.uint8)
-        for n in self.nodes:
-            if n.alive:
-                cells[:, n.id - 1] = n.column
-        return CodeGrid(self.code, cells)
+    def column(self, node_id: int) -> np.ndarray:
+        """The column a live node serves; reading a dead one is a plan
+        error, so a repair can never read through a failure."""
+        node = self.node(node_id)
+        if not node.alive:
+            raise PlanError(f"node {node_id} is dead")
+        return node.column
 
     def next_session(self) -> str:
         self.sessions += 1
@@ -204,15 +202,14 @@ def run_repair(cluster: Cluster, target: int, strategy: str = "paper") -> Repair
             plan = None  # a helper the plan relies on is gone
     if plan is not None:
         used = "paper"
-        view = cluster.live_view()
         for t in plan.transmissions:
             ledger.record(t.source)
-        recovered = execute_plan(plan, view)
+        recovered = execute_plan(plan, cluster)
         column = recovered_column(plan, recovered, cluster.block_size)
     else:
         used = "naive"
         column = _naive_rebuild(cluster, target, ledger)
-    expected = cluster.shadow.cells[:, target - 1]
+    expected = cluster.shadow.column(target)
     verified = bool(np.array_equal(column, expected))
     node.column = column.copy()
     node.alive = True
@@ -228,7 +225,8 @@ def _naive_rebuild(cluster: Cluster, target: int,
             f"{len(live)} live nodes cannot rebuild a {code.family} column "
             f"(need {code.k})")
     sources = live[:code.k]
-    cells = np.zeros((code.rows, code.n, cluster.block_size), dtype=np.uint8)
+    cells = cell_view(code, np.zeros((code.rows * code.n, cluster.block_size),
+                                     dtype=np.uint8))
     for s in sources:
         cells[:, s - 1] = cluster.node(s).column
         ledger.record(s, code.rows)
@@ -236,7 +234,7 @@ def _naive_rebuild(cluster: Cluster, target: int,
     allow = code.family == "evenodd-ext" and code.r > 3
     full = mds_decode(code, CodeGrid(code, cells), erased,
                       allow_unchecked=allow)
-    return full.cells[:, target - 1].copy()
+    return full.column(target).copy()
 
 
 def session_report(cluster: Cluster, failed, strategy: str,

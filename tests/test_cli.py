@@ -113,6 +113,21 @@ def test_corrupt_container_repair_unverified(sample, strategy):
     assert run("repair", str(box), "--fail", "2", "--strategy", strategy) == 1
 
 
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:-1],                        # body cut short
+    lambda blob: blob + b"\0",                     # trailing byte
+    lambda blob: blob[:6] + b"\x04" + blob[7:],    # p=4 in the header
+    lambda blob: blob[:20],                        # header cut short
+])
+def test_damaged_container_exit_code(sample, damage):
+    tmp, src, _ = sample
+    box = tmp / "c.aerc"
+    run("encode", str(src), str(box), "--family", "evenodd", "--p", "5")
+    box.write_bytes(damage(box.read_bytes()))
+    assert run("extract", str(box), str(tmp / "out")) == 2
+    assert run("repair", str(box), "--fail", "1") == 2
+
+
 def test_exit_code_unrecoverable(sample, monkeypatch):
     import arraycode.cli as cli
     from arraycode.core import UnrecoverableError

@@ -16,6 +16,7 @@ from arraycode import (
     mds_decode,
     parity_check_equations,
     random_info,
+    simnet,
 )
 from arraycode.core import Coord
 
@@ -169,6 +170,26 @@ def test_encode_matches_reference(case):
     assert np.array_equal(encode(code, info).cells, _reference_encode(code, info))
 
 
+@pytest.mark.parametrize("family", ["evenodd", "evenodd-ext", "rdp", "xcode", "star"])
+def test_blocks_over_one_executor_chunk(family):
+    """Blocks of two chunks and a tail: encode, a two-column decode and
+    every single-column repair plan run the executor's chunk loop."""
+    code = Code.make(family, 5)
+    block = 2 * codes._CHUNK + 5
+    info = random_info(code, block, np.random.default_rng(7))
+    grid = encode(code, info)
+    assert np.array_equal(grid.cells, _reference_encode(code, info))
+    broken = grid.copy()
+    broken.cells[:, [1, code.n - 1]] = 0
+    assert np.array_equal(mds_decode(code, broken, [2, code.n]).cells, grid.cells)
+    for col in code.systematic_cols():
+        cluster = simnet.cluster_from_grid(grid)
+        simnet.fail_nodes(cluster, [col])
+        result = simnet.run_repair(cluster, col)
+        assert result.strategy_used == "paper", col
+        assert np.array_equal(result.column, grid.column(col)), col
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_encode_schedule_shape(p):
     """Every parity cell is computed exactly once, from information cells or
@@ -178,7 +199,7 @@ def test_encode_schedule_shape(p):
         schedule = codes._encode_schedule(code)
         rows, cols = code.info_shape
         stored = code.rows * code.n
-        info = {(r - 1) * code.n + c - 1 for r in range(1, rows + 1)
+        info = {codes._cell_index(code.rows, Coord(r, c)) for r in range(1, rows + 1)
                 for c in range(1, cols + 1)}
         targets = [t for t, _ in schedule.steps]
         assert sorted(t for t in targets if t < stored) == \

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraycode import Code
 from arraycode import container as ct
@@ -85,3 +90,68 @@ def test_written_file_matches_pack_grid(tmp_path):
     path = tmp_path / "s.aerc"
     ct.write_container(path, grid, len(payload))
     assert path.read_bytes() == ct.pack_grid(grid, len(payload))
+
+
+def _assert_column_major(grid):
+    """Each column is C-contiguous and starts where the one before it ends,
+    all in one buffer."""
+    rows, n, block = grid.cells.shape
+    start = grid.column(1).__array_interface__["data"][0]
+    for c in range(1, n + 1):
+        col = grid.column(c)
+        assert col.flags.c_contiguous, c
+        assert col.__array_interface__["data"][0] == start + (c - 1) * rows * block, c
+        assert np.shares_memory(col, grid.cells)
+
+
+def test_grids_share_the_file_layout(tmp_path):
+    code = Code.xcode(7)
+    grid = ct.encode_payload(code, bytes(range(100)), 3)
+    _assert_column_major(grid)
+    path = tmp_path / "x.aerc"
+    ct.write_container(path, grid, 100)
+    restored, _ = ct.read_container(path)
+    _assert_column_major(restored)
+    assert restored.cells.flags.writeable
+    assert np.array_equal(restored.cells, grid.cells)
+
+
+def _damaged(blob, kind, at, mask):
+    if kind == "truncate":
+        return blob[:at % len(blob)]
+    if kind == "append":
+        return blob + bytes([mask]) * (1 + at % 40)
+    flipped = bytearray(blob)
+    flipped[at % 26] ^= mask
+    return bytes(flipped)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["evenodd", "evenodd-ext", "rdp", "xcode", "star"]),
+       st.sampled_from([5, 7]), st.integers(1, 9),
+       st.sampled_from(["truncate", "append", "flip"]),
+       st.integers(0, 2**16), st.integers(1, 255))
+def test_damaged_file_raises_container_error(family, p, block, kind, at, mask):
+    """A file cut short or with bytes appended is refused; a flipped header
+    byte is refused or, where the field allows another valid value (the
+    payload length, say), read the same way as ``unpack_grid`` reads it.
+    Nothing but :class:`ContainerError` is ever raised."""
+    code = Code.make(family, p)
+    payload = bytes(range(256))[:ct.capacity(code, block) - 1]
+    blob = ct.pack_grid(ct.encode_payload(code, payload, block), len(payload))
+    bad = _damaged(blob, kind, at, mask)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.aerc"
+        path.write_bytes(bad)
+        # a flip in the magic or the block size can never leave a valid file
+        must_fail = kind != "flip" or at % 26 < 5 or 14 <= at % 26 < 18
+        try:
+            grid, length = ct.read_container(path)
+        except ct.ContainerError:
+            with pytest.raises(ct.ContainerError):
+                ct.unpack_grid(bad)
+            return
+    assert not must_fail
+    same, same_length = ct.unpack_grid(bad)
+    assert (grid.code, length) == (same.code, same_length)
+    assert np.array_equal(grid.cells, same.cells)

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arraycode import Code, encode, random_info
+from arraycode import Code, encode, random_info, simnet, xor_blocks
 from arraycode.analysis import (
     default_partition,
     evenodd_bandwidth,
@@ -292,3 +294,72 @@ def test_transmission_sources_never_erased():
             assert all(t.source != erased for t in plan.transmissions)
     plan = plan_star_double(7, (2, 5))
     assert all(t.source not in (2, 5) for t in plan.transmissions)
+
+
+def test_execute_on_cluster_refuses_dead_node():
+    """A plan read through a cluster cannot read a failed node's column."""
+    cluster = simnet.create_cluster("evenodd", 5, block_size=4, seed=3)
+    simnet.fail_nodes(cluster, [1, 3])
+    plan = plan_evenodd_single(5, 1)
+    assert 3 in {t.source for t in plan.transmissions}
+    with pytest.raises(PlanError):
+        cluster.column(3)
+    with pytest.raises(PlanError):
+        execute_plan(plan, cluster)
+
+
+def _reference_execute(plan, grid):
+    """Per-group fold of the shipped blocks with ``xor_blocks``, written
+    without the compiled executor."""
+    store, sums = {}, {}
+    for t in plan.transmissions:
+        if t.kind == "sum":
+            sums[t.slope] = np.bitwise_xor.reduce(grid.column(t.source), axis=0)
+        else:
+            store[t.coord] = grid.cell(t.coord)
+    adjusters = {v: s ^ sums[0] for v, s in sums.items() if v != 0}
+    recovered = {}
+    for g in plan.groups:
+        parts = [np.zeros(grid.block_size, dtype=np.uint8)]
+        if g.parity_coord is not None:
+            parts.append(store[g.parity_coord])
+        if g.adjuster_slope is not None:
+            parts.append(adjusters[g.adjuster_slope])
+        parts += [store[m] if m in store else recovered[m] for m in g.members]
+        recovered[g.target] = xor_blocks(parts)
+    return recovered
+
+
+def _single_plans(code):
+    p = code.p
+    for c in code.systematic_cols():
+        if code.family == "evenodd-ext":
+            yield plan_extended_single(p, code.r, c)
+        elif code.family == "rdp":
+            yield plan_rdp_single(p, c)
+        elif code.family == "xcode":
+            yield plan_xcode_single(p, c)
+        else:
+            yield plan_evenodd_single(p, c, code=code)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@settings(max_examples=4, deadline=None)
+@given(block=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_execute_matches_reference_fold(p, block, seed):
+    rng = np.random.default_rng(seed)
+    star = Code.star(p)
+    plans = [(star, plan_star_double(p, (a, b)))
+             for a in range(1, p + 1) for b in range(1, p + 1) if a != b]
+    for code in (Code.evenodd(p), Code.evenodd_ext(p, 3), Code.rdp(p),
+                 Code.xcode(p), star):
+        plans += [(code, plan) for plan in _single_plans(code)]
+    grids = {}
+    for code, plan in plans:
+        if code not in grids:
+            grids[code] = encode(code, random_info(code, block, rng))
+        got = execute_plan(plan, grids[code])
+        want = _reference_execute(plan, grids[code])
+        assert got.keys() == want.keys()
+        for coord, value in want.items():
+            assert np.array_equal(got[coord], value), (code, plan.erased, coord)
