@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .codes import Code, family_spec
 from .core import Coord, ParameterError, ParityGroupId, is_prime, mod_index, parity_group_members
 
 __all__ = [
@@ -293,56 +294,21 @@ _CSV_HEADER = ["family", "p", "r", "erased", "gamma_blocks", "bound_blocks",
 def closed_form_bound(family: str, p: int, r: int) -> int:
     """The family's closed-form bandwidth (exact where one exists, an
     upper bound for xcode and the r-parity inclusion-exclusion value)."""
-    if family == "evenodd":
-        return evenodd_min_bandwidth(p)
-    if family == "evenodd-ext":
-        return inclusion_exclusion_bound(p, r)
-    if family == "rdp":
-        return rdp_bandwidth(p)
-    if family == "xcode":
-        return xcode_bandwidth_bound(p)
-    if family == "star":
-        return star_double_bandwidth(p)
-    raise ParameterError(f"unknown family {family!r}")
-
-
-def _measured_gamma(family: str, p: int, r: int, erased: tuple[int, ...]) -> int:
-    from . import planner
-    if family == "evenodd":
-        return planner.plan_evenodd_single(p, erased[0]).gamma
-    if family == "evenodd-ext":
-        return planner.plan_extended_single(p, r, erased[0]).gamma
-    if family == "rdp":
-        return planner.plan_rdp_single(p, erased[0]).gamma
-    if family == "xcode":
-        return planner.plan_xcode_single(p, erased[0]).gamma
-    if family == "star":
-        return planner.plan_star_double(p, (erased[0], erased[1])).gamma
-    raise ParameterError(f"unknown family {family!r}")
+    return family_spec(family).closed_form(p, r)
 
 
 def bandwidth_sweep(family: str, primes: Iterable[int], r: int = 3) -> list[BandwidthReport]:
-    from .codes import Code
+    """Plan the family's ``analyze`` erasure pattern at each prime and set the
+    measured bandwidth beside the closed form, naive and cut-set costs."""
+    spec = family_spec(family)
+    erased = spec.analyze_erased
     out = []
     for p in primes:
-        if family == "evenodd":
-            code = Code.evenodd(p)
-        elif family == "evenodd-ext":
-            code = Code.evenodd_ext(p, r)
-        elif family == "rdp":
-            code = Code.rdp(p)
-        elif family == "xcode":
-            code = Code.xcode(p)
-        elif family == "star":
-            code = Code.star(p)
-        else:
-            raise ParameterError(f"unknown family {family!r}")
-        erased = (1, 2) if family == "star" else (1,)
-        gamma = _measured_gamma(family, p, code.r, erased)
+        code = Code.make(family, p, r)
+        gamma = spec.plan(code, erased).gamma
         naive = naive_bandwidth(code) * len(erased)
-        total = code.total_info_blocks
-        cut = cutset_bound(total, code.k, code.n - len(erased))
-        bound = closed_form_bound(family, p, code.r)
+        cut = cutset_bound(code.total_info_blocks, code.k, code.n - len(erased))
+        bound = spec.closed_form(p, code.r)
         out.append(BandwidthReport(family, p, code.r, erased, gamma, bound,
                                    naive, gamma / naive, cut))
     return out

@@ -18,7 +18,7 @@ import sys
 from itertools import combinations
 
 from . import analysis, container, simnet
-from .codes import Code
+from .codes import FAMILIES, Code
 from .core import (
     CorruptionError,
     OracleMismatch,
@@ -30,8 +30,6 @@ from .planner import plan_star_double, plan_to_json
 
 __all__ = ["main"]
 
-_FAMILIES = sorted(container.FAMILY_TAGS)
-
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="arraycode",
@@ -42,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
     enc = sub.add_parser("encode", help="encode a file into a container")
     enc.add_argument("input")
     enc.add_argument("output")
-    enc.add_argument("--family", required=True, choices=_FAMILIES)
+    enc.add_argument("--family", required=True, choices=sorted(FAMILIES))
     enc.add_argument("--p", type=int, required=True)
     enc.add_argument("--r", type=int, default=None)
     enc.add_argument("--block-size", type=int, default=16)
@@ -60,7 +58,7 @@ def _parser() -> argparse.ArgumentParser:
     rep.add_argument("--plan", help="write the first repair plan JSON here")
 
     ana = sub.add_parser("analyze", help="bandwidth sweep over primes")
-    ana.add_argument("--family", required=True, choices=_FAMILIES)
+    ana.add_argument("--family", required=True, choices=sorted(FAMILIES))
     ana.add_argument("--p-range", required=True,
                      help="single prime or inclusive range lo:hi")
     ana.add_argument("--r", type=int, default=3)
@@ -176,11 +174,10 @@ def _parse_p_range(text: str) -> list[int]:
 
 
 def _cmd_analyze(args) -> int:
-    primes = _parse_p_range(args.p_range)
-    if args.family == "xcode":
-        primes = [p for p in primes if p >= 5]
-        if not primes:
-            raise ParameterError("xcode needs primes >= 5")
+    min_p = FAMILIES[args.family].min_p
+    primes = [p for p in _parse_p_range(args.p_range) if p >= min_p]
+    if not primes:
+        raise ParameterError(f"{args.family} needs primes >= {min_p}")
     reports = analysis.bandwidth_sweep(args.family, primes, args.r)
     header = ["family", "p", "r", "erased", "gamma", "bound", "naive",
               "ratio", "cutset"]
@@ -209,8 +206,7 @@ def _cmd_oracle(args) -> int:
         return 0
     if args.mode == "f-check":
         r = args.r
-        if not 2 <= r <= 5 or r >= p:
-            raise ParameterError(f"need 2 <= r <= 5 and r < p, got r={r}")
+        Code.evenodd_ext(p, r)  # refuses an r the extended code does not allow
         part = analysis.default_partition(p, r)
         checked = 0
         for k in range(2, r + 1):
@@ -228,11 +224,8 @@ def _cmd_oracle(args) -> int:
     if p < 5:
         raise ParameterError("star-validate needs p >= 5")
     want = analysis.star_symmetry_saving(p)
-    fallbacks = []
     for x in range(1, p):
         plan = plan_star_double(p, (1, 1 + x))
-        if plan.meta["fallback"]:
-            fallbacks.append(x)
         if plan.meta["savings"] != want:
             raise OracleMismatch(
                 f"x={x}: measured savings {plan.meta['savings']}, "
@@ -241,12 +234,7 @@ def _cmd_oracle(args) -> int:
             raise OracleMismatch(
                 f"x={x}: {plan.meta['parity_values']} parity groups, "
                 f"expected {3 * (p - 1) // 2}")
-    if fallbacks:
-        print(f"PASS star-validate p={p} with greedy fallback at "
-              f"x in {fallbacks}; savings={want}")
-    else:
-        print(f"PASS star-validate p={p}: schedule solvable for all x, "
-              f"savings={want}")
+    print(f"PASS star-validate p={p}: schedule solvable for all x, savings={want}")
     return 0
 
 

@@ -1,6 +1,10 @@
 """The five binary MDS array-code families and a generic erasure decoder.
 
-All families live on a grid of byte blocks over a prime ``p``:
+Each family is defined once, as a :class:`FamilySpec` in :data:`FAMILIES`:
+its r policy, its geometry, its parity-check equations, its repair planners,
+its closed-form repair bandwidth and its container tag. Every other layer
+reads the table instead of naming a family. All families live on a grid of
+byte blocks over a prime ``p``:
 
 * ``evenodd``      (p-1) x (p+2): p data columns, slope-0 and slope-1 parity.
 * ``evenodd-ext``  (p-1) x (p+r): p data columns, slopes 0..r-1. MDS is
@@ -13,7 +17,7 @@ All families live on a grid of byte blocks over a prime ``p``:
   parity (skipping row p) and row p holds slope +1 parity (skipping row p-1).
 * ``star``         (p-1) x (p+3): p data columns, slopes 0, +1 and -1.
 
-Slope-v parity of the evenodd family tree is
+Slope-v parity of the evenodd family tree (the families with slopes) is
 ``b[i, v] = adjuster(v) XOR sum_j a[<i + v*(1-j)>, j]`` where the adjuster
 is the XOR of the index-0 line of that slope and ``adjuster(0) = 0``.
 
@@ -42,9 +46,10 @@ gives the logical ``(rows, n, block)`` view of such a buffer).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from threading import Lock
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,110 +66,92 @@ from .core import (
 )
 
 __all__ = [
+    "FAMILIES",
+    "FamilySpec",
     "Code",
     "CodeGrid",
     "cell_view",
     "encode",
+    "family_spec",
     "mds_decode",
     "parity_check_equations",
     "random_info",
 ]
 
-_EVENODD_TREE = ("evenodd", "evenodd-ext", "star")
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class Code:
-    """Family tag plus parameters; use the classmethod constructors."""
+    """Family name plus parameters.
+
+    Constructing a code checks ``p`` and ``r`` against the family's
+    :class:`FamilySpec` and computes its geometry once; equality and hashing
+    use ``(family, p, r)`` only.
+    """
 
     family: str
     p: int
     r: int
+    n: int = _derived()
+    k: int = _derived()
+    rows: int = _derived()  # stored rows per column
+    info_shape: tuple[int, int] = _derived()
+    # parity slopes in stored parity-column order (evenodd tree only)
+    slopes: tuple[int, ...] = _derived()
+
+    def __post_init__(self):
+        spec = family_spec(self.family)
+        p, r = self.p, self.r
+        if not is_prime(p) or p < 3:
+            raise ParameterError(f"p must be an odd prime >= 3, got {p}")
+        if p < spec.min_p:
+            raise ParameterError(f"{spec.name} needs p >= {spec.min_p}")
+        lo, hi = spec.r_range or (spec.r, spec.r)
+        if not lo <= r <= hi:
+            raise ParameterError(f"{spec.name} supports r in {lo}..{hi}, got r={r}")
+        if spec.r_range and r >= p:
+            raise ParameterError(f"r={r} needs p > r, got p={p}")
+        for name, value in zip(Geometry._fields, spec.geometry(p, r)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def make(cls, family: str, p: int, r: int | None = None) -> "Code":
+        """Build a code from a family name, as the CLI does: ``r`` defaults
+        to the family's and is ignored by families whose r is fixed."""
+        spec = family_spec(family)
+        return cls(family, p, spec.r if r is None or spec.r_range is None else r)
 
     @classmethod
     def evenodd(cls, p: int) -> "Code":
-        _check_prime(p)
-        return cls("evenodd", p, 2)
+        return cls.make("evenodd", p)
 
     @classmethod
     def evenodd_ext(cls, p: int, r: int) -> "Code":
-        _check_prime(p)
-        if not 2 <= r <= 5:
-            raise ParameterError(f"extended code supports r in 2..5, got {r}")
-        if r >= p:
-            raise ParameterError(f"r={r} needs p > r, got p={p}")
         return cls("evenodd-ext", p, r)
 
     @classmethod
     def rdp(cls, p: int) -> "Code":
-        _check_prime(p)
-        return cls("rdp", p, 2)
+        return cls.make("rdp", p)
 
     @classmethod
     def xcode(cls, p: int) -> "Code":
-        _check_prime(p)
-        if p < 5:
-            raise ParameterError("xcode needs p >= 5")
-        return cls("xcode", p, 2)
+        return cls.make("xcode", p)
 
     @classmethod
     def star(cls, p: int) -> "Code":
-        _check_prime(p)
-        return cls("star", p, 3)
-
-    @classmethod
-    def make(cls, family: str, p: int, r: int | None = None) -> "Code":
-        """Build a code from a family name, as the CLI and file headers do."""
-        if family == "evenodd":
-            return cls.evenodd(p)
-        if family == "evenodd-ext":
-            return cls.evenodd_ext(p, 3 if r is None else r)
-        if family == "rdp":
-            return cls.rdp(p)
-        if family == "xcode":
-            return cls.xcode(p)
-        if family == "star":
-            return cls.star(p)
-        raise ParameterError(f"unknown family {family!r}")
-
-    # -- geometry ---------------------------------------------------------
+        return cls.make("star", p)
 
     @property
-    def slopes(self) -> tuple[int, ...]:
-        """Parity slopes, in stored parity-column order (evenodd tree only)."""
-        if self.family == "evenodd":
-            return (0, 1)
-        if self.family == "evenodd-ext":
-            return tuple(range(self.r))
-        if self.family == "star":
-            return (0, 1, -1)
-        raise ParameterError(f"{self.family} has no slope-indexed parity columns")
-
-    @property
-    def n(self) -> int:
-        return {"evenodd": self.p + 2, "evenodd-ext": self.p + self.r,
-                "rdp": self.p + 1, "xcode": self.p, "star": self.p + 3}[self.family]
-
-    @property
-    def k(self) -> int:
-        return {"evenodd": self.p, "evenodd-ext": self.p, "rdp": self.p - 1,
-                "xcode": self.p - 2, "star": self.p}[self.family]
-
-    @property
-    def rows(self) -> int:
-        """Stored rows per column."""
-        return self.p if self.family == "xcode" else self.p - 1
+    def spec(self) -> FamilySpec:
+        return FAMILIES[self.family]
 
     @property
     def info_cols(self) -> int:
         """Count of pure-data columns (xcode keeps data in rows instead)."""
-        return self.k if self.family != "xcode" else self.p
-
-    @property
-    def info_shape(self) -> tuple[int, int]:
-        if self.family == "xcode":
-            return (self.p - 2, self.p)
-        return (self.p - 1, self.k)
+        return self.info_shape[1]
 
     @property
     def total_info_blocks(self) -> int:
@@ -173,9 +160,7 @@ class Code:
 
     @property
     def erasure_tolerance(self) -> int:
-        if self.family == "evenodd-ext":
-            return min(self.r, 3)
-        return 3 if self.family == "star" else 2
+        return min(self.spec.tolerance, self.n - self.k)
 
     def parity_col(self, slope: int) -> int:
         """Column holding the parities of a slope (evenodd tree only)."""
@@ -183,11 +168,6 @@ class Code:
 
     def systematic_cols(self) -> range:
         return range(1, self.info_cols + 1)
-
-
-def _check_prime(p: int) -> None:
-    if not is_prime(p) or p < 3:
-        raise ParameterError(f"p must be an odd prime >= 3, got {p}")
 
 
 @dataclass
@@ -207,7 +187,7 @@ class CodeGrid:
         return int(self.cells.shape[2])
 
     def cell(self, coord: Coord) -> np.ndarray:
-        if coord.row == self.code.p and self.code.family != "xcode":
+        if coord.row > self.code.rows:  # the imaginary row
             return np.zeros(self.block_size, dtype=np.uint8)
         return self.cells[coord.row - 1, coord.col - 1]
 
@@ -265,28 +245,144 @@ def parity_check_equations(code: Code) -> list[list[Coord]]:
     it; in RDP the row-parity checks precede the diagonal ones that read
     row parity.
     """
+    return code.spec.equations(code)
+
+
+def _tree_equations(code: Code) -> list[list[Coord]]:
     p = code.p
-    eqs: list[list[Coord]] = []
-    if code.family in _EVENODD_TREE:
-        for v in code.slopes:
-            pcol = code.parity_col(v)
-            adj = [c for c in adjuster_line(p, v) if c.row != p] if v != 0 else []
-            for i in range(1, p):
-                members = [c for c in parity_group_members(p, ParityGroupId(v, i))
-                           if c.row != p]
-                eqs.append([Coord(i, pcol)] + members + adj)
-    elif code.family == "rdp":
+    eqs = []
+    for v in code.slopes:
+        pcol = code.parity_col(v)
+        adj = [c for c in adjuster_line(p, v) if c.row != p] if v != 0 else []
         for i in range(1, p):
-            eqs.append([Coord(i, p)] + [Coord(i, j) for j in range(1, p)])
-        for i in range(1, p):
-            members = [c for c in parity_group_members(p, ParityGroupId(1, i))
+            members = [c for c in parity_group_members(p, ParityGroupId(v, i))
                        if c.row != p]
-            eqs.append([Coord(i, p + 1)] + members)
-    else:
-        for c in range(1, p + 1):
-            eqs.append([Coord(p - 1, c)] + xcode_line(p, -1, c))
-            eqs.append([Coord(p, c)] + xcode_line(p, 1, c))
+            eqs.append([Coord(i, pcol)] + members + adj)
     return eqs
+
+
+def _rdp_equations(code: Code) -> list[list[Coord]]:
+    p = code.p
+    eqs = [[Coord(i, p)] + [Coord(i, j) for j in range(1, p)] for i in range(1, p)]
+    for i in range(1, p):
+        members = [c for c in parity_group_members(p, ParityGroupId(1, i))
+                   if c.row != p]
+        eqs.append([Coord(i, p + 1)] + members)
+    return eqs
+
+
+def _xcode_equations(code: Code) -> list[list[Coord]]:
+    p = code.p
+    eqs = []
+    for c in range(1, p + 1):
+        eqs.append([Coord(p - 1, c)] + xcode_line(p, -1, c))
+        eqs.append([Coord(p, c)] + xcode_line(p, 1, c))
+    return eqs
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+class Geometry(NamedTuple):
+    """The shape of a code, from its family, p and r."""
+
+    n: int
+    k: int
+    rows: int
+    info_shape: tuple[int, int]
+    slopes: tuple[int, ...]
+
+
+def _tree_geometry(p: int, slopes: tuple[int, ...]) -> Geometry:
+    return Geometry(p + len(slopes), p, p - 1, (p - 1, p), slopes)
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything the other layers need to know of one array-code family.
+
+    The planners and the closed form live in :mod:`.planner` and
+    :mod:`.analysis`, which import this module; the table reaches them
+    through their modules at call time.
+    """
+
+    name: str
+    tag: int  # the family byte of a container header
+    r: int  # the family's r, or its default when ``r_range`` is set
+    r_range: tuple[int, int] | None  # the r a caller may choose, also below p
+    min_p: int
+    geometry: Callable[[int, int], Geometry]  # (p, r) -> shape
+    tolerance: int  # erasures decoding is proven for, if n - k allows
+    equations: Callable[[Code], list[list[Coord]]]
+    plan_single: Callable  # (code, erased data column) -> RepairPlan
+    closed_form: Callable[[int, int], int]  # (p, r) -> blocks of its analyze plan
+    plan_double: Callable | None = None  # (code, (col, other)) -> RepairPlan
+    analyze_erased: tuple[int, ...] = (1,)  # the pattern ``analyze`` plans
+
+    def plan(self, code: Code, erased: tuple[int, ...]):
+        """The repair plan for the first of the ``erased`` data columns, or
+        None when the family has no planner for that many erasures."""
+        if len(erased) == 1:
+            return self.plan_single(code, erased[0])
+        if len(erased) == 2 and self.plan_double is not None:
+            return self.plan_double(code, erased)
+        return None
+
+
+def _planner():
+    from . import planner
+    return planner
+
+
+def _analysis():
+    from . import analysis
+    return analysis
+
+
+def _plan_tree_single(code: Code, col: int):
+    return _planner().plan_evenodd_single(code.p, col, code=code)
+
+
+FAMILIES: dict[str, FamilySpec] = {spec.name: spec for spec in (
+    FamilySpec(
+        "evenodd", tag=1, r=2, r_range=None, min_p=3,
+        geometry=lambda p, r: _tree_geometry(p, (0, 1)), tolerance=2,
+        equations=_tree_equations, plan_single=_plan_tree_single,
+        closed_form=lambda p, r: _analysis().evenodd_min_bandwidth(p)),
+    FamilySpec(
+        "evenodd-ext", tag=2, r=3, r_range=(2, 5), min_p=3,
+        geometry=lambda p, r: _tree_geometry(p, tuple(range(r))), tolerance=3,
+        equations=_tree_equations,
+        plan_single=lambda code, col: _planner().plan_extended_single(code.p, code.r, col),
+        closed_form=lambda p, r: _analysis().inclusion_exclusion_bound(p, r)),
+    FamilySpec(
+        "rdp", tag=3, r=2, r_range=None, min_p=3,
+        geometry=lambda p, r: Geometry(p + 1, p - 1, p - 1, (p - 1, p - 1), ()),
+        tolerance=2, equations=_rdp_equations,
+        plan_single=lambda code, col: _planner().plan_rdp_single(code.p, col),
+        closed_form=lambda p, r: _analysis().rdp_bandwidth(p)),
+    FamilySpec(
+        "xcode", tag=4, r=2, r_range=None, min_p=5,
+        geometry=lambda p, r: Geometry(p, p - 2, p, (p - 2, p), ()),
+        tolerance=2, equations=_xcode_equations,
+        plan_single=lambda code, col: _planner().plan_xcode_single(code.p, col),
+        closed_form=lambda p, r: _analysis().xcode_bandwidth_bound(p)),
+    FamilySpec(
+        "star", tag=5, r=3, r_range=None, min_p=3,
+        geometry=lambda p, r: _tree_geometry(p, (0, 1, -1)), tolerance=3,
+        equations=_tree_equations, plan_single=_plan_tree_single,
+        plan_double=lambda code, erased: _planner().plan_star_double(code.p, erased),
+        closed_form=lambda p, r: _analysis().star_double_bandwidth(p),
+        analyze_erased=(1, 2)),
+)}
+
+
+def family_spec(family: str) -> FamilySpec:
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise ParameterError(f"unknown family {family!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +440,6 @@ def _decode_equations(code: Code) -> tuple[tuple[Coord, ...], ...]:
     per code, so the schedules of one code share its Coord objects.
     """
     eqs = parity_check_equations(code)
-    if code.family not in _EVENODD_TREE:
-        return tuple(map(tuple, eqs))
     p = code.p
     column = {c: [Coord(i, c) for i in range(1, p)] for c in range(p + 1, code.n + 1)}
     adjusters = {}
@@ -545,17 +639,16 @@ def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
     :class:`CorruptionError`.
 
     Patterns beyond the family's proven tolerance are refused unless
-    ``allow_unchecked`` is set (extended codes with r > 3); the elimination
-    fallback then decides solvability case by case.
+    ``allow_unchecked`` is set, which raises the limit to n - k (it matters
+    for extended codes with r > 3); the elimination fallback then decides
+    solvability case by case.
     """
     erased = tuple(sorted(set(erased)))
     if not erased:
         return grid.copy()
     if any(not 1 <= c <= code.n for c in erased):
         raise ParameterError(f"erased columns {erased} out of range 1..{code.n}")
-    limit = code.erasure_tolerance
-    if allow_unchecked and code.family == "evenodd-ext":
-        limit = code.r
+    limit = code.n - code.k if allow_unchecked else code.erasure_tolerance
     if len(erased) > limit:
         raise UnrecoverableError(
             f"{len(erased)} erasures exceed the supported tolerance {limit}")

@@ -3,9 +3,10 @@
 Layout: a fixed 26-byte little-endian header followed by the grid body.
 
     magic           5 bytes  b"AERC1"
-    family tag      u8       1=evenodd 2=evenodd-ext 3=rdp 4=xcode 5=star
+    family tag      u8       FAMILY_TAGS: 1=evenodd 2=evenodd-ext 3=rdp
+                             4=xcode 5=star (``FamilySpec.tag``)
     p               u32
-    r               u32
+    r               u32      the family's r; only evenodd-ext has a choice
     block_size      u32
     payload_length  u64      original file length in bytes
 
@@ -24,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .codes import Code, CodeGrid, cell_view, encode
+from .codes import FAMILIES, Code, CodeGrid, cell_view, encode
 from .core import ParameterError
 
 __all__ = [
@@ -42,8 +43,8 @@ __all__ = [
 MAGIC = b"AERC1"
 _HEADER = struct.Struct("<5sBIIIQ")
 
-FAMILY_TAGS = {"evenodd": 1, "evenodd-ext": 2, "rdp": 3, "xcode": 4, "star": 5}
-_TAG_FAMILIES = {v: k for k, v in FAMILY_TAGS.items()}
+FAMILY_TAGS = {name: spec.tag for name, spec in FAMILIES.items()}
+_TAG_FAMILIES = {tag: name for name, tag in FAMILY_TAGS.items()}
 
 
 class ContainerError(ParameterError):
@@ -97,8 +98,8 @@ def _parse_header(header: bytes, size: int) -> tuple[Code, int, int]:
         raise ContainerError(f"bad magic {magic!r}")
     if tag not in _TAG_FAMILIES:
         raise ContainerError(f"unknown family tag {tag}")
-    try:
-        code = Code.make(_TAG_FAMILIES[tag], p, r)
+    try:  # the constructor, unlike Code.make, refuses an r the family does not have
+        code = Code(_TAG_FAMILIES[tag], p, r)
     except ParameterError as exc:
         raise ContainerError(f"bad code parameters: {exc}") from None
     expected = code.rows * code.n * block_size

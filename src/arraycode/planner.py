@@ -55,8 +55,6 @@ __all__ = [
     "plan_to_json",
 ]
 
-_EVENODD_TREE = ("evenodd", "evenodd-ext", "star")
-
 
 @dataclass(frozen=True)
 class Transmission:
@@ -204,7 +202,7 @@ def plan_evenodd_single(p: int, erased_col: int, x: int | None = None,
     comes in one block under that count.
     """
     code = code or Code.evenodd(p)
-    if code.family not in _EVENODD_TREE or code.p != p:
+    if code.slopes[:2] != (0, 1) or code.p != p:
         raise ParameterError(f"not an evenodd-tree code for p={p}: {code}")
     if not 1 <= erased_col <= p:
         raise ParameterError(f"erased column {erased_col} is not a data column")
@@ -321,32 +319,27 @@ def plan_star_double(p: int, erased: tuple[int, int]) -> RepairPlan:
     pair in one already-recovered cell and one new cell, so a single pass
     rebuilds the whole first column (and every other row of the second).
     The chain is checked by rank over GF(2) before the plan is returned;
-    if the check ever failed, a greedy one-new-cell-per-group search over
-    the same group budget takes over and the plan records that.
+    a chain that does not determine the column raises :class:`PlanError`.
     """
     code = Code.star(p)
     c, other = erased
     if c == other or not (1 <= c <= p and 1 <= other <= p):
         raise ParameterError(f"need two distinct data columns, got {erased}")
     x = (other - c) % p
-    entries = _star_schedule(p, x)
     groups: list[GroupUse] = []
-    for v, m in entries:
+    for v, m in _star_schedule(p, x):
         idx = mod_index(m * x + v * (c - 1), p) % p
         row_here = mod_index(m * x, p)
         row_other = mod_index((m - v) * x, p)
         target = Coord(row_other, other) if v == -1 else Coord(row_here, c)
         groups.append(_tree_group(code, ParityGroupId(v, idx), target))
-    fallback = False
     if not _chain_solvable(code, groups, (c, other), c):
-        groups = _greedy_star_groups(code, (c, other), c, len(entries))
-        fallback = True
+        raise PlanError(f"the group chain does not determine column {c} of {erased}")
     tx = _build_transmissions(code, groups, (c, other), sum_slopes=(0, 1, -1))
     raw_info = {t.coord for t in tx if t.kind == "raw"}
     savings = (p - 1) * (p - 2) - len(raw_info)
     return RepairPlan(code, (c, other), c, tuple(groups), tx,
-                      meta={"x": x, "savings": savings, "fallback": fallback,
-                            "parity_values": len(groups)})
+                      meta={"x": x, "savings": savings, "parity_values": len(groups)})
 
 
 def _chain_solvable(code: Code, groups: Sequence[GroupUse],
@@ -387,36 +380,6 @@ def _chain_solvable(code: Code, groups: Sequence[GroupUse],
                for r in range(1, p))
 
 
-def _greedy_star_groups(code: Code, erased: tuple[int, int], recover_col: int,
-                        budget: int) -> list[GroupUse]:
-    """Deterministic fallback: keep adding the first group (by slope then
-    index) with exactly one unrecovered erased cell until the target column
-    is complete."""
-    p = code.p
-    known: set[Coord] = set()
-    wanted = {Coord(r, recover_col) for r in range(1, p)}
-    groups: list[GroupUse] = []
-    while not wanted <= known:
-        if len(groups) >= budget:
-            raise PlanError("no double-erasure chain found within the group budget")
-        progressed = False
-        for v in (-1, 0, 1):
-            for idx in range(p):
-                line = parity_group_members(p, ParityGroupId(v, idx))
-                hit = [cc for cc in line
-                       if cc.row != p and cc.col in erased and cc not in known]
-                if len(hit) == 1:
-                    groups.append(_tree_group(code, ParityGroupId(v, idx), hit[0]))
-                    known.add(hit[0])
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
-            raise PlanError("no double-erasure chain found")
-    return groups
-
-
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -450,7 +413,7 @@ def execute_plan(plan: RepairPlan, source) -> dict[Coord, np.ndarray]:
             col_rows.append(t.coord.row - 1)
     steps = []
     adjuster_rows: dict[int, int] = {}
-    if plan.code.family in _EVENODD_TREE and 0 in sum_rows:
+    if 0 in sum_rows:  # only evenodd-tree plans ship column sums
         for v, row in sum_rows.items():
             if v != 0:
                 adjuster_rows[v] = len(plan.transmissions) + len(steps)

@@ -9,8 +9,8 @@ One node stores one column. A repair session picks a strategy:
   strategy actually ran.
 * ``naive``  fetch the k lowest-numbered live columns and re-decode.
 
-Nodes answer in deterministic order and the dead node's original column
-is kept in a shadow copy that only the verification step may read, so a
+Nodes answer in deterministic order. When a node first fails, a private
+copy of its column is kept that only the verification step reads, so a
 buggy plan cannot quietly read through a failure. Every block on the wire
 is charged to the node that served it; a parity-sum request costs the
 serving node one block no matter how many cells it folds together.
@@ -18,23 +18,13 @@ serving node one block no matter how many cells it folds together.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codes import Code, CodeGrid, cell_view, encode, mds_decode, random_info
 from .core import ParameterError, PlanError, UnrecoverableError
-from .planner import (
-    RepairPlan,
-    execute_plan,
-    plan_evenodd_single,
-    plan_extended_single,
-    plan_rdp_single,
-    plan_star_double,
-    plan_xcode_single,
-    recovered_column,
-)
+from .planner import RepairPlan, execute_plan, recovered_column
 
 __all__ = [
     "Node",
@@ -83,8 +73,9 @@ class Cluster:
     code: Code
     block_size: int
     nodes: list[Node]
-    shadow: CodeGrid
     sessions: int = 0
+    # node id -> its column as it was before the node first failed
+    originals: dict[int, np.ndarray] = field(default_factory=dict)
 
     def node(self, node_id: int) -> Node:
         if not 1 <= node_id <= len(self.nodes):
@@ -107,13 +98,6 @@ class Cluster:
         return f"s{self.sessions:04d}"
 
 
-def _seed_from_env(seed: int | None) -> int | None:
-    if seed is not None:
-        return seed
-    env = os.environ.get("ARRAYCODE_SEED")
-    return int(env) if env else None
-
-
 def create_cluster(family: str, p: int, r: int | None = None, *,
                    block_size: int = 16, data: bytes | None = None,
                    seed: int | None = None) -> Cluster:
@@ -122,19 +106,20 @@ def create_cluster(family: str, p: int, r: int | None = None, *,
         from .container import encode_payload
         grid = encode_payload(code, data, block_size)
     else:
-        rng = np.random.default_rng(_seed_from_env(seed))
+        rng = np.random.default_rng(seed)
         grid = encode(code, random_info(code, block_size, rng))
     return cluster_from_grid(grid)
 
 
 def cluster_from_grid(grid: CodeGrid) -> Cluster:
-    """Nodes view their columns of ``grid``; the shadow is the one copy.
+    """Nodes view their columns of ``grid``; nothing is copied.
 
     Node columns are never written in place (a failure drops the column, a
-    repair installs a new array), so only the shadow needs its own bytes.
+    repair installs a new array), so a failed node's column is copied only
+    when it fails.
     """
     nodes = [Node(c, grid.column(c)) for c in range(1, grid.code.n + 1)]
-    return Cluster(grid.code, grid.block_size, nodes, grid.copy())
+    return Cluster(grid.code, grid.block_size, nodes)
 
 
 def fail_nodes(cluster: Cluster, ids) -> Cluster:
@@ -148,6 +133,8 @@ def fail_nodes(cluster: Cluster, ids) -> Cluster:
             f"cannot exceed {budget} simultaneous failures for {cluster.code.family}")
     for nid in ids:
         node = cluster.node(nid)
+        if nid not in cluster.originals:  # a later failure may hold a bad repair
+            cluster.originals[nid] = node.column.copy()
         node.alive = False
         node.column = None
     return cluster
@@ -165,27 +152,13 @@ class RepairResult:
 
 
 def _paper_plan(cluster: Cluster, target: int) -> RepairPlan | None:
+    """The family's plan for ``target`` when every dead node holds data."""
     code = cluster.code
     dead = cluster.dead_ids()
     data_cols = set(code.systematic_cols())
     if target not in data_cols or not set(dead) <= data_cols:
         return None
-    if len(dead) == 1:
-        p = code.p
-        if code.family == "evenodd":
-            return plan_evenodd_single(p, target)
-        if code.family == "evenodd-ext":
-            return plan_extended_single(p, code.r, target)
-        if code.family == "rdp":
-            return plan_rdp_single(p, target)
-        if code.family == "xcode":
-            return plan_xcode_single(p, target)
-        if code.family == "star":
-            return plan_evenodd_single(p, target, code=code)
-    if code.family == "star" and len(dead) == 2:
-        other = next(d for d in dead if d != target)
-        return plan_star_double(code.p, (target, other))
-    return None
+    return code.spec.plan(code, (target, *(d for d in dead if d != target)))
 
 
 def run_repair(cluster: Cluster, target: int, strategy: str = "paper") -> RepairResult:
@@ -209,7 +182,7 @@ def run_repair(cluster: Cluster, target: int, strategy: str = "paper") -> Repair
     else:
         used = "naive"
         column = _naive_rebuild(cluster, target, ledger)
-    expected = cluster.shadow.column(target)
+    expected = cluster.originals[target]
     verified = bool(np.array_equal(column, expected))
     node.column = column.copy()
     node.alive = True
@@ -231,9 +204,8 @@ def _naive_rebuild(cluster: Cluster, target: int,
         cells[:, s - 1] = cluster.node(s).column
         ledger.record(s, code.rows)
     erased = [c for c in range(1, code.n + 1) if c not in sources]
-    allow = code.family == "evenodd-ext" and code.r > 3
-    full = mds_decode(code, CodeGrid(code, cells), erased,
-                      allow_unchecked=allow)
+    # n - k erasures: past the proven tolerance of extended codes with r > 3
+    full = mds_decode(code, CodeGrid(code, cells), erased, allow_unchecked=True)
     return full.column(target).copy()
 
 

@@ -118,6 +118,7 @@ def test_corrupt_container_repair_unverified(sample, strategy):
     lambda blob: blob + b"\0",                     # trailing byte
     lambda blob: blob[:6] + b"\x04" + blob[7:],    # p=4 in the header
     lambda blob: blob[:20],                        # header cut short
+    lambda blob: blob[:10] + b"\x07" + blob[11:],  # r=7, evenodd has r=2
 ])
 def test_damaged_container_exit_code(sample, damage):
     tmp, src, _ = sample

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ def test_make_dispatch():
     assert Code.make("evenodd-ext", 7, 4) == Code.evenodd_ext(7, 4)
     assert Code.make("evenodd-ext", 7) == Code.evenodd_ext(7, 3)
     assert Code.make("star", 5) == Code.star(5)
+
+
+def test_code_is_its_family_p_and_r():
+    """Equality, hashing and pickling see (family, p, r) and the geometry
+    survives a pickle; the constructor refuses an r the family does not
+    have, where make ignores it."""
+    code = Code.make("evenodd-ext", 7, 4)
+    assert hash(code) == hash(Code("evenodd-ext", 7, 4))
+    restored = pickle.loads(pickle.dumps(code))
+    assert restored == code and (restored.n, restored.slopes) == (11, (0, 1, 2, 3))
+    assert Code.make("evenodd", 5, 7) == Code.evenodd(5)
+    with pytest.raises(ParameterError):
+        Code("evenodd", 5, 7)
 
 
 def test_evenodd_p3_single_bit():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from arraycode import Code
 from arraycode import container as ct
+from arraycode.codes import FAMILIES
 
 
 def test_header_layout():
@@ -71,6 +72,21 @@ def test_bad_inputs():
     bad_tag[5] = 99
     with pytest.raises(ct.ContainerError):
         ct.unpack_grid(bytes(bad_tag))
+
+
+@pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.r_range is None])
+def test_header_r_must_match_family(tmp_path, family):
+    """A fixed-r family's header with another r is refused, not read as the
+    family's own r."""
+    code = Code.make(family, 5)
+    blob = bytearray(ct.pack_grid(ct.encode_payload(code, b"x", 4), 1))
+    blob[10:14] = (code.r + 5).to_bytes(4, "little")
+    with pytest.raises(ct.ContainerError, match="r="):
+        ct.unpack_grid(bytes(blob))
+    path = tmp_path / "r.aerc"
+    path.write_bytes(blob)
+    with pytest.raises(ct.ContainerError, match="r="):
+        ct.read_container(path)
 
 
 def test_file_io(tmp_path):

@@ -17,6 +17,7 @@ from arraycode.analysis import (
 )
 from arraycode.core import Coord, ParameterError, ParityGroupId, PlanError
 from arraycode.planner import (
+    _chain_solvable,
     execute_plan,
     plan_evenodd_single,
     plan_extended_single,
@@ -202,7 +203,7 @@ def test_star_frozen_pair():
         (-1, 0), (0, 1), (1, 2), (-1, 2), (0, 3), (1, 4)}
     assert plan.meta["parity_values"] == 6
     assert plan.meta["savings"] == 2
-    assert not plan.meta["fallback"]
+    assert _chain_solvable(plan.code, plan.groups, plan.erased, plan.recover_col)
     assert plan.sum_count() == 3
     unsent = ({Coord(r, c) for r in range(1, 5) for c in range(3, 6)}
               - plan.raw_cells())
@@ -225,7 +226,8 @@ def test_star_all_pairs_recover(p):
             if other == c:
                 continue
             plan = plan_star_double(p, (c, other))
-            assert not plan.meta["fallback"]
+            assert _chain_solvable(plan.code, plan.groups, plan.erased,
+                                   plan.recover_col)
             assert plan.meta["parity_values"] == 3 * (p - 1) // 2
             assert plan.meta["savings"] == star_symmetry_saving(p)
             run_and_verify(code, plan, 2)

@@ -84,12 +84,28 @@ def test_nodes_view_grid_and_shadow_is_private():
     cluster = simnet.cluster_from_grid(grid)
     for node in cluster.nodes:
         assert np.shares_memory(node.column, grid.cells)
-        assert not np.shares_memory(node.column, cluster.shadow.cells)
-    assert np.array_equal(cluster.shadow.cells, grid.cells)
-    simnet.fail_nodes(cluster, [2])
+    simnet.fail_nodes(cluster, [2, 4])
+    for nid in (2, 4):
+        kept = cluster.originals[nid]
+        assert np.array_equal(kept, original.column(nid))
+        assert not np.shares_memory(kept, grid.cells)
+        for node in cluster.nodes:
+            assert node.column is None or not np.shares_memory(kept, node.column)
     assert simnet.run_repair(cluster, 2).verified
     assert not np.shares_memory(cluster.node(2).column, grid.cells)
+    assert not np.shares_memory(cluster.node(2).column, cluster.originals[2])
     assert np.array_equal(grid.cells, original.cells)
+
+
+def test_original_kept_from_first_failure():
+    cluster = simnet.create_cluster("evenodd", 5, seed=3)
+    original = cluster.node(2).column.copy()
+    simnet.fail_nodes(cluster, [2])
+    simnet.run_repair(cluster, 2)
+    cluster.node(2).column = cluster.node(2).column ^ 1  # a bad repair installed
+    simnet.fail_nodes(cluster, [2])
+    assert np.array_equal(cluster.originals[2], original)
+    assert simnet.run_repair(cluster, 2).verified
 
 
 def test_determinism_same_seed_same_ledger():
@@ -102,13 +118,6 @@ def test_determinism_same_seed_same_ledger():
         runs.append((first.ledger.blocks, second.ledger.blocks,
                      first.column.tobytes(), second.column.tobytes()))
     assert runs[0] == runs[1]
-
-
-def test_seed_env_var(monkeypatch):
-    monkeypatch.setenv("ARRAYCODE_SEED", "1234")
-    a = simnet.create_cluster("evenodd", 5)
-    b = simnet.create_cluster("evenodd", 5)
-    assert np.array_equal(a.shadow.cells, b.shadow.cells)
 
 
 def test_star_double_session():
