@@ -19,7 +19,7 @@ ERASED = (1, 3)
 
 def main():
     code = Code.star(P)
-    plan = plan_star_double(P, ERASED)
+    plan = plan_star_double(code, ERASED)
     print(f"star p={P}, erased columns {ERASED} "
           f"(gap x={plan.meta['x']})")
     print(f"chain of {len(plan.groups)} parity groups:")

@@ -10,7 +10,6 @@ from .core import (
     ParityGroupId,
     PlanError,
     UnrecoverableError,
-    crossing,
     mod_index,
     parity_group_members,
     xor_blocks,
@@ -27,7 +26,6 @@ __all__ = [
     "mds_decode",
     "random_info",
     "parity_check_equations",
-    "crossing",
     "mod_index",
     "parity_group_members",
     "xor_blocks",

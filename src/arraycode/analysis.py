@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .codes import Code, family_spec
-from .core import Coord, ParameterError, ParityGroupId, is_prime, mod_index, parity_group_members
+from .core import Coord, ParameterError, ParityGroupId, is_prime, parity_group_members
 
 __all__ = [
     "evenodd_bandwidth",

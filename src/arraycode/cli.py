@@ -174,7 +174,7 @@ def _parse_p_range(text: str) -> list[int]:
 
 
 def _cmd_analyze(args) -> int:
-    min_p = FAMILIES[args.family].min_p
+    min_p = FAMILIES[args.family].lowest_p(args.r)
     primes = [p for p in _parse_p_range(args.p_range) if p >= min_p]
     if not primes:
         raise ParameterError(f"{args.family} needs primes >= {min_p}")
@@ -224,8 +224,9 @@ def _cmd_oracle(args) -> int:
     if p < 5:
         raise ParameterError("star-validate needs p >= 5")
     want = analysis.star_symmetry_saving(p)
+    code = Code.star(p)
     for x in range(1, p):
-        plan = plan_star_double(p, (1, 1 + x))
+        plan = plan_star_double(code, (1, 1 + x))
         if plan.meta["savings"] != want:
             raise OracleMismatch(
                 f"x={x}: measured savings {plan.meta['savings']}, "

@@ -1,10 +1,10 @@
 """The five binary MDS array-code families and a generic erasure decoder.
 
 Each family is defined once, as a :class:`FamilySpec` in :data:`FAMILIES`:
-its r policy, its geometry, its parity-check equations, its repair planners,
-its closed-form repair bandwidth and its container tag. Every other layer
-reads the table instead of naming a family. All families live on a grid of
-byte blocks over a prime ``p``:
+its r policy, its geometry, its labelled parity checks, the names of its
+repair planners, its closed-form repair bandwidth and its container tag.
+Every other layer reads the table instead of naming a family. All families
+live on a grid of byte blocks over a prime ``p``:
 
 * ``evenodd``      (p-1) x (p+2): p data columns, slope-0 and slope-1 parity.
 * ``evenodd-ext``  (p-1) x (p+r): p data columns, slopes 0..r-1. MDS is
@@ -59,9 +59,8 @@ from .core import (
     ParameterError,
     ParityGroupId,
     UnrecoverableError,
-    adjuster_line,
+    coord_table,
     is_prime,
-    mod_index,
     parity_group_members,
 )
 
@@ -112,7 +111,7 @@ class Code:
         lo, hi = spec.r_range or (spec.r, spec.r)
         if not lo <= r <= hi:
             raise ParameterError(f"{spec.name} supports r in {lo}..{hi}, got r={r}")
-        if spec.r_range and r >= p:
+        if p < spec.lowest_p(r):
             raise ParameterError(f"r={r} needs p > r, got p={p}")
         for name, value in zip(Geometry._fields, spec.geometry(p, r)):
             object.__setattr__(self, name, value)
@@ -191,9 +190,6 @@ class CodeGrid:
             return np.zeros(self.block_size, dtype=np.uint8)
         return self.cells[coord.row - 1, coord.col - 1]
 
-    def set_cell(self, coord: Coord, value: np.ndarray) -> None:
-        self.cells[coord.row - 1, coord.col - 1] = value
-
     def column(self, col: int) -> np.ndarray:
         return self.cells[:, col - 1]
 
@@ -234,7 +230,12 @@ def xcode_line(p: int, slope: int, col: int) -> list[Coord]:
     covers the line through the cell (p-1, col) it skips.
     """
     step = 1 if slope == -1 else -1
-    return [Coord(r, mod_index(col + step * (r + 1), p)) for r in range(1, p - 1)]
+    cell = coord_table(p)
+    return [cell[r][(col + step * (r + 1) - 1) % p + 1] for r in range(1, p - 1)]
+
+
+# a parity check: its label, and the cells that XOR-sum to zero
+Check = tuple[ParityGroupId, list[Coord]]
 
 
 def parity_check_equations(code: Code) -> list[list[Coord]]:
@@ -245,38 +246,43 @@ def parity_check_equations(code: Code) -> list[list[Coord]]:
     it; in RDP the row-parity checks precede the diagonal ones that read
     row parity.
     """
-    return code.spec.equations(code)
+    return [cells for _, cells in code.spec.equations(code)]
 
 
-def _tree_equations(code: Code) -> list[list[Coord]]:
-    p = code.p
+def _line(p: int, gid: ParityGroupId) -> list[Coord]:
+    """The stored cells of a parity line: its imaginary cell dropped."""
+    return [c for c in parity_group_members(p, gid) if c.row != p]
+
+
+def _tree_equations(code: Code) -> list[Check]:
+    """Slope-v checks list their parity cell, their line, then the adjuster
+    line of the slope (:func:`_decode_equations` relies on that order)."""
+    p, cell = code.p, coord_table(code.p)
     eqs = []
     for v in code.slopes:
         pcol = code.parity_col(v)
-        adj = [c for c in adjuster_line(p, v) if c.row != p] if v != 0 else []
+        adj = _line(p, ParityGroupId(v, 0)) if v != 0 else []
         for i in range(1, p):
-            members = [c for c in parity_group_members(p, ParityGroupId(v, i))
-                       if c.row != p]
-            eqs.append([Coord(i, pcol)] + members + adj)
+            gid = ParityGroupId(v, i)
+            eqs.append((gid, [cell[i][pcol]] + _line(p, gid) + adj))
     return eqs
 
 
-def _rdp_equations(code: Code) -> list[list[Coord]]:
-    p = code.p
-    eqs = [[Coord(i, p)] + [Coord(i, j) for j in range(1, p)] for i in range(1, p)]
+def _rdp_equations(code: Code) -> list[Check]:
+    p, cell = code.p, coord_table(code.p)
+    eqs = [(ParityGroupId(0, i), [cell[i][p], *cell[i][1:p]]) for i in range(1, p)]
     for i in range(1, p):
-        members = [c for c in parity_group_members(p, ParityGroupId(1, i))
-                   if c.row != p]
-        eqs.append([Coord(i, p + 1)] + members)
+        gid = ParityGroupId(1, i)
+        eqs.append((gid, [cell[i][p + 1]] + _line(p, gid)))
     return eqs
 
 
-def _xcode_equations(code: Code) -> list[list[Coord]]:
-    p = code.p
+def _xcode_equations(code: Code) -> list[Check]:
+    p, cell = code.p, coord_table(code.p)
     eqs = []
     for c in range(1, p + 1):
-        eqs.append([Coord(p - 1, c)] + xcode_line(p, -1, c))
-        eqs.append([Coord(p, c)] + xcode_line(p, 1, c))
+        eqs.append((ParityGroupId(-1, c), [cell[p - 1][c]] + xcode_line(p, -1, c)))
+        eqs.append((ParityGroupId(1, c), [cell[p][c]] + xcode_line(p, 1, c)))
     return eqs
 
 
@@ -302,9 +308,12 @@ def _tree_geometry(p: int, slopes: tuple[int, ...]) -> Geometry:
 class FamilySpec:
     """Everything the other layers need to know of one array-code family.
 
+    ``equations`` lists the family's parity checks, each labelled with its
+    :class:`ParityGroupId`; the decoder and the repair planners read them.
     The planners and the closed form live in :mod:`.planner` and
-    :mod:`.analysis`, which import this module; the table reaches them
-    through their modules at call time.
+    :mod:`.analysis`, which import this module: the table names each planner
+    (a ``planner`` function taking the code) and reaches it and the closed
+    form through their modules at call time.
     """
 
     name: str
@@ -314,25 +323,26 @@ class FamilySpec:
     min_p: int
     geometry: Callable[[int, int], Geometry]  # (p, r) -> shape
     tolerance: int  # erasures decoding is proven for, if n - k allows
-    equations: Callable[[Code], list[list[Coord]]]
-    plan_single: Callable  # (code, erased data column) -> RepairPlan
+    equations: Callable[[Code], list[Check]]
+    plan_single: str  # planner function: (code, erased data column) -> RepairPlan
     closed_form: Callable[[int, int], int]  # (p, r) -> blocks of its analyze plan
-    plan_double: Callable | None = None  # (code, (col, other)) -> RepairPlan
+    plan_double: str | None = None  # planner function: (code, (col, other)) -> RepairPlan
     analyze_erased: tuple[int, ...] = (1,)  # the pattern ``analyze`` plans
+
+    def lowest_p(self, r: int) -> int:
+        """The least p the family allows with ``r``: ``min_p``, and above r
+        where r is chosen (a fixed r is ignored, as :meth:`Code.make` does)."""
+        return max(self.min_p, r + 1) if self.r_range else self.min_p
 
     def plan(self, code: Code, erased: tuple[int, ...]):
         """The repair plan for the first of the ``erased`` data columns, or
         None when the family has no planner for that many erasures."""
+        from . import planner
         if len(erased) == 1:
-            return self.plan_single(code, erased[0])
+            return getattr(planner, self.plan_single)(code, erased[0])
         if len(erased) == 2 and self.plan_double is not None:
-            return self.plan_double(code, erased)
+            return getattr(planner, self.plan_double)(code, erased)
         return None
-
-
-def _planner():
-    from . import planner
-    return planner
 
 
 def _analysis():
@@ -340,39 +350,32 @@ def _analysis():
     return analysis
 
 
-def _plan_tree_single(code: Code, col: int):
-    return _planner().plan_evenodd_single(code.p, col, code=code)
-
-
 FAMILIES: dict[str, FamilySpec] = {spec.name: spec for spec in (
     FamilySpec(
         "evenodd", tag=1, r=2, r_range=None, min_p=3,
         geometry=lambda p, r: _tree_geometry(p, (0, 1)), tolerance=2,
-        equations=_tree_equations, plan_single=_plan_tree_single,
+        equations=_tree_equations, plan_single="plan_evenodd_single",
         closed_form=lambda p, r: _analysis().evenodd_min_bandwidth(p)),
     FamilySpec(
         "evenodd-ext", tag=2, r=3, r_range=(2, 5), min_p=3,
         geometry=lambda p, r: _tree_geometry(p, tuple(range(r))), tolerance=3,
-        equations=_tree_equations,
-        plan_single=lambda code, col: _planner().plan_extended_single(code.p, code.r, col),
+        equations=_tree_equations, plan_single="plan_extended_single",
         closed_form=lambda p, r: _analysis().inclusion_exclusion_bound(p, r)),
     FamilySpec(
         "rdp", tag=3, r=2, r_range=None, min_p=3,
         geometry=lambda p, r: Geometry(p + 1, p - 1, p - 1, (p - 1, p - 1), ()),
-        tolerance=2, equations=_rdp_equations,
-        plan_single=lambda code, col: _planner().plan_rdp_single(code.p, col),
+        tolerance=2, equations=_rdp_equations, plan_single="plan_rdp_single",
         closed_form=lambda p, r: _analysis().rdp_bandwidth(p)),
     FamilySpec(
         "xcode", tag=4, r=2, r_range=None, min_p=5,
         geometry=lambda p, r: Geometry(p, p - 2, p, (p - 2, p), ()),
-        tolerance=2, equations=_xcode_equations,
-        plan_single=lambda code, col: _planner().plan_xcode_single(code.p, col),
+        tolerance=2, equations=_xcode_equations, plan_single="plan_xcode_single",
         closed_form=lambda p, r: _analysis().xcode_bandwidth_bound(p)),
     FamilySpec(
         "star", tag=5, r=3, r_range=None, min_p=3,
         geometry=lambda p, r: _tree_geometry(p, (0, 1, -1)), tolerance=3,
-        equations=_tree_equations, plan_single=_plan_tree_single,
-        plan_double=lambda code, erased: _planner().plan_star_double(code.p, erased),
+        equations=_tree_equations, plan_single="plan_evenodd_single",
+        plan_double="plan_star_double",
         closed_form=lambda p, r: _analysis().star_double_bandwidth(p),
         analyze_erased=(1, 2)),
 )}
@@ -429,33 +432,31 @@ class XorSchedule(dict):
         self.slots = len(virtual)
 
 
-@lru_cache(maxsize=8)
-def _decode_equations(code: Code) -> tuple[tuple[Coord, ...], ...]:
-    """Parity checks with each sloped adjuster replaced by its virtual cell.
+@lru_cache(maxsize=2)
+def _decode_equations(code: Code) -> tuple[tuple[ParityGroupId | None, tuple[Coord, ...]], ...]:
+    """Labelled parity checks, each sloped adjuster replaced by its virtual cell.
 
     Two more equations define the virtual cell ``s`` of slope ``v``: the
-    adjuster line itself, and ``s = (XOR of the slope-0 parity column) XOR
-    (XOR of the slope-v parity column)``, which holds because p-1 is even.
-    With them every two-column erasure peels without elimination. Cached
-    per code, so the schedules of one code share its Coord objects.
+    adjuster line itself, labelled ``(v, 0)``, and the unlabelled
+    ``s = (XOR of the slope-0 parity column) XOR (XOR of the slope-v parity
+    column)``, which holds because p-1 is even. With them every two-column
+    erasure peels without elimination. Every check draws its cells from
+    :func:`coord_table`. The decoder and the planner both read them, so a
+    sweep over p would fill a larger cache with the checks of its largest
+    codes (about 0.3 MB each at p=101); two codes cover the code in use.
     """
-    eqs = parity_check_equations(code)
-    p = code.p
-    column = {c: [Coord(i, c) for i in range(1, p)] for c in range(p + 1, code.n + 1)}
-    adjusters = {}
-    for v in code.slopes:
-        if v:
-            pcol = code.parity_col(v)
-            adjusters[pcol] = frozenset(c for c in adjuster_line(p, v) if c.row != p)
+    p, cell = code.p, coord_table(code.p)
+    adjusters = {code.parity_col(v): (v, _line(p, ParityGroupId(v, 0)))
+                 for v in code.slopes if v}
     out = []
-    for eq in eqs:
-        adj = adjusters.get(eq[0].col)
-        if adj is not None:  # a slope-v check: name the adjuster cell instead
-            eq = [c for c in eq if c not in adj] + [Coord(0, eq[0].col)]
-        out.append(tuple(eq))
-    for pcol, adj in adjusters.items():
-        out.append((Coord(0, pcol), *sorted(adj)))
-        out.append((Coord(0, pcol), *column[code.parity_col(0)], *column[pcol]))
+    for gid, eq in code.spec.equations(code):
+        if eq[0].col in adjusters:  # a slope-v check: name the adjuster cell instead
+            eq = [*eq[:-len(adjusters[eq[0].col][1])], cell[0][eq[0].col]]
+        out.append((gid, tuple(eq)))
+    flat = [cell[i][code.parity_col(0)] for i in range(1, p)] if adjusters else []
+    for pcol, (v, adj) in adjusters.items():
+        out.append((ParityGroupId(v, 0), (cell[0][pcol], *sorted(adj))))
+        out.append((None, (cell[0][pcol], *flat, *(cell[i][pcol] for i in range(1, p)))))
     return tuple(out)
 
 
@@ -469,8 +470,8 @@ def _encode_schedule(code: Code) -> XorSchedule:
     out: they serve decoding only and would double a step's sources.
     """
     eqs = _decode_equations(code)
-    lines = [eq for eq in eqs if eq[0].row == 0 and eq[1].col <= code.info_cols]
-    checks = [eq for eq in eqs if eq[0].row]
+    lines = [eq for gid, eq in eqs if gid is not None and not eq[0].row]
+    checks = [eq for _, eq in eqs if eq[0].row]
     return XorSchedule(code, {eq[0]: eq[1:] for eq in lines + checks})
 
 
@@ -482,7 +483,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
     peeling stalls (three-erasure patterns of some families, and r > 3) are
     solved by elimination; steps no erased cell depends on are dropped.
     """
-    eqs = _decode_equations(code)
+    eqs = [eq for _, eq in _decode_equations(code)]
     lost = [Coord(r, c) for c in erased for r in range(1, code.rows + 1)]
     lost_set = set(lost)
     unknown_of = [[c for c in eq if c in lost_set or c.row == 0] for eq in eqs]

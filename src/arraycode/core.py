@@ -9,6 +9,8 @@ where ``<x>`` wraps into ``1..p``.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -24,13 +26,10 @@ __all__ = [
     "ParityGroupId",
     "is_prime",
     "mod_index",
-    "mod_inverse",
+    "coord_table",
     "parity_group_members",
     "adjuster_line",
-    "crossing",
-    "is_zero_crossing_pair",
     "xor_blocks",
-    "zero_block",
 ]
 
 
@@ -66,12 +65,15 @@ class Coord(NamedTuple):
 
 
 class ParityGroupId(NamedTuple):
-    """A parity line: slope and start index.
+    """The label of one parity check: its slope and index.
 
-    ``index`` is normally in 1..p-1 and names the stored parity block
-    ``b[index, slope]``. Index 0 is the line through the imaginary cell of
-    column 1: it has no stored parity block (its parity-side value is the
-    slope's adjuster) and appears only inside repair plans.
+    In the evenodd tree and RDP, ``index`` in 1..p-1 names the stored parity
+    block ``b[index, slope]`` the check lists first (RDP's row checks are
+    slope 0, its diagonal checks slope 1). Index 0 labels an evenodd-tree
+    adjuster line, the line through the imaginary cell of column 1: it has
+    no stored parity block, its parity-side value being the slope's
+    adjuster. In X-code ``index`` is the column, 1..p, whose parity row of
+    that slope the check lists first.
     """
 
     slope: int
@@ -96,8 +98,23 @@ def mod_index(x: int, p: int) -> int:
     return (x - 1) % p + 1
 
 
-def mod_inverse(x: int, p: int) -> int:
-    return pow(x, -1, p)
+_coords: tuple[tuple[Coord, ...], ...] = ()
+
+
+def coord_table(p: int) -> tuple[tuple[Coord, ...], ...]:
+    """``coord_table(p)[row][col]`` is ``Coord(row, col)``, for rows 0..p and
+    columns 0..p+5 at least, which covers every code over ``p`` (row 0 names
+    the virtual cells of the decoder).
+
+    One table serves every p: it is rebuilt only for a p larger than any
+    before, so it holds about p^2 cells of the largest p in use, and the
+    checks of every code share one object per cell.
+    """
+    global _coords
+    if len(_coords) <= p:
+        new = partial(tuple.__new__, Coord)  # Coord(r, c) without its Python-level __new__
+        _coords = tuple(tuple(map(new, zip(repeat(r), range(p + 6)))) for r in range(p + 1))
+    return _coords
 
 
 def _check_group(p: int, g: ParityGroupId) -> None:
@@ -122,7 +139,8 @@ def parity_group_members(p: int, g: ParityGroupId, info_cols: int | None = None)
     if not 1 <= info_cols <= p:
         raise ParameterError(f"info_cols {info_cols} out of range for p={p}")
     v, i = g.slope, g.index
-    return [Coord(mod_index(i + v * (1 - j), p), j) for j in range(1, info_cols + 1)]
+    cell = coord_table(p)
+    return [cell[(i + v * (1 - j) - 1) % p + 1][j] for j in range(1, info_cols + 1)]
 
 
 def adjuster_line(p: int, slope: int) -> list[Coord]:
@@ -131,42 +149,6 @@ def adjuster_line(p: int, slope: int) -> list[Coord]:
     if slope % p == 0:
         raise ParameterError("slope 0 has no adjuster line")
     return parity_group_members(p, ParityGroupId(slope, 0))
-
-
-def crossing(p: int, g1: ParityGroupId, g2: ParityGroupId) -> Coord:
-    """The unique coordinate shared by two parity lines of different slopes.
-
-    Two lines with distinct slopes mod p meet in exactly one of the p
-    columns. The result can sit in the imaginary row (a zero crossing,
-    detected by ``row == p``); callers that count transfer savings must
-    skip those.
-    """
-    _check_group(p, g1)
-    _check_group(p, g2)
-    if (g1.slope - g2.slope) % p == 0:
-        raise ParameterError("parity groups of equal slope never cross")
-    # index1 + v1*(1-j) == index2 + v2*(1-j)  (mod p), solve for the column j
-    diff = mod_inverse(g1.slope - g2.slope, p)
-    j = mod_index(1 - (g2.index - g1.index) * diff, p)
-    row = mod_index(g1.index + g1.slope * (1 - j), p)
-    return Coord(row, j)
-
-
-def is_zero_crossing_pair(p: int, g1: ParityGroupId, g2: ParityGroupId) -> bool:
-    """Whether two lines of distinct slopes meet in the imaginary row.
-
-    The crossing of (v1, i1) and (v2, i2) sits in row (i1*v2 - i2*v1) /
-    (v2 - v1) mod p, so it is imaginary exactly when i1*v2 == i2*v1
-    (mod p). A slope-0 line with a real index never qualifies: its whole
-    line stays in row i1.
-    """
-    if (g1.slope - g2.slope) % p == 0:
-        raise ParameterError("zero-crossing test needs distinct slopes mod p")
-    return (g1.index * g2.slope - g2.index * g1.slope) % p == 0
-
-
-def zero_block(block_size: int) -> np.ndarray:
-    return np.zeros(block_size, dtype=np.uint8)
 
 
 def xor_blocks(blocks: Iterable[np.ndarray]) -> np.ndarray:

@@ -1,21 +1,27 @@
 """Bandwidth-efficient repair plans.
 
-A plan names parity groups, one per block being rebuilt, and the exact
-transmissions that feed them. Three transmission kinds exist:
+A plan rebuilds each lost cell from one of the decoder's parity checks
+(``codes._decode_equations``): a group is that check, chosen per lost cell
+by the check's slope, put to work on the cell. Each ``plan_*`` function is
+a chooser over those choices for one family, and :func:`_group` turns every
+choice into a :class:`GroupUse`. The plan lists the groups in the order they
+are solved and the exact transmissions that feed them. Three transmission
+kinds exist:
 
 * ``raw``    one stored block, identified by its coordinate;
 * ``parity`` one stored parity block, identified by its cell and slope;
 * ``sum``    the XOR of a whole parity column, computed by the node that
   stores it and shipped as a single block.
 
-For the evenodd family tree every slope-v parity folds in that slope's
-adjuster (the XOR of the index-0 line). A repairing node reconstructs the
-adjuster of slope v by XORing the slope-v column sum with the slope-0
-column sum, so plans that touch sloped groups carry ``sum`` transmissions.
-An index-0 group has no stored parity block at all; its parity-side value
-is the adjuster itself. Blocks wanted by several groups are shipped once:
-the transmission list is a set union, which is where the bandwidth savings
-over one-group-per-block accounting come from.
+For the evenodd family tree every slope-v check names that slope's
+adjuster (the XOR of the index-0 line) as a virtual cell. A repairing node
+reconstructs the adjuster of slope v by XORing the slope-v column sum with
+the slope-0 column sum, so plans that touch sloped groups carry ``sum``
+transmissions. The index-0 check is the adjuster line itself: it has no
+stored parity block, its parity-side value being the adjuster. Blocks
+wanted by several groups are shipped once: the transmission list is a set
+union, which is where the bandwidth savings over one-group-per-block
+accounting come from.
 
 Plans only target data columns. Rebuilding a parity column is a plain
 decode-then-reencode job and is handled by the cluster layer at naive cost.
@@ -28,19 +34,12 @@ It reads only the shipped blocks, straight from the live columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codes import _CHUNK, Code, _run_steps, xcode_line
-from .core import (
-    Coord,
-    ParameterError,
-    ParityGroupId,
-    PlanError,
-    mod_index,
-    parity_group_members,
-)
+from .codes import _CHUNK, Code, _decode_equations, _run_steps
+from .core import Coord, ParameterError, ParityGroupId, PlanError, mod_index
 
 __all__ = [
     "Transmission",
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Transmission:
+class Transmission(NamedTuple):
     source: int
     kind: str  # "raw" | "parity" | "sum"
     coord: Coord | None = None
@@ -66,13 +64,15 @@ class Transmission:
 
 @dataclass(frozen=True)
 class GroupUse:
-    """One parity group put to work on one erased block.
+    """One decoder check put to work on one lost cell, its ``target``.
 
-    ``members`` holds every real line cell except the target, including
-    cells in erased columns that an earlier group of the same plan rebuilds
-    (plans are solved in order). ``parity_coord`` is None for index-0
-    groups and for X-code groups whose own parity cell is the target;
-    ``adjuster_slope`` names the adjuster folded into the equation.
+    ``group`` is the check's label. ``parity_coord`` is the stored parity
+    cell the check lists first, or None when that cell is the target (an
+    X-code parity cell) or the check has none (an adjuster line).
+    ``adjuster_slope`` is the slope of the virtual adjuster cell the check
+    names, if any. ``members`` holds the check's other stored cells,
+    including cells in erased columns that an earlier group of the same
+    plan rebuilds (plans are solved in order).
     """
 
     group: ParityGroupId
@@ -112,38 +112,42 @@ class RepairPlan:
 
 
 # ---------------------------------------------------------------------------
-# group equations per family
+# groups: one decoder check per lost cell
 # ---------------------------------------------------------------------------
 
-def _tree_group(code: Code, gid: ParityGroupId, target: Coord) -> GroupUse:
-    """Evenodd-tree group rebuilding ``target`` (one of its line cells)."""
-    p = code.p
-    members = tuple(c for c in parity_group_members(p, gid)
-                    if c.row != p and c != target)
-    parity = None if gid.index == 0 else Coord(gid.index, code.parity_col(gid.slope))
-    adj = gid.slope if gid.slope != 0 else None
-    return GroupUse(gid, target, parity, members, adj)
+def _checks(code: Code, cols: Iterable[int]) -> dict:
+    """(cell, slope) -> the labelled decoder check of that slope through the
+    cell, for the cells of the data columns ``cols``.
+
+    Unlabelled checks (the adjusters' column identities) are left out; a
+    stored cell lies on at most one labelled check per slope.
+    """
+    cols = set(cols)
+    out = {}
+    for gid, cells in _decode_equations(code):
+        if gid is not None:
+            for c in cells:
+                if c.col in cols:
+                    out[c, gid.slope] = gid, cells
+    return out
 
 
-def _rdp_group(code: Code, gid: ParityGroupId, target: Coord) -> GroupUse:
-    p = code.p
-    if gid.slope == 0:
-        members = tuple(Coord(gid.index, j) for j in range(1, p) if j != target.col)
-        parity = Coord(gid.index, p)
-    else:
-        members = tuple(c for c in parity_group_members(p, gid)
-                        if c.row != p and c != target)
-        parity = Coord(gid.index, p + 1)
-    return GroupUse(gid, target, parity, members)
+def _group(checks: dict, cell: Coord, slope: int) -> GroupUse:
+    """Rebuild ``cell`` from its decoder check of ``slope``.
 
-
-def _xcode_group(p: int, slope: int, parity_col: int, target: Coord) -> GroupUse:
-    parity_cell = Coord(p - 1 if slope == -1 else p, parity_col)
-    members = tuple(c for c in xcode_line(p, slope, parity_col) if c != target)
-    gid = ParityGroupId(slope, parity_col)
-    if parity_cell == target:
-        return GroupUse(gid, target, None, members)
-    return GroupUse(gid, target, parity_cell, members)
+    The check's stored head becomes ``parity_coord`` unless it is the cell
+    itself, its virtual adjuster cell becomes ``adjuster_slope``, and its
+    other stored cells become ``members``.
+    """
+    try:
+        gid, cells = checks[cell, slope]
+    except KeyError:
+        raise PlanError(f"no slope-{slope} check through {cell}") from None
+    head = cells[0]
+    parity = head if head.row and head != cell else None
+    adjuster = slope if not head.row or not cells[-1].row else None
+    members = tuple(c for c in cells[1:] if c.row and c != cell)
+    return GroupUse(gid, cell, parity, members, adjuster)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +181,8 @@ def _build_transmissions(code: Code, groups: Sequence[GroupUse],
 
 def _ordered_rows(p: int, erased_col: int) -> list[int]:
     """Rows of the erased column, the one sitting on the index-0 slope-1
-    line first (it has no usable sloped group and must repair flat)."""
+    line first: its slope-1 check stores no parity block (in RDP there is
+    none), so it repairs flat whenever any row does."""
     rows = list(range(1, p))
     special = mod_index(1 - erased_col, p)
     if special != p:
@@ -190,67 +195,71 @@ def _ordered_rows(p: int, erased_col: int) -> list[int]:
 # planners
 # ---------------------------------------------------------------------------
 
-def plan_evenodd_single(p: int, erased_col: int, x: int | None = None,
-                        code: Code | None = None) -> RepairPlan:
+def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[Coord, int]],
+          sum_slopes: Sequence[int] = (), **extra) -> RepairPlan:
+    """Rebuild the cell of each (cell, slope) choice, in order, from its
+    check of that slope; the first erased column is the one recovered."""
+    checks = _checks(code, erased)
+    groups = tuple(_group(checks, cell, v) for cell, v in choices)
+    tx = _build_transmissions(code, groups, erased, sum_slopes=sum_slopes)
+    return RepairPlan(code, erased, erased[0], groups, tx, **extra)
+
+
+def _require_data_col(code: Code, col: int) -> None:
+    if not 1 <= col <= code.info_cols:
+        raise ParameterError(f"erased column {col} is not a data column")
+
+
+def _split_plan(code: Code, col: int, x: int, sum_slopes: Sequence[int] = ()) -> RepairPlan:
+    """x rows of ``col`` flat, the rest on slope 1 (see :func:`_ordered_rows`)."""
+    rows = _ordered_rows(code.p, col)
+    flat, sloped = sorted(rows[:x]), sorted(rows[x:])
+    choices = [(Coord(i, col), 0) for i in flat] + [(Coord(i, col), 1) for i in sloped]
+    return _plan(code, (col,), choices, sum_slopes, horizontal_rows=tuple(flat))
+
+
+def plan_evenodd_single(code: Code, col: int, x: int | None = None) -> RepairPlan:
     """Repair one data column with x flat groups and p-1-x slope-1 groups.
 
     Works for any family of the evenodd tree (the slope-0 and slope-1
     parity columns are defined identically across it). The transmission
     count is (p-1)*p + 2 - (x+1)*(p-1-x), minimized at x = (p-1)/2.
     With x = 0 and an erased column other than 1, the row on the index-0
-    slope-1 line repairs through the adjuster pseudo-group and the plan
-    comes in one block under that count.
+    slope-1 line repairs through the adjuster line and the plan comes in
+    one block under that count.
     """
-    code = code or Code.evenodd(p)
-    if code.slopes[:2] != (0, 1) or code.p != p:
-        raise ParameterError(f"not an evenodd-tree code for p={p}: {code}")
-    if not 1 <= erased_col <= p:
-        raise ParameterError(f"erased column {erased_col} is not a data column")
+    p = code.p
+    if code.slopes[:2] != (0, 1):
+        raise ParameterError(f"not an evenodd-tree code: {code}")
+    _require_data_col(code, col)
     if x is None:
         x = (p - 1) // 2
     if not 0 <= x <= p - 1:
         raise ParameterError(f"x={x} out of range 0..{p - 1}")
-    rows = _ordered_rows(p, erased_col)
-    flat, sloped = rows[:x], rows[x:]
-    groups = [_tree_group(code, ParityGroupId(0, i), Coord(i, erased_col))
-              for i in sorted(flat)]
-    for i in sorted(sloped):
-        idx = mod_index(i + erased_col - 1, p) % p  # index p behaves as 0
-        groups.append(_tree_group(code, ParityGroupId(1, idx), Coord(i, erased_col)))
-    tx = _build_transmissions(code, groups, [erased_col], sum_slopes=(0, 1))
-    return RepairPlan(code, (erased_col,), erased_col, tuple(groups), tx,
-                      horizontal_rows=tuple(sorted(flat)))
+    return _split_plan(code, col, x, sum_slopes=(0, 1))
 
 
-def plan_extended_single(p: int, r: int, erased_col: int = 1,
+def plan_extended_single(code: Code, col: int,
                          partition: Sequence[frozenset[int]] | None = None) -> RepairPlan:
     """Repair one data column of the r-parity extended code.
 
-    Each erased row is rebuilt through the parity group of the slope its
-    partition class names; all r column sums travel along so every
-    adjuster is available. r=2 exists as a consistency path (it must match
-    the flat/sloped split above); r in 3..5 is the useful range.
+    Each erased row is rebuilt through the check of the slope its partition
+    class names; all r column sums travel along so every adjuster is
+    available. r=2 exists as a consistency path (it must match the
+    flat/sloped split above); r in 3..5 is the useful range.
     """
-    code = Code.evenodd_ext(p, r)
-    if not 1 <= erased_col <= p:
-        raise ParameterError(f"erased column {erased_col} is not a data column")
+    _require_data_col(code, col)
     from .analysis import default_partition, validate_partition
+    p, r = code.p, code.r
     if partition is None:
         partition = default_partition(p, r)
     validate_partition(p, r, partition)
-    groups = []
-    for v, cls in enumerate(partition):
-        for m in sorted(cls):
-            idx = mod_index(m + v * (erased_col - 1), p) % p
-            groups.append(_tree_group(code, ParityGroupId(v, idx),
-                                      Coord(m, erased_col)))
-    tx = _build_transmissions(code, groups, [erased_col],
-                              sum_slopes=tuple(range(r)))
-    return RepairPlan(code, (erased_col,), erased_col, tuple(groups), tx,
-                      meta={"partition": [sorted(c) for c in partition]})
+    choices = [(Coord(m, col), v) for v, cls in enumerate(partition) for m in sorted(cls)]
+    return _plan(code, (col,), choices, sum_slopes=tuple(range(r)),
+                 meta={"partition": [sorted(c) for c in partition]})
 
 
-def plan_rdp_single(p: int, erased_col: int) -> RepairPlan:
+def plan_rdp_single(code: Code, col: int) -> RepairPlan:
     """Repair one data column: half the rows flat, half diagonally.
 
     The diagonal through (p, 1) has no parity block, so the row of the
@@ -258,47 +267,23 @@ def plan_rdp_single(p: int, erased_col: int) -> RepairPlan:
     crosses every diagonal group in one shipped block, giving
     3*(p-1)^2/4 transmissions.
     """
-    code = Code.rdp(p)
-    if not 1 <= erased_col <= p - 1:
-        raise ParameterError(f"erased column {erased_col} is not a data column")
-    rows = _ordered_rows(p, erased_col)
-    half = (p - 1) // 2
-    flat, sloped = rows[:half], rows[half:]
-    groups = [_rdp_group(code, ParityGroupId(0, i), Coord(i, erased_col))
-              for i in sorted(flat)]
-    for i in sorted(sloped):
-        idx = mod_index(i + erased_col - 1, p)
-        if idx == p:
-            raise PlanError("row on the parity-less diagonal must repair flat")
-        groups.append(_rdp_group(code, ParityGroupId(1, idx), Coord(i, erased_col)))
-    tx = _build_transmissions(code, groups, [erased_col])
-    return RepairPlan(code, (erased_col,), erased_col, tuple(groups), tx,
-                      horizontal_rows=tuple(sorted(flat)))
+    _require_data_col(code, col)
+    return _split_plan(code, col, (code.p - 1) // 2)
 
 
-def plan_xcode_single(p: int, erased_col: int) -> RepairPlan:
+def plan_xcode_single(code: Code, col: int) -> RepairPlan:
     """Repair one X-code column.
 
-    Both parity cells of the column force their own groups; the p-2 data
+    Both parity cells of the column force their own checks; the p-2 data
     cells split (p-1)/2 to slope +1 and the rest to slope -1, lowest rows
     first. Savings come from slope-(+1)/slope-(-1) group pairs whose lines
     meet in a shipped data cell; meetings in the two parity rows save
     nothing.
     """
-    code = Code.xcode(p)
-    if not 1 <= erased_col <= p:
-        raise ParameterError(f"erased column {erased_col} out of range")
-    e = erased_col
-    groups = []
-    for r in range(1, p - 1):
-        if r <= (p - 1) // 2:
-            groups.append(_xcode_group(p, 1, mod_index(e + r + 1, p), Coord(r, e)))
-        else:
-            groups.append(_xcode_group(p, -1, mod_index(e - r - 1, p), Coord(r, e)))
-    groups.append(_xcode_group(p, -1, e, Coord(p - 1, e)))
-    groups.append(_xcode_group(p, 1, e, Coord(p, e)))
-    tx = _build_transmissions(code, groups, [erased_col])
-    return RepairPlan(code, (erased_col,), erased_col, tuple(groups), tx)
+    _require_data_col(code, col)
+    p = code.p
+    choices = [(Coord(r, col), 1 if r <= (p - 1) // 2 else -1) for r in range(1, p - 1)]
+    return _plan(code, (col,), choices + [(Coord(p - 1, col), -1), (Coord(p, col), 1)])
 
 
 def _star_schedule(p: int, x: int) -> list[tuple[int, int]]:
@@ -312,34 +297,33 @@ def _star_schedule(p: int, x: int) -> list[tuple[int, int]]:
     return out
 
 
-def plan_star_double(p: int, erased: tuple[int, int]) -> RepairPlan:
+def plan_star_double(code: Code, erased: tuple[int, int]) -> RepairPlan:
     """Repair the first of two erased data columns of a STAR code.
 
-    Walks a chain of slope -1, 0, +1 groups; each group meets the erased
-    pair in one already-recovered cell and one new cell, so a single pass
-    rebuilds the whole first column (and every other row of the second).
-    The chain is checked by rank over GF(2) before the plan is returned;
-    a chain that does not determine the column raises :class:`PlanError`.
+    Walks a chain of slope -1, 0, +1 checks; each meets the erased pair in
+    one already-recovered cell and one new cell, so a single pass rebuilds
+    the whole first column (and every other row of the second). A slope -1
+    check rebuilds its cell in the second column, the others theirs in the
+    first. The chain is checked by rank over GF(2) before the plan is
+    returned; a chain that does not determine the column raises
+    :class:`PlanError`.
     """
-    code = Code.star(p)
+    p = code.p
     c, other = erased
-    if c == other or not (1 <= c <= p and 1 <= other <= p):
+    if c == other:
         raise ParameterError(f"need two distinct data columns, got {erased}")
+    _require_data_col(code, c)
+    _require_data_col(code, other)
     x = (other - c) % p
-    groups: list[GroupUse] = []
-    for v, m in _star_schedule(p, x):
-        idx = mod_index(m * x + v * (c - 1), p) % p
-        row_here = mod_index(m * x, p)
-        row_other = mod_index((m - v) * x, p)
-        target = Coord(row_other, other) if v == -1 else Coord(row_here, c)
-        groups.append(_tree_group(code, ParityGroupId(v, idx), target))
-    if not _chain_solvable(code, groups, (c, other), c):
+    choices = [(Coord(mod_index((m - v) * x, p), other) if v == -1
+                else Coord(mod_index(m * x, p), c), v)
+               for v, m in _star_schedule(p, x)]
+    plan = _plan(code, (c, other), choices, sum_slopes=(0, 1, -1))
+    if not _chain_solvable(code, plan.groups, plan.erased, c):
         raise PlanError(f"the group chain does not determine column {c} of {erased}")
-    tx = _build_transmissions(code, groups, (c, other), sum_slopes=(0, 1, -1))
-    raw_info = {t.coord for t in tx if t.kind == "raw"}
-    savings = (p - 1) * (p - 2) - len(raw_info)
-    return RepairPlan(code, (c, other), c, tuple(groups), tx,
-                      meta={"x": x, "savings": savings, "parity_values": len(groups)})
+    savings = (p - 1) * (p - 2) - len(plan.raw_cells())
+    plan.meta.update(x=x, savings=savings, parity_values=len(plan.groups))
+    return plan
 
 
 def _chain_solvable(code: Code, groups: Sequence[GroupUse],

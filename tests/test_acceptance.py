@@ -44,7 +44,8 @@ def test_evenodd_single_repair_bandwidth():
     prime planned in under a second."""
     for p in (3, 5, 7, 11, 13):
         start = time.perf_counter()
-        gamma = _verify_plan(Code.evenodd(p), plan_evenodd_single(p, 1))
+        code = Code.evenodd(p)
+        gamma = _verify_plan(code, plan_evenodd_single(code, 1))
         elapsed = time.perf_counter() - start
         assert gamma == (3 * p * p - 4 * p + 9) // 4, (p, gamma)
         if p == 5:
@@ -69,9 +70,9 @@ def test_flat_count_brute_force_oracle():
 def test_rdp_single_repair_bandwidth():
     for p in (3, 5, 7, 11):
         for erased in (1, p - 1):
-            gamma = _verify_plan(Code.rdp(p), plan_rdp_single(p, erased))
+            gamma = _verify_plan(Code.rdp(p), plan_rdp_single(Code.rdp(p), erased))
             assert gamma == 3 * (p - 1) * (p - 1) // 4, (p, erased, gamma)
-    assert plan_rdp_single(5, 1).gamma == 12
+    assert plan_rdp_single(Code.rdp(5), 1).gamma == 12
     print("PASS rdp single-erasure bandwidth 3(p-1)^2/4, p in 3..11")
 
 
@@ -79,7 +80,7 @@ def test_xcode_bound_and_reconstruction():
     for p in (5, 7, 11, 13):
         bound = (3 * p * p - 2 * p + 5) // 4
         for erased in (1, 2, p):
-            gamma = _verify_plan(Code.xcode(p), plan_xcode_single(p, erased))
+            gamma = _verify_plan(Code.xcode(p), plan_xcode_single(Code.xcode(p), erased))
             assert gamma <= bound, (p, erased, gamma, bound)
     print("PASS xcode bandwidth within bound with bit-exact rebuild, p in 5..13")
 
@@ -116,7 +117,7 @@ def test_star_double_erasure_chain():
     for p in (5, 7, 11, 13):
         want_saving = an.star_symmetry_saving(p)
         for x in range(1, p):
-            plan = plan_star_double(p, (1, 1 + x))
+            plan = plan_star_double(Code.star(p), (1, 1 + x))
             assert _chain_solvable(plan.code, plan.groups, plan.erased,
                                    plan.recover_col), (p, x)
             assert plan.meta["parity_values"] == 3 * (p - 1) // 2, (p, x)
@@ -177,7 +178,7 @@ def test_large_prime_savings_ratio():
     repair moves, and the flow bound is exactly (p^2-1)/2 blocks."""
     p = 31
     code = Code.evenodd(p)
-    plan = plan_evenodd_single(p, 1)
+    plan = plan_evenodd_single(code, 1)
     naive = code.k * code.rows
     ratio = plan.gamma / naive
     assert 0.72 <= ratio <= 0.78, (plan.gamma, naive, ratio)

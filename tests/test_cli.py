@@ -155,6 +155,19 @@ def test_analyze_table_and_csv(tmp_path, capsys):
     assert float(rows[1]["cutset_blocks"]) == 12.0
 
 
+def test_analyze_skips_primes_not_above_r(tmp_path, capsys):
+    """evenodd-ext needs p > r: the sweep drops p=3 for r=3 as it drops
+    xcode's p=3, and an r the family does not allow still exits 2."""
+    path = tmp_path / "sweep.csv"
+    assert run("analyze", "--family", "evenodd-ext", "--p-range", "3:11",
+               "--csv", str(path)) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        assert [int(r["p"]) for r in csv.DictReader(fh)] == [5, 7, 11]
+    assert run("analyze", "--family", "evenodd-ext", "--p-range", "3:11",
+               "--r", "7") == 2
+
+
 def test_analyze_single_prime(capsys):
     assert run("analyze", "--family", "rdp", "--p-range", "5") == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from arraycode import (
     random_info,
     simnet,
 )
-from arraycode.core import Coord
+from arraycode.core import Coord, ParityGroupId, parity_group_members
 
 
 def _families(p):
@@ -112,6 +113,52 @@ def test_encode_shape_validation():
         encode(code, np.zeros((3, 5, 1), dtype=np.uint8))
     with pytest.raises(ParameterError):
         encode(code, np.zeros((4, 5), dtype=np.uint8))
+
+
+def _label_agrees(code, gid, cells):
+    """Does a check list the cells of the line its label names, its parity
+    cell (or, for an adjuster line, its virtual cell) first?"""
+    p = code.p
+    stored = {c for c in cells[1:] if c.row}
+    if code.family == "xcode":
+        head = Coord(p - 1 if gid.slope == -1 else p, gid.index)
+        return cells[0] == head and stored == set(codes.xcode_line(p, gid.slope, gid.index))
+    if code.family == "rdp" and gid.slope == 0:
+        return cells[0] == Coord(gid.index, p) and stored == {
+            Coord(gid.index, j) for j in range(1, p)}
+    line = {c for c in parity_group_members(p, gid) if c.row != p}
+    if code.family == "rdp":
+        return cells[0] == Coord(gid.index, p + 1) and stored == line
+    pcol = code.parity_col(gid.slope)
+    virtual = {c for c in cells if not c.row}
+    head = Coord(gid.index, pcol) if gid.index else Coord(0, pcol)
+    return (cells[0] == head and stored == line
+            and virtual == ({Coord(0, pcol)} if gid.slope else set()))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_check_labels(p):
+    """What the planner's (cell, slope) lookup of the decoder's checks
+    relies on: every stored cell lies on at most one labelled check per
+    slope, every data cell on exactly one (except RDP's cells on the
+    diagonal without parity), and each label names the line its check
+    lists."""
+    ext = [Code.evenodd_ext(p, r) for r in range(2, min(5, p - 1) + 1) if r != 3]
+    for code in _families(p) + ext:
+        labelled = [(gid, cells) for gid, cells in codes._decode_equations(code)
+                    if gid is not None]
+        on = Counter((c, gid.slope) for gid, cells in labelled for c in cells if c.row)
+        assert max(on.values()) == 1, code
+        slopes = {gid.slope for gid, _ in labelled}
+        rows, cols = code.info_shape
+        for r in range(1, rows + 1):
+            for c in range(1, cols + 1):
+                for v in slopes:
+                    no_parity = code.family == "rdp" and v == 1 and (r + c - 1) % p == 0
+                    assert on[Coord(r, c), v] == (0 if no_parity else 1), (code, r, c, v)
+        for gid, cells in labelled:
+            assert isinstance(gid, ParityGroupId)
+            assert _label_agrees(code, gid, cells), (code, gid)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

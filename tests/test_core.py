@@ -6,14 +6,10 @@ from arraycode.core import (
     ParameterError,
     ParityGroupId,
     adjuster_line,
-    crossing,
     is_prime,
-    is_zero_crossing_pair,
     mod_index,
-    mod_inverse,
     parity_group_members,
     xor_blocks,
-    zero_block,
 )
 
 
@@ -34,12 +30,6 @@ def test_mod_index_range_and_congruence():
             assert (m - x) % p == 0
 
 
-def test_mod_inverse():
-    for p in (3, 5, 13):
-        for x in range(1, p):
-            assert x * mod_inverse(x, p) % p == 1
-
-
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(2, 32):
@@ -50,7 +40,7 @@ def test_is_prime_small():
 
 def test_xor_blocks_axioms():
     """XOR over 1-byte blocks: identity, self-inverse, commutative."""
-    z = zero_block(1)
+    z = np.zeros(1, dtype=np.uint8)
     for a in range(256):
         av = np.array([a], dtype=np.uint8)
         assert xor_blocks([av, z])[0] == a
@@ -64,7 +54,7 @@ def test_xor_blocks_errors():
     with pytest.raises(ValueError):
         xor_blocks([])
     with pytest.raises(ValueError):
-        xor_blocks([zero_block(2), zero_block(3)])
+        xor_blocks([np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.uint8)])
 
 
 def test_group_members_frozen():
@@ -89,49 +79,3 @@ def test_adjuster_line_is_index_zero_group():
     assert adjuster_line(5, 1) == parity_group_members(5, ParityGroupId(1, 0))
     with pytest.raises(ParameterError):
         adjuster_line(5, 0)
-
-
-def test_crossing_frozen():
-    assert crossing(5, ParityGroupId(0, 1), ParityGroupId(1, 3)) == Coord(1, 3)
-
-
-def test_crossing_matches_set_intersection():
-    """Two groups of different slopes share exactly one cell, the one the
-    closed form names."""
-    for p in (5, 7):
-        for v in (0, 1, 2, -1):
-            for u in (0, 1, 2, -1):
-                if (v - u) % p == 0:
-                    continue
-                for i in (0, 1, p - 2):
-                    for k in (0, 2, p - 1):
-                        g1, g2 = ParityGroupId(v, i), ParityGroupId(u, k)
-                        shared = (set(parity_group_members(p, g1))
-                                  & set(parity_group_members(p, g2)))
-                        assert shared == {crossing(p, g1, g2)}
-
-
-def test_crossing_same_slope_rejected():
-    with pytest.raises(ParameterError):
-        crossing(5, ParityGroupId(1, 0), ParityGroupId(1, 3))
-
-
-def test_zero_crossing_characterization():
-    """A crossing sits in the imaginary row exactly when i1*v2 = i2*v1
-    (mod p), for every pair of distinct slopes."""
-    for p in (5, 7):
-        for v in (0, 1, 2, -1):
-            for u in (0, 1, 2, -1):
-                if (v - u) % p == 0:
-                    continue
-                for i in range(p):
-                    for k in range(p):
-                        g1, g2 = ParityGroupId(v, i), ParityGroupId(u, k)
-                        imaginary = crossing(p, g1, g2).row == p
-                        assert is_zero_crossing_pair(p, g1, g2) == imaginary
-
-
-def test_zero_crossing_instance():
-    g1, g2 = ParityGroupId(1, 4), ParityGroupId(2, 3)
-    assert is_zero_crossing_pair(5, g1, g2)
-    assert crossing(5, g1, g2).row == 5

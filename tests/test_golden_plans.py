@@ -18,7 +18,7 @@ PRIMES = (5, 7, 11, 13)
 
 
 def _evenodd_at(code, col, x):
-    return plan_evenodd_single(code.p, col, x)
+    return plan_evenodd_single(code, col, x)
 
 
 def _single_plans():

@@ -49,7 +49,7 @@ def run_and_verify(code, plan, block_size=4):
 
 def test_evenodd_worked_example():
     """p=5, column 1, two flat groups: 16 blocks, four of them shared."""
-    plan = plan_evenodd_single(5, 1, 2)
+    plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
     assert plan.gamma == 16
     assert plan.sum_count() == 2
     assert plan.parity_block_count() == 4
@@ -67,7 +67,7 @@ def test_evenodd_gamma_formula_and_execution(p):
     code = Code.evenodd(p)
     for erased in range(1, p + 1):
         for x in range(p):
-            plan = plan_evenodd_single(p, erased, x)
+            plan = plan_evenodd_single(code, erased, x)
             gamma = run_and_verify(code, plan, 2)
             expected = evenodd_bandwidth(p, x)
             if x == 0 and erased != 1:
@@ -79,19 +79,20 @@ def test_evenodd_gamma_formula_and_execution(p):
 
 
 def test_evenodd_default_x_is_balanced():
-    plan = plan_evenodd_single(11, 4)
+    plan = plan_evenodd_single(Code.evenodd(11), 4)
     assert plan.x == 5
 
 
 def test_evenodd_plan_validation():
+    code = Code.evenodd(5)
     with pytest.raises(ParameterError):
-        plan_evenodd_single(5, 0)
+        plan_evenodd_single(code, 0)
     with pytest.raises(ParameterError):
-        plan_evenodd_single(5, 6)
+        plan_evenodd_single(code, 6)
     with pytest.raises(ParameterError):
-        plan_evenodd_single(5, 1, x=5)
+        plan_evenodd_single(code, 1, x=5)
     with pytest.raises(ParameterError):
-        plan_evenodd_single(5, 1, code=Code.rdp(5))
+        plan_evenodd_single(Code.rdp(5), 1)
 
 
 def test_special_row_prefers_flat():
@@ -99,7 +100,7 @@ def test_special_row_prefers_flat():
     line and must sort into the flat half."""
     for p in (5, 7):
         for erased in range(2, p + 1):
-            plan = plan_evenodd_single(p, erased)
+            plan = plan_evenodd_single(Code.evenodd(p), erased)
             special = (1 - erased) % p
             if special == 0:
                 continue
@@ -112,14 +113,14 @@ def test_special_row_prefers_flat():
 def test_rdp_gamma_exact(p):
     code = Code.rdp(p)
     for erased in range(1, p):
-        plan = plan_rdp_single(p, erased)
+        plan = plan_rdp_single(code, erased)
         assert run_and_verify(code, plan, 2) == rdp_bandwidth(p)
 
 
 def test_rdp_shares_through_row_parity_cell():
     """A diagonal group's line passes through the horizontal parity
     column, so one shipped parity block can serve both group kinds."""
-    plan = plan_rdp_single(5, 2)
+    plan = plan_rdp_single(Code.rdp(5), 2)
     parity_coords = {t.coord for t in plan.transmissions if t.kind == "parity"}
     member_cells = {m for g in plan.groups for m in g.members}
     assert parity_coords & member_cells
@@ -127,7 +128,7 @@ def test_rdp_shares_through_row_parity_cell():
 
 
 def test_rdp_no_sums():
-    assert plan_rdp_single(7, 3).sum_count() == 0
+    assert plan_rdp_single(Code.rdp(7), 3).sum_count() == 0
 
 
 # -- xcode ------------------------------------------------------------------
@@ -136,7 +137,7 @@ def test_rdp_no_sums():
 def test_xcode_within_bound_and_exact(p):
     code = Code.xcode(p)
     for erased in range(1, p + 1):
-        plan = plan_xcode_single(p, erased)
+        plan = plan_xcode_single(code, erased)
         gamma = run_and_verify(code, plan, 2)
         assert gamma <= xcode_bandwidth_bound(p)
 
@@ -145,11 +146,12 @@ def test_xcode_gamma_pinned():
     """Plan sizes for every erased column, as first measured."""
     expected = {5: 12, 7: 28, 11: 78, 13: 112}
     for p, gamma in expected.items():
-        assert {plan_xcode_single(p, e).gamma for e in range(1, p + 1)} == {gamma}
+        code = Code.xcode(p)
+        assert {plan_xcode_single(code, e).gamma for e in range(1, p + 1)} == {gamma}
 
 
 def test_xcode_parity_rows_force_own_groups():
-    plan = plan_xcode_single(7, 4)
+    plan = plan_xcode_single(Code.xcode(7), 4)
     targets = {g.target for g in plan.groups}
     assert Coord(6, 4) in targets and Coord(7, 4) in targets
     own = [g for g in plan.groups if g.target.row >= 6]
@@ -162,11 +164,11 @@ def test_xcode_parity_rows_force_own_groups():
 def test_extended_execution_and_union_count(p, r):
     code = Code.evenodd_ext(p, r)
     for erased in (1, 2, p):
-        plan = plan_extended_single(p, r, erased)
+        plan = plan_extended_single(code, erased)
         gamma = run_and_verify(code, plan, 2)
         if erased == 1:
             assert gamma == exact_union_bandwidth(p, r)
-    assert plan_extended_single(p, r, 1).sum_count() == r
+    assert plan_extended_single(code, 1).sum_count() == r
 
 
 def test_extended_two_slopes_matches_flat_split():
@@ -174,22 +176,23 @@ def test_extended_two_slopes_matches_flat_split():
     size |M_0|, and the transmission counts agree."""
     for p in (5, 7, 11):
         x = len(default_partition(p, 2)[0])
-        assert (plan_extended_single(p, 2, 1).gamma
+        assert (plan_extended_single(Code.evenodd_ext(p, 2), 1).gamma
                 == evenodd_bandwidth(p, x))
 
 
 def test_extended_custom_partition():
     part = (frozenset({1, 2}), frozenset({3}), frozenset({4}))
-    plan = plan_extended_single(5, 3, 1, partition=part)
+    plan = plan_extended_single(Code.evenodd_ext(5, 3), 1, partition=part)
     assert plan.gamma == exact_union_bandwidth(5, 3, part)
     run_and_verify(Code.evenodd_ext(5, 3), plan, 2)
 
 
 def test_extended_rejects_bad_partition():
+    code = Code.evenodd_ext(5, 3)
     with pytest.raises(ParameterError):
-        plan_extended_single(5, 3, 1, partition=(frozenset({1}),) * 3)
+        plan_extended_single(code, 1, partition=(frozenset({1}),) * 3)
     with pytest.raises(ParameterError):
-        plan_extended_single(5, 3, 1,
+        plan_extended_single(code, 1,
                              partition=(frozenset({1, 2}), frozenset({3}),
                                         frozenset({5})))
 
@@ -197,7 +200,7 @@ def test_extended_rejects_bad_partition():
 # -- star -------------------------------------------------------------------
 
 def test_star_frozen_pair():
-    plan = plan_star_double(5, (1, 2))
+    plan = plan_star_double(Code.star(5), (1, 2))
     assert plan.gamma == 18
     assert {(g.group.slope, g.group.index) for g in plan.groups} == {
         (-1, 0), (0, 1), (1, 2), (-1, 2), (0, 3), (1, 4)}
@@ -211,7 +214,7 @@ def test_star_frozen_pair():
 
 
 def test_star_pseudo_group_uses_adjuster():
-    plan = plan_star_double(5, (1, 2))
+    plan = plan_star_double(Code.star(5), (1, 2))
     pseudo = [g for g in plan.groups if g.parity_coord is None]
     assert len(pseudo) == 1
     assert pseudo[0].group == ParityGroupId(-1, 0)
@@ -225,7 +228,7 @@ def test_star_all_pairs_recover(p):
         for other in range(1, p + 1):
             if other == c:
                 continue
-            plan = plan_star_double(p, (c, other))
+            plan = plan_star_double(code, (c, other))
             assert _chain_solvable(plan.code, plan.groups, plan.erased,
                                    plan.recover_col)
             assert plan.meta["parity_values"] == 3 * (p - 1) // 2
@@ -235,21 +238,22 @@ def test_star_all_pairs_recover(p):
 
 def test_star_single_erasure_via_flat_sloped_split():
     code = Code.star(7)
-    plan = plan_evenodd_single(7, 3, code=code)
+    plan = plan_evenodd_single(code, 3)
     assert run_and_verify(code, plan, 2) == evenodd_bandwidth(7, 3)
 
 
 def test_star_rejects_degenerate_pair():
+    code = Code.star(5)
     with pytest.raises(ParameterError):
-        plan_star_double(5, (2, 2))
+        plan_star_double(code, (2, 2))
     with pytest.raises(ParameterError):
-        plan_star_double(5, (0, 3))
+        plan_star_double(code, (0, 3))
 
 
 # -- execution and serialization -------------------------------------------
 
 def test_execute_flags_missing_transmission():
-    plan = plan_evenodd_single(5, 1, 2)
+    plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
     raws = [t for t in plan.transmissions if t.kind == "raw"]
     broken = dataclasses.replace(
         plan, transmissions=tuple(t for t in plan.transmissions
@@ -261,7 +265,7 @@ def test_execute_flags_missing_transmission():
 
 
 def test_execute_refuses_source_in_erased_column():
-    plan = plan_evenodd_single(5, 1, 2)
+    plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
     bad = dataclasses.replace(plan, erased=(1, plan.transmissions[-1].source))
     code = Code.evenodd(5)
     grid = encode(code, random_info(code, 2, RNG))
@@ -270,7 +274,7 @@ def test_execute_refuses_source_in_erased_column():
 
 
 def test_plan_json_schema():
-    plan = plan_star_double(5, (1, 2))
+    plan = plan_star_double(Code.star(5), (1, 2))
     doc = plan_to_json(plan)
     text = json.dumps(doc)
     parsed = json.loads(text)
@@ -292,9 +296,9 @@ def test_plan_json_schema():
 def test_transmission_sources_never_erased():
     for p in (5, 7):
         for erased in range(1, p + 1):
-            plan = plan_evenodd_single(p, erased)
+            plan = plan_evenodd_single(Code.evenodd(p), erased)
             assert all(t.source != erased for t in plan.transmissions)
-    plan = plan_star_double(7, (2, 5))
+    plan = plan_star_double(Code.star(7), (2, 5))
     assert all(t.source not in (2, 5) for t in plan.transmissions)
 
 
@@ -302,7 +306,7 @@ def test_execute_on_cluster_refuses_dead_node():
     """A plan read through a cluster cannot read a failed node's column."""
     cluster = simnet.create_cluster("evenodd", 5, block_size=4, seed=3)
     simnet.fail_nodes(cluster, [1, 3])
-    plan = plan_evenodd_single(5, 1)
+    plan = plan_evenodd_single(Code.evenodd(5), 1)
     assert 3 in {t.source for t in plan.transmissions}
     with pytest.raises(PlanError):
         cluster.column(3)
@@ -333,16 +337,8 @@ def _reference_execute(plan, grid):
 
 
 def _single_plans(code):
-    p = code.p
     for c in code.systematic_cols():
-        if code.family == "evenodd-ext":
-            yield plan_extended_single(p, code.r, c)
-        elif code.family == "rdp":
-            yield plan_rdp_single(p, c)
-        elif code.family == "xcode":
-            yield plan_xcode_single(p, c)
-        else:
-            yield plan_evenodd_single(p, c, code=code)
+        yield code.spec.plan(code, (c,))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -351,7 +347,7 @@ def _single_plans(code):
 def test_execute_matches_reference_fold(p, block, seed):
     rng = np.random.default_rng(seed)
     star = Code.star(p)
-    plans = [(star, plan_star_double(p, (a, b)))
+    plans = [(star, plan_star_double(star, (a, b)))
              for a in range(1, p + 1) for b in range(1, p + 1) if a != b]
     for code in (Code.evenodd(p), Code.evenodd_ext(p, 3), Code.rdp(p),
                  Code.xcode(p), star):
