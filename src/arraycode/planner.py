@@ -199,15 +199,13 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[Coord, in
           sum_slopes: Sequence[int] = (), **extra) -> RepairPlan:
     """Rebuild the cell of each (cell, slope) choice, in order, from its
     check of that slope; the first erased column is the one recovered."""
+    for col in erased:
+        if not 1 <= col <= code.info_cols:
+            raise ParameterError(f"erased column {col} is not a data column")
     checks = _checks(code, erased)
     groups = tuple(_group(checks, cell, v) for cell, v in choices)
     tx = _build_transmissions(code, groups, erased, sum_slopes=sum_slopes)
     return RepairPlan(code, erased, erased[0], groups, tx, **extra)
-
-
-def _require_data_col(code: Code, col: int) -> None:
-    if not 1 <= col <= code.info_cols:
-        raise ParameterError(f"erased column {col} is not a data column")
 
 
 def _split_plan(code: Code, col: int, x: int, sum_slopes: Sequence[int] = ()) -> RepairPlan:
@@ -231,7 +229,6 @@ def plan_evenodd_single(code: Code, col: int, x: int | None = None) -> RepairPla
     p = code.p
     if code.slopes[:2] != (0, 1):
         raise ParameterError(f"not an evenodd-tree code: {code}")
-    _require_data_col(code, col)
     if x is None:
         x = (p - 1) // 2
     if not 0 <= x <= p - 1:
@@ -248,7 +245,6 @@ def plan_extended_single(code: Code, col: int,
     available. r=2 exists as a consistency path (it must match the
     flat/sloped split above); r in 3..5 is the useful range.
     """
-    _require_data_col(code, col)
     from .analysis import default_partition, validate_partition
     p, r = code.p, code.r
     if partition is None:
@@ -267,7 +263,6 @@ def plan_rdp_single(code: Code, col: int) -> RepairPlan:
     crosses every diagonal group in one shipped block, giving
     3*(p-1)^2/4 transmissions.
     """
-    _require_data_col(code, col)
     return _split_plan(code, col, (code.p - 1) // 2)
 
 
@@ -280,7 +275,6 @@ def plan_xcode_single(code: Code, col: int) -> RepairPlan:
     meet in a shipped data cell; meetings in the two parity rows save
     nothing.
     """
-    _require_data_col(code, col)
     p = code.p
     choices = [(Coord(r, col), 1 if r <= (p - 1) // 2 else -1) for r in range(1, p - 1)]
     return _plan(code, (col,), choices + [(Coord(p - 1, col), -1), (Coord(p, col), 1)])
@@ -312,8 +306,6 @@ def plan_star_double(code: Code, erased: tuple[int, int]) -> RepairPlan:
     c, other = erased
     if c == other:
         raise ParameterError(f"need two distinct data columns, got {erased}")
-    _require_data_col(code, c)
-    _require_data_col(code, other)
     x = (other - c) % p
     choices = [(Coord(mod_index((m - v) * x, p), other) if v == -1
                 else Coord(mod_index(m * x, p), c), v)
