@@ -17,10 +17,6 @@ from arraycode.planner import plan_evenodd_single, plan_to_json
 PRIMES = (5, 7, 11, 13)
 
 
-def _evenodd_at(code, col, x):
-    return plan_evenodd_single(code, col, x)
-
-
 def _single_plans():
     for p in PRIMES:
         for family in FAMILIES:
@@ -34,7 +30,7 @@ def _evenodd_x_plans():
         code = Code.evenodd(p)
         for col in code.systematic_cols():
             for x in range(p):
-                yield _evenodd_at(code, col, x)
+                yield plan_evenodd_single(code, col, x)
 
 
 def _extended_plans():
