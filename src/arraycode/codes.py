@@ -45,10 +45,8 @@ gives the logical ``(rows, n, block)`` view of such a buffer).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from threading import Lock
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -398,9 +396,6 @@ _CHUNK = 8192
 # compiled schedules kept; each holds about 0.1 MB at p=53
 _CACHE_SIZE = 128
 
-_recipe_cache: OrderedDict[tuple, "XorSchedule"] = OrderedDict()
-_recipe_lock = Lock()
-
 
 class XorSchedule(dict):
     """An ordered XOR recipe: computed cell -> the cells XORed into it.
@@ -475,6 +470,7 @@ def _encode_schedule(code: Code) -> XorSchedule:
     return XorSchedule(code, {eq[0]: eq[1:] for eq in lines + checks})
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
     """Peel the parity checks into a triangular schedule of erased cells.
 
@@ -580,19 +576,7 @@ def _bit_index(bit: int) -> int:
 
 def decode_recipe(code: Code, erased: tuple[int, ...]) -> XorSchedule:
     """The cached peel-order schedule that rebuilds the ``erased`` columns."""
-    key = (code.family, code.p, code.r, tuple(sorted(erased)))
-    with _recipe_lock:
-        recipe = _recipe_cache.get(key)
-        if recipe is not None:
-            _recipe_cache.move_to_end(key)
-            return recipe
-    recipe = _solve_schedule(code, key[3])
-    with _recipe_lock:
-        recipe = _recipe_cache.setdefault(key, recipe)
-        _recipe_cache.move_to_end(key)
-        while len(_recipe_cache) > _CACHE_SIZE:
-            _recipe_cache.popitem(last=False)
-    return recipe
+    return _solve_schedule(code, tuple(sorted(erased)))
 
 
 def _run_steps(buf: np.ndarray, steps) -> None:

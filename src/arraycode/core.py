@@ -28,7 +28,6 @@ __all__ = [
     "mod_index",
     "coord_table",
     "parity_group_members",
-    "adjuster_line",
     "xor_blocks",
 ]
 
@@ -126,7 +125,7 @@ def _check_group(p: int, g: ParityGroupId) -> None:
         raise ParameterError(f"group index {g.index} out of range for p={p}")
 
 
-def parity_group_members(p: int, g: ParityGroupId, info_cols: int | None = None) -> list[Coord]:
+def parity_group_members(p: int, g: ParityGroupId) -> list[Coord]:
     """Information-cell coordinates of the parity line ``g``, column order.
 
     Column ``j`` contributes the cell in row ``<index + slope*(1-j)>``.
@@ -134,21 +133,9 @@ def parity_group_members(p: int, g: ParityGroupId, info_cols: int | None = None)
     lies in the imaginary row.
     """
     _check_group(p, g)
-    if info_cols is None:
-        info_cols = p
-    if not 1 <= info_cols <= p:
-        raise ParameterError(f"info_cols {info_cols} out of range for p={p}")
     v, i = g.slope, g.index
     cell = coord_table(p)
-    return [cell[(i + v * (1 - j) - 1) % p + 1][j] for j in range(1, info_cols + 1)]
-
-
-def adjuster_line(p: int, slope: int) -> list[Coord]:
-    """The index-0 line of a slope: the cells folded into every parity of
-    that slope as its adjuster. Its column-1 cell is imaginary."""
-    if slope % p == 0:
-        raise ParameterError("slope 0 has no adjuster line")
-    return parity_group_members(p, ParityGroupId(slope, 0))
+    return [cell[(i + v * (1 - j) - 1) % p + 1][j] for j in range(1, p + 1)]
 
 
 def xor_blocks(blocks: Iterable[np.ndarray]) -> np.ndarray:

@@ -5,8 +5,11 @@ A plan rebuilds each lost cell from one of the decoder's parity checks
 by the check's slope, put to work on the cell. Each ``plan_*`` function is
 a chooser over those choices for one family, and :func:`_group` turns every
 choice into a :class:`GroupUse`. The plan lists the groups in the order they
-are solved and the exact transmissions that feed them. Three transmission
-kinds exist:
+are solved and the exact transmissions that feed them. Every plan, whatever
+its chooser, is checked by one rule as it is built: a group's members in
+erased columns are targets of earlier groups, and every stored cell of the
+recovered column is some group's target; a plan that breaks it raises
+:class:`PlanError`. Three transmission kinds exist:
 
 * ``raw``    one stored block, identified by its coordinate;
 * ``parity`` one stored parity block, identified by its cell and slope;
@@ -158,7 +161,12 @@ def _build_transmissions(code: Code, groups: Sequence[GroupUse],
                          erased: Iterable[int], *,
                          sum_slopes: Sequence[int] = ()) -> tuple[Transmission, ...]:
     """Sums first, then one parity block per stored group, then the union
-    of surviving member cells ordered by (column, row)."""
+    of surviving member cells ordered by (column, row).
+
+    Groups are solved in order, so a member in an erased column must be the
+    target of an earlier group; a plan that breaks that order raises
+    :class:`PlanError`.
+    """
     erased = set(erased)
     out: list[Transmission] = []
     for v in sum_slopes:
@@ -170,10 +178,15 @@ def _build_transmissions(code: Code, groups: Sequence[GroupUse],
                                     g.parity_coord, g.group.slope))
             shipped_parity.add(g.parity_coord)
     raw: set[Coord] = set()
+    rebuilt: set[Coord] = set()
     for g in groups:
         for m in g.members:
-            if m.col not in erased and m not in shipped_parity:
+            if m.col in erased:
+                if m not in rebuilt:
+                    raise PlanError(f"{g.target} needs {m}, which no earlier group rebuilds")
+            elif m not in shipped_parity:
                 raw.add(m)
+        rebuilt.add(g.target)
     for c in sorted(raw, key=lambda c: (c.col, c.row)):
         out.append(Transmission(c.col, "raw", c, None))
     return tuple(out)
@@ -198,13 +211,22 @@ def _ordered_rows(p: int, erased_col: int) -> list[int]:
 def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[Coord, int]],
           sum_slopes: Sequence[int] = (), **extra) -> RepairPlan:
     """Rebuild the cell of each (cell, slope) choice, in order, from its
-    check of that slope; the first erased column is the one recovered."""
+    check of that slope; the first erased column is the one recovered.
+
+    A stored cell of that column that no choice rebuilds raises
+    :class:`PlanError`, as does a choice out of solve order
+    (:func:`_build_transmissions`).
+    """
     for col in erased:
         if not 1 <= col <= code.info_cols:
             raise ParameterError(f"erased column {col} is not a data column")
     checks = _checks(code, erased)
     groups = tuple(_group(checks, cell, v) for cell, v in choices)
     tx = _build_transmissions(code, groups, erased, sum_slopes=sum_slopes)
+    missed = {Coord(r, erased[0]) for r in range(1, code.rows + 1)}
+    missed.difference_update(g.target for g in groups)
+    if missed:
+        raise PlanError(f"no group rebuilds {sorted(missed)}")
     return RepairPlan(code, erased, erased[0], groups, tx, **extra)
 
 
@@ -280,7 +302,7 @@ def plan_xcode_single(code: Code, col: int) -> RepairPlan:
     return _plan(code, (col,), choices + [(Coord(p - 1, col), -1), (Coord(p, col), 1)])
 
 
-def _star_schedule(p: int, x: int) -> list[tuple[int, int]]:
+def _star_schedule(p: int) -> list[tuple[int, int]]:
     """(slope, multiple-of-x) entries; the group of entry (v, m) meets the
     first erased column in row <m*x> and the second in row <(m-v)*x>."""
     out = []
@@ -298,8 +320,8 @@ def plan_star_double(code: Code, erased: tuple[int, int]) -> RepairPlan:
     one already-recovered cell and one new cell, so a single pass rebuilds
     the whole first column (and every other row of the second). A slope -1
     check rebuilds its cell in the second column, the others theirs in the
-    first. The chain is checked by rank over GF(2) before the plan is
-    returned; a chain that does not determine the column raises
+    first. Like every plan, the chain is checked in solve order as it is
+    built (:func:`_plan`); a chain that does not rebuild the column raises
     :class:`PlanError`.
     """
     p = code.p
@@ -309,51 +331,11 @@ def plan_star_double(code: Code, erased: tuple[int, int]) -> RepairPlan:
     x = (other - c) % p
     choices = [(Coord(mod_index((m - v) * x, p), other) if v == -1
                 else Coord(mod_index(m * x, p), c), v)
-               for v, m in _star_schedule(p, x)]
+               for v, m in _star_schedule(p)]
     plan = _plan(code, (c, other), choices, sum_slopes=(0, 1, -1))
-    if not _chain_solvable(code, plan.groups, plan.erased, c):
-        raise PlanError(f"the group chain does not determine column {c} of {erased}")
     savings = (p - 1) * (p - 2) - len(plan.raw_cells())
     plan.meta.update(x=x, savings=savings, parity_values=len(plan.groups))
     return plan
-
-
-def _chain_solvable(code: Code, groups: Sequence[GroupUse],
-                    erased: tuple[int, ...], recover_col: int) -> bool:
-    """Do the group equations determine every cell of recover_col?
-
-    Each group contributes one GF(2) equation over the erased cells it
-    meets; a cell is determined iff its unit vector lies in the row space.
-    """
-    p = code.p
-    unknowns: dict[Coord, int] = {}
-    for col in erased:
-        for r in range(1, p):
-            unknowns[Coord(r, col)] = len(unknowns)
-    pivots: dict[int, int] = {}
-    for g in groups:
-        mask = 1 << unknowns[g.target] if g.target in unknowns else 0
-        for m in g.members:
-            if m in unknowns:
-                mask |= 1 << unknowns[m]
-        while mask:
-            low = mask & -mask
-            if low in pivots:
-                mask ^= pivots[low]
-            else:
-                pivots[low] = mask
-                break
-
-    def in_rowspace(vec: int) -> bool:
-        while vec:
-            low = vec & -vec
-            if low not in pivots:
-                return False
-            vec ^= pivots[low]
-        return True
-
-    return all(in_rowspace(1 << unknowns[Coord(r, recover_col)])
-               for r in range(1, p))
 
 
 # ---------------------------------------------------------------------------

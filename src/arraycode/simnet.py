@@ -211,23 +211,21 @@ def _naive_rebuild(cluster: Cluster, target: int,
 
 def session_report(cluster: Cluster, failed, strategy: str,
                    results: list[RepairResult]) -> dict:
-    merged: dict[int, int] = {}
+    merged = TransferLedger(results[0].ledger.session if results else cluster.next_session(),
+                            cluster.block_size)
     for res in results:
         for nid, nb in res.ledger.blocks.items():
-            merged[nid] = merged.get(nid, 0) + nb
-    total = sum(merged.values())
-    bs = cluster.block_size
+            merged.record(nid, nb)
     doc = {
-        "session": results[0].ledger.session if results else cluster.next_session(),
+        "session": merged.session,
         "family": cluster.code.family,
         "p": cluster.code.p,
         "r": cluster.code.r,
         "failed": sorted(failed),
         "strategy": strategy,
-        "gamma_blocks": total,
-        "gamma_bytes": total * bs,
-        "per_node": [{"id": nid, "blocks": nb, "bytes": nb * bs}
-                     for nid, nb in sorted(merged.items())],
+        "gamma_blocks": merged.total_blocks,
+        "gamma_bytes": merged.total_bytes,
+        "per_node": merged.per_node(),
         "verified": all(r.verified for r in results),
         "repairs": [
             {"target": r.target, "strategy_used": r.strategy_used,

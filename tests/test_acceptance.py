@@ -16,7 +16,6 @@ from arraycode import Code, encode, mds_decode, random_info
 from arraycode import analysis as an
 from arraycode.core import Coord
 from arraycode.planner import (
-    _chain_solvable,
     execute_plan,
     plan_evenodd_single,
     plan_rdp_single,
@@ -118,8 +117,6 @@ def test_star_double_erasure_chain():
         want_saving = an.star_symmetry_saving(p)
         for x in range(1, p):
             plan = plan_star_double(Code.star(p), (1, 1 + x))
-            assert _chain_solvable(plan.code, plan.groups, plan.erased,
-                                   plan.recover_col), (p, x)
             assert plan.meta["parity_values"] == 3 * (p - 1) // 2, (p, x)
             assert plan.meta["savings"] == want_saving, \
                 (p, x, plan.meta["savings"], want_saving)

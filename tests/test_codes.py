@@ -372,15 +372,21 @@ def test_decode_cache_is_bounded():
     code = Code.star(13)
     rng = np.random.default_rng(5)
     grid = encode(code, random_info(code, 3, rng))
-    codes._recipe_cache.clear()
+    cache = codes._solve_schedule
+    cache.cache_clear()
     patterns = list(itertools.islice(_within_tolerance(code), codes._CACHE_SIZE + 20))
     assert len(patterns) > codes._CACHE_SIZE
     for pattern in patterns:
         broken = grid.copy()
         broken.cells[:, [c - 1 for c in pattern]] = 0
         assert np.array_equal(mds_decode(code, broken, pattern).cells, grid.cells)
-        assert len(codes._recipe_cache) <= codes._CACHE_SIZE
-    assert len(codes._recipe_cache) == codes._CACHE_SIZE
+        assert cache.cache_info().currsize <= codes._CACHE_SIZE
+    assert cache.cache_info().currsize == codes._CACHE_SIZE
+
+
+def test_decode_recipe_cached_for_any_column_order():
+    code = Code.star(7)
+    assert codes.decode_recipe(code, (3, 1)) is codes.decode_recipe(code, (1, 3))
 
 
 @st.composite

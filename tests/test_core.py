@@ -3,9 +3,7 @@ import pytest
 
 from arraycode.core import (
     Coord,
-    ParameterError,
     ParityGroupId,
-    adjuster_line,
     is_prime,
     mod_index,
     parity_group_members,
@@ -73,9 +71,3 @@ def test_group_members_one_per_column():
                 members = parity_group_members(p, ParityGroupId(v, i))
                 assert [c.col for c in members] == list(range(1, p + 1))
                 assert all(1 <= c.row <= p for c in members)
-
-
-def test_adjuster_line_is_index_zero_group():
-    assert adjuster_line(5, 1) == parity_group_members(5, ParityGroupId(1, 0))
-    with pytest.raises(ParameterError):
-        adjuster_line(5, 0)

@@ -17,7 +17,7 @@ from arraycode.analysis import (
 )
 from arraycode.core import Coord, ParameterError, ParityGroupId, PlanError
 from arraycode.planner import (
-    _chain_solvable,
+    _plan,
     execute_plan,
     plan_evenodd_single,
     plan_extended_single,
@@ -206,7 +206,6 @@ def test_star_frozen_pair():
         (-1, 0), (0, 1), (1, 2), (-1, 2), (0, 3), (1, 4)}
     assert plan.meta["parity_values"] == 6
     assert plan.meta["savings"] == 2
-    assert _chain_solvable(plan.code, plan.groups, plan.erased, plan.recover_col)
     assert plan.sum_count() == 3
     unsent = ({Coord(r, c) for r in range(1, 5) for c in range(3, 6)}
               - plan.raw_cells())
@@ -229,8 +228,6 @@ def test_star_all_pairs_recover(p):
             if other == c:
                 continue
             plan = plan_star_double(code, (c, other))
-            assert _chain_solvable(plan.code, plan.groups, plan.erased,
-                                   plan.recover_col)
             assert plan.meta["parity_values"] == 3 * (p - 1) // 2
             assert plan.meta["savings"] == star_symmetry_saving(p)
             run_and_verify(code, plan, 2)
@@ -248,6 +245,25 @@ def test_star_rejects_degenerate_pair():
         plan_star_double(code, (2, 2))
     with pytest.raises(ParameterError):
         plan_star_double(code, (0, 3))
+
+
+def _choices(plan):
+    return [(g.target, g.group.slope) for g in plan.groups]
+
+
+def test_plan_refuses_chain_out_of_solve_order():
+    # the second group's flat check reads the cell the first group rebuilds
+    plan = plan_star_double(Code.star(7), (2, 5))
+    choices = _choices(plan)
+    choices[:2] = choices[1::-1]
+    with pytest.raises(PlanError):
+        _plan(plan.code, plan.erased, choices, sum_slopes=(0, 1, -1))
+
+
+def test_plan_refuses_choices_missing_a_row():
+    plan = plan_evenodd_single(Code.evenodd(7), 3)
+    with pytest.raises(PlanError):
+        _plan(plan.code, plan.erased, _choices(plan)[:-1], sum_slopes=(0, 1))
 
 
 # -- execution and serialization -------------------------------------------
