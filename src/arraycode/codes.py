@@ -40,7 +40,12 @@ gives the logical ``(rows, n, block)`` view of such a buffer).
   cell, from survivors and cells solved before it. Adjusters are also
   defined by the XOR of the slope-0 and slope-v parity columns, so every
   two-column erasure peels. Cells peeling cannot reach are solved by GF(2)
-  elimination.
+  elimination. A caller that wants fewer columns than are erased gets the
+  cached schedule pruned to the steps those columns depend on.
+* Verification reuses the executor: each parity check no peel step used is
+  XORed into a scratch row that must come out zero. With n - k columns
+  erased there are none, since every set of survivors then decodes to a
+  codeword and no check can fail.
 """
 
 from __future__ import annotations
@@ -404,16 +409,26 @@ class XorSchedule(dict):
     information when encoding) or the key of an earlier entry.
     ``Coord(0, c)`` is the virtual adjuster cell of the evenodd-tree parity
     column ``c``. ``eliminated`` names the cells a decode schedule's peeling
-    could not reach, solved by GF(2) elimination instead. ``steps`` is the
-    schedule compiled to ``(target, sources)`` row indices of a work buffer
-    holding the ``rows * n`` cells (:func:`_cell_index`) followed by
-    ``slots`` virtual cells.
+    could not reach, solved by GF(2) elimination instead. ``checks`` are the
+    parity checks a decode verifies, each a tuple of cells XOR-summing to
+    zero. ``steps`` is the schedule compiled to ``(target, sources)`` row
+    indices of a work buffer holding the ``rows * n`` cells
+    (:func:`_cell_index`) followed by ``slots`` rows: the virtual cells, then
+    one scratch row per check, which the last steps XOR each check into.
     """
 
-    def __init__(self, code: Code, recipe: dict[Coord, tuple[Coord, ...]],
-                 eliminated: tuple[Coord, ...] = ()):
+    def __init__(self, recipe: dict[Coord, tuple[Coord, ...]], steps, slots: int,
+                 eliminated: tuple[Coord, ...] = (), checks: tuple[tuple[Coord, ...], ...] = ()):
         super().__init__(recipe)
+        self.steps = steps
+        self.slots = slots
         self.eliminated = eliminated
+        self.checks = checks
+
+    @classmethod
+    def compile(cls, code: Code, recipe: dict[Coord, tuple[Coord, ...]],
+                eliminated: tuple[Coord, ...] = (),
+                checks: tuple[tuple[Coord, ...], ...] = ()) -> "XorSchedule":
         rows, base = code.rows, code.rows * code.n
         virtual: dict[Coord, int] = {}
 
@@ -422,9 +437,35 @@ class XorSchedule(dict):
                 return _cell_index(rows, c)
             return virtual.setdefault(c, base + len(virtual))
 
-        self.steps = tuple((index(t), np.array([index(c) for c in srcs], dtype=np.intp))
-                           for t, srcs in recipe.items())
-        self.slots = len(virtual)
+        def sources(cells) -> np.ndarray:
+            return np.array([index(c) for c in cells], dtype=np.intp)
+
+        steps = [(index(t), sources(srcs)) for t, srcs in recipe.items()]
+        scratch = base + len(virtual)
+        steps += [(scratch + i, sources(eq)) for i, eq in enumerate(checks)]
+        return cls(recipe, tuple(steps), scratch + len(checks) - base, eliminated, checks)
+
+    def pruned(self, keep) -> "XorSchedule":
+        """The entries that the buffer rows ``keep`` or the checks depend on,
+        in order, over the same buffer layout: walking the steps backwards,
+        a step is kept when its target is needed, and its sources become
+        needed."""
+        solves = len(self)
+        needed = set(keep)
+        for _, sources in self.steps[solves:]:
+            needed.update(sources.tolist())
+        kept = []
+        for i in reversed(range(solves)):
+            target, sources = self.steps[i]
+            if target in needed:
+                needed.update(sources.tolist())
+                kept.append(i)
+        kept.reverse()
+        entries = list(self.items())
+        recipe = dict(entries[i] for i in kept)
+        return XorSchedule(recipe, tuple(self.steps[i] for i in kept) + self.steps[solves:],
+                           self.slots, tuple(c for c in self.eliminated if c in recipe),
+                           self.checks)
 
 
 @lru_cache(maxsize=2)
@@ -467,7 +508,7 @@ def _encode_schedule(code: Code) -> XorSchedule:
     eqs = _decode_equations(code)
     lines = [eq for gid, eq in eqs if gid is not None and not eq[0].row]
     checks = [eq for _, eq in eqs if eq[0].row]
-    return XorSchedule(code, {eq[0]: eq[1:] for eq in lines + checks})
+    return XorSchedule.compile(code, {eq[0]: eq[1:] for eq in lines + checks})
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -477,7 +518,10 @@ def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
     Repeatedly take a check with exactly one unknown cell left and solve that
     cell from the others, which may be cells solved earlier. Cells left when
     peeling stalls (three-erasure patterns of some families, and r > 3) are
-    solved by elimination; steps no erased cell depends on are dropped.
+    solved by elimination. The checks no peel step used become the
+    schedule's verification checks, none when n - k columns are erased (see
+    :func:`mds_decode`). Steps neither an erased cell nor a check depends on
+    are dropped.
     """
     eqs = [eq for _, eq in _decode_equations(code)]
     lost = [Coord(r, c) for c in erased for r in range(1, code.rows + 1)]
@@ -491,6 +535,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
     queue = [e for e, count in enumerate(left) if count == 1]
     recipe: dict[Coord, tuple[Coord, ...]] = {}
     eliminated: list[Coord] = []
+    used: set[int] = set()
 
     def solve(target: Coord, sources: tuple[Coord, ...]) -> None:
         recipe[target] = sources
@@ -506,6 +551,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
             e = queue.pop()
             target = next((c for c in unknown_of[e] if c not in recipe), None)
             if target is not None:  # else another check solved its last unknown
+                used.add(e)
                 solve(target, tuple(c for c in eqs[e] if c != target))
         rest = [c for c in unknowns if c not in recipe]
         if not rest:
@@ -516,13 +562,10 @@ def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
         target = min(rest, key=lambda c: len(options[c]))
         eliminated.append(target)
         solve(target, options[target])
-    needed = set(lost)
-    for target in reversed(list(recipe)):
-        if target in needed:
-            needed.update(recipe[target])
-        else:
-            del recipe[target]
-    return XorSchedule(code, recipe, tuple(c for c in eliminated if c in recipe))
+    checks = () if len(erased) == code.n - code.k else \
+        tuple(eq for e, eq in enumerate(eqs) if e not in used)
+    schedule = XorSchedule.compile(code, recipe, tuple(eliminated), checks)
+    return schedule.pruned(_column_rows(code, erased))
 
 
 def _eliminate(code: Code, erased: tuple[int, ...], eqs,
@@ -574,9 +617,26 @@ def _bit_index(bit: int) -> int:
     return bit.bit_length() - 1
 
 
-def decode_recipe(code: Code, erased: tuple[int, ...]) -> XorSchedule:
-    """The cached peel-order schedule that rebuilds the ``erased`` columns."""
-    return _solve_schedule(code, tuple(sorted(erased)))
+def _column_rows(code: Code, cols) -> list[int]:
+    """Work-buffer rows of the stored cells of ``cols``."""
+    return [i for c in cols for i in range((c - 1) * code.rows, c * code.rows)]
+
+
+def decode_recipe(code: Code, erased: tuple[int, ...], *,
+                  wanted: list[int] | tuple[int, ...] | None = None) -> XorSchedule:
+    """The peel-order schedule that rebuilds the ``wanted`` columns (every
+    erased one by default) and verifies the survivors.
+
+    The schedule for all of ``erased`` is solved once and cached; for fewer
+    wanted columns it is pruned to the steps their cells and its checks
+    depend on.
+    """
+    schedule = _solve_schedule(code, tuple(sorted(erased)))
+    if wanted is None or set(wanted) == set(erased):
+        return schedule
+    if not set(wanted) <= set(erased):
+        raise ParameterError(f"wanted columns {sorted(wanted)} are not all erased")
+    return schedule.pruned(_column_rows(code, wanted))
 
 
 def _run_steps(buf: np.ndarray, steps) -> None:
@@ -602,26 +662,44 @@ def encode(code: Code, info: np.ndarray) -> CodeGrid:
     if info.ndim != 3 or info.shape[:2] != code.info_shape:
         raise ParameterError(
             f"info shape {info.shape} does not match {code.info_shape} + (block,)")
-    schedule = _encode_schedule(code)
     rows, cols, block = info.shape
-    buf = np.empty((code.rows * code.n + schedule.slots, block), dtype=np.uint8)
-    cells = cell_view(code, buf)
-    cells[:rows, :cols] = info
-    _run_steps(buf, schedule.steps)
-    return CodeGrid(code, cells)
+    buf = _encode_buffer(code, block)
+    cell_view(code, buf)[:rows, :cols] = info
+    return _encode_in_place(code, buf)
+
+
+def _encode_buffer(code: Code, block: int) -> np.ndarray:
+    """An unset work buffer for :func:`_encode_in_place`: the information
+    cells are for the caller to fill, through :func:`cell_view`."""
+    return np.empty((code.rows * code.n + _encode_schedule(code).slots, block),
+                    dtype=np.uint8)
+
+
+def _encode_in_place(code: Code, buf: np.ndarray) -> CodeGrid:
+    """Compute the parity cells of a work buffer whose information cells
+    are filled; returns the grid over it."""
+    _run_steps(buf, _encode_schedule(code).steps)
+    return CodeGrid(code, cell_view(code, buf))
 
 
 def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
-               *, allow_unchecked: bool = False) -> CodeGrid:
-    """Rebuild erased columns from the surviving ones.
+               *, wanted: list[int] | tuple[int, ...] | None = None,
+               allow_unchecked: bool = False) -> CodeGrid:
+    """Rebuild the ``wanted`` erased columns (all of ``erased`` by default)
+    from the surviving ones.
 
-    ``grid`` supplies the surviving columns (erased ones are ignored). The
-    cells are copied once into a work buffer with one extra row per virtual
-    adjuster cell, and the peel-order schedule of :func:`decode_recipe` is
-    run on it: each step gathers its source rows and XOR-reduces them into
-    its target, in fixed-size byte chunks. The repaired grid is re-encoded
-    and compared against every surviving block; any mismatch raises
-    :class:`CorruptionError`.
+    ``grid`` supplies the surviving columns; erased ones are never read.
+    The surviving columns are copied once into a work buffer with one extra
+    row per virtual adjuster cell and per verification check, and the
+    peel-order schedule of :func:`decode_recipe` is run on it: each step
+    gathers its source rows and XOR-reduces them into its target, in
+    fixed-size byte chunks. The last steps XOR each parity check no peel
+    step used into a scratch row; any row left non-zero raises
+    :class:`CorruptionError`. With n - k columns erased there are no such
+    checks: every set of survivors then decodes to a codeword.
+
+    Returns the grid over the work buffer. Erased columns outside
+    ``wanted`` are not rebuilt, and hold undefined bytes.
 
     Patterns beyond the family's proven tolerance are refused unless
     ``allow_unchecked`` is set, which raises the limit to n - k (it matters
@@ -637,14 +715,13 @@ def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
     if len(erased) > limit:
         raise UnrecoverableError(
             f"{len(erased)} erasures exceed the supported tolerance {limit}")
-    recipe = decode_recipe(code, erased)
-    buf = np.empty((code.rows * code.n + recipe.slots, grid.block_size), dtype=np.uint8)
+    schedule = decode_recipe(code, erased, wanted=wanted)
+    buf = np.empty((code.rows * code.n + schedule.slots, grid.block_size), dtype=np.uint8)
     cells = cell_view(code, buf)
-    cells[...] = grid.cells
-    _run_steps(buf, recipe.steps)
-    reencoded = encode(code, CodeGrid(code, cells).info())
-    live = [c for c in range(1, code.n + 1) if c not in erased]
-    for col in live:
-        if not np.array_equal(reencoded.column(col), grid.column(col)):
-            raise CorruptionError(f"surviving column {col} is inconsistent")
-    return reencoded
+    for col in range(code.n):
+        if col + 1 not in erased:
+            cells[:, col] = grid.cells[:, col]
+    _run_steps(buf, schedule.steps)
+    if schedule.checks and buf[-len(schedule.checks):].any():
+        raise CorruptionError("surviving columns are inconsistent: a parity check fails")
+    return CodeGrid(code, cells)

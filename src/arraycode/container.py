@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .codes import FAMILIES, Code, CodeGrid, cell_view, encode
+from .codes import FAMILIES, Code, CodeGrid, _encode_buffer, _encode_in_place, cell_view
 from .core import ParameterError
 
 __all__ = [
@@ -61,11 +61,20 @@ def encode_payload(code: Code, payload: bytes, block_size: int) -> CodeGrid:
         raise ContainerError(
             f"payload of {len(payload)} bytes exceeds capacity {cap}")
     rows, cols = code.info_shape
-    flat = np.zeros(cap, dtype=np.uint8)
-    flat[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-    # column-major fill: payload bytes run down column 1 first
-    info = flat.reshape(cols, rows, block_size).transpose(1, 0, 2)
-    return encode(code, info)
+    buf = _encode_buffer(code, block_size)
+    # column-major fill: payload bytes run down column 1 first. A column's
+    # information cells are one run of the buffer; runs are back to back
+    # unless parity rows sit below the information rows (X-code).
+    width = rows * block_size
+    info = buf[:code.rows * cols].reshape(cols, -1)[:, :width]
+    data = np.frombuffer(payload, dtype=np.uint8)
+    full, part = divmod(data.size, width)
+    info[:full] = data[:full * width].reshape(full, width)
+    if full < cols:  # zero-pad the last payload column and the columns after it
+        info[full, :part] = data[full * width:]
+        info[full, part:] = 0
+        info[full + 1:] = 0
+    return _encode_in_place(code, buf)
 
 
 def extract_payload(grid: CodeGrid, payload_length: int) -> bytes:

@@ -27,7 +27,7 @@ union, which is where the bandwidth savings over one-group-per-block
 accounting come from.
 
 Plans only target data columns. Rebuilding a parity column is a plain
-decode-then-reencode job and is handled by the cluster layer at naive cost.
+decode of that column and is handled by the cluster layer at naive cost.
 
 :func:`execute_plan` compiles a plan to ``(target, sources)`` XOR steps and
 runs them on the executor that encodes and decodes (``codes._run_steps``).

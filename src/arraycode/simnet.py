@@ -7,7 +7,9 @@ One node stores one column. A repair session picks a strategy:
   column target, more simultaneous failures than the planners cover, or a
   helper the plan needs is itself dead), and the result records which
   strategy actually ran.
-* ``naive``  fetch the k lowest-numbered live columns and re-decode.
+* ``naive``  fetch the k lowest-numbered live columns and decode the
+  target column alone from them: the decoder runs only the steps that
+  column depends on.
 
 Nodes answer in deterministic order. When a node first fails, a private
 copy of its column is kept that only the verification step reads, so a
@@ -198,15 +200,17 @@ def _naive_rebuild(cluster: Cluster, target: int,
             f"{len(live)} live nodes cannot rebuild a {code.family} column "
             f"(need {code.k})")
     sources = live[:code.k]
-    cells = cell_view(code, np.zeros((code.rows * code.n, cluster.block_size),
+    # the decoder never reads the erased columns, so they are left unset
+    cells = cell_view(code, np.empty((code.rows * code.n, cluster.block_size),
                                      dtype=np.uint8))
     for s in sources:
         cells[:, s - 1] = cluster.node(s).column
         ledger.record(s, code.rows)
     erased = [c for c in range(1, code.n + 1) if c not in sources]
     # n - k erasures: past the proven tolerance of extended codes with r > 3
-    full = mds_decode(code, CodeGrid(code, cells), erased, allow_unchecked=True)
-    return full.column(target).copy()
+    decoded = mds_decode(code, CodeGrid(code, cells), erased, wanted=[target],
+                         allow_unchecked=True)
+    return decoded.column(target).copy()
 
 
 def session_report(cluster: Cluster, failed, strategy: str,

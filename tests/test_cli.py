@@ -100,9 +100,9 @@ def test_corrupt_container_repair_unverified(sample, strategy):
     """A silently damaged helper column cannot crash the repair, but the
     rebuilt column fails verification and the command exits nonzero.
 
-    The naive decode's own consistency recheck cannot fire here: with a
-    full-redundancy erasure pattern the corruption cancels out of the
-    re-encoded parities, so detection falls to the shadow comparison.
+    The naive decode has no parity check to run here: with n - k columns
+    erased every set of survivors decodes to some codeword, so detection
+    falls to the shadow comparison.
     """
     tmp, src, _ = sample
     box = tmp / "c.aerc"

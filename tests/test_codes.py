@@ -389,6 +389,111 @@ def test_decode_recipe_cached_for_any_column_order():
     assert codes.decode_recipe(code, (3, 1)) is codes.decode_recipe(code, (1, 3))
 
 
+def _survivor_sums(code, pattern, schedule):
+    """Each cell a schedule reads or solves, as the set of surviving cells
+    XORing to it (an int bitset over work-buffer rows)."""
+    sums = {}
+
+    def of(c):
+        if c.row and c.col not in pattern:
+            return 1 << codes._cell_index(code.rows, c)
+        return sums[c]
+
+    for target, sources in schedule.items():
+        bits = 0
+        for c in sources:
+            bits ^= of(c)
+        sums[target] = bits
+    return of
+
+
+def _gf2_rank(vectors):
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_verification_checks_exactly_below_redundancy(p):
+    """A decode verifies parity checks exactly when fewer than n - k columns
+    are erased. Its checks then constrain the survivors in every way the
+    code does: substituting the solved cells, their rank is the
+    (n - k - erased) * rows constraints the survivors of a codeword obey."""
+    for code in _families(p):
+        assert code.erasure_tolerance == code.n - code.k  # every pattern up to n - k
+        for pattern in _within_tolerance(code):
+            schedule = codes.decode_recipe(code, pattern)
+            spare = code.n - code.k - len(pattern)
+            assert bool(schedule.checks) == (spare > 0), (code.family, pattern)
+            of = _survivor_sums(code, pattern, schedule)
+            residuals = []
+            for check in schedule.checks:
+                bits = 0
+                for c in check:
+                    bits ^= of(c)
+                residuals.append(bits)
+            assert _gf2_rank(residuals) == spare * code.rows, (code.family, pattern)
+
+
+def test_verification_checks_of_unchecked_extended_code():
+    """Past the proven tolerance of r = 4: a decodable pattern of n - k
+    columns has no checks, and one of three columns still verifies."""
+    code = Code.evenodd_ext(11, 4)
+    assert codes.decode_recipe(code, (1, 4, 8, 12)).checks == ()
+    assert codes.decode_recipe(code, (1, 4, 8)).checks
+    grid = encode(code, random_info(code, 3, np.random.default_rng(9)))
+    broken = grid.copy()
+    broken.cells[:, [0, 3, 7, 11]] = 0x5A
+    fixed = mds_decode(code, broken, [1, 4, 8, 12], allow_unchecked=True)
+    assert np.array_equal(fixed.cells, grid.cells)
+    broken.cells[2, 1, 0] ^= 1
+    with pytest.raises(CorruptionError):
+        mds_decode(code, broken, [1, 4, 8], allow_unchecked=True)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pruned_schedule_rebuilds_wanted_column(p):
+    """For every n - k pattern and each wanted column, the pruned schedule
+    is a subsequence of the full one, reads only surviving cells or cells
+    solved before, and rebuilds the column bit-exactly."""
+    rng = np.random.default_rng(200 + p)
+    for code in _families(p):
+        grid = encode(code, random_info(code, 3, rng))
+        for pattern in itertools.combinations(range(1, code.n + 1), code.n - code.k):
+            full = codes.decode_recipe(code, pattern)
+            broken = grid.copy()
+            broken.cells[:, [c - 1 for c in pattern]] = 0xA5
+            for col in pattern:
+                pruned = codes.decode_recipe(code, pattern, wanted=(col,))
+                order = list(full)
+                positions = [order.index(t) for t in pruned]
+                assert positions == sorted(positions), (code.family, pattern, col)
+                assert all(full[t] == srcs for t, srcs in pruned.items())
+                done = set()
+                for target, sources in pruned.items():
+                    for c in sources:
+                        assert c in done or (c.row and c.col not in pattern), \
+                            (code.family, pattern, col, target, c)
+                    done.add(target)
+                assert {Coord(r, col) for r in range(1, code.rows + 1)} <= done
+                fixed = mds_decode(code, broken, pattern, wanted=[col])
+                assert np.array_equal(fixed.column(col), grid.column(col)), \
+                    (code.family, pattern, col)
+
+
+def test_wanted_columns_must_be_erased():
+    code = Code.evenodd(5)
+    grid = encode(code, random_info(code, 2, np.random.default_rng(6)))
+    with pytest.raises(ParameterError):
+        mds_decode(code, grid, [1, 2], wanted=[3])
+
+
 @st.composite
 def _erased_grids(draw):
     family = draw(st.sampled_from(["evenodd", "evenodd-ext", "rdp", "xcode", "star"]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arraycode import Code
+from arraycode import Code, encode
 from arraycode import container as ct
 from arraycode.codes import FAMILIES
 
@@ -44,6 +44,24 @@ def test_capacity_enforced():
     with pytest.raises(ct.ContainerError):
         ct.encode_payload(code, bytes(321), 16)
     ct.encode_payload(code, bytes(320), 16)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_payload_fills_information_cells_column_major(family):
+    """The payload lands in the information cells column by column and is
+    zero-padded, whether it ends mid-block, on a column edge or at capacity."""
+    block = 3
+    for p in (5, 7):
+        code = Code.make(family, p)
+        rows, cols = code.info_shape
+        cap = ct.capacity(code, block)
+        for size in (0, 1, rows * block, rows * block + 4, cap - 1, cap):
+            payload = bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8))
+            padded = np.zeros(cap, dtype=np.uint8)
+            padded[:size] = np.frombuffer(payload, dtype=np.uint8)
+            info = padded.reshape(cols, rows, block).transpose(1, 0, 2)
+            grid = ct.encode_payload(code, payload, block)
+            assert np.array_equal(grid.cells, encode(code, info).cells), (p, size)
 
 
 def test_column_major_body():
