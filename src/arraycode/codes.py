@@ -21,8 +21,8 @@ Slope-v parity of the evenodd family tree (the families with slopes) is
 ``b[i, v] = adjuster(v) XOR sum_j a[<i + v*(1-j)>, j]`` where the adjuster
 is the XOR of the index-0 line of that slope and ``adjuster(0) = 0``.
 
-Encoding and decoding run on one executor. Both compile the parity-check
-equations to an ordered ``(target, sources)`` XOR schedule over a work
+Encoding, decoding and plan execution share one executor. Each compiles
+its equations to an ordered ``(target, sources)`` XOR schedule over a work
 buffer that holds the cells and one row per virtual cell; each step gathers
 its sources and XOR-reduces them into its target, in fixed-size byte chunks.
 In the evenodd tree each sloped adjuster is a virtual cell
@@ -33,8 +33,11 @@ Grids are stored column-major, as the container file stores them: column
 ``(r, c)`` is row ``(c-1)*rows + r-1`` of a work buffer (:func:`cell_view`
 gives the logical ``(rows, n, block)`` view of such a buffer).
 
-* :func:`encode` runs one schedule per code: each adjuster from its line,
-  then every parity cell from its check.
+* :func:`encode` runs one schedule per code in place: each adjuster from
+  its line, then every parity cell from its check.
+* Decoding and plan execution read data only through :func:`_execute`:
+  per chunk it gathers the cells a schedule reads from the live columns of
+  a grid or a simulated cluster, runs the steps and copies out the result.
 * :func:`mds_decode` runs a schedule compiled once per erasure pattern. It
   peels the parity checks: a check with one unknown cell left solves that
   cell, from survivors and cells solved before it. Adjusters are also
@@ -43,15 +46,15 @@ gives the logical ``(rows, n, block)`` view of such a buffer).
   elimination. A caller that wants fewer columns than are erased gets the
   cached schedule pruned to the steps those columns depend on.
 * Verification reuses the executor: each parity check no peel step used is
-  XORed into a scratch row that must come out zero. With n - k columns
-  erased there are none, since every set of survivors then decodes to a
-  codeword and no check can fail.
+  XORed into a scratch row that must come out zero in every chunk. With
+  n - k columns erased there are none, since every set of survivors then
+  decodes to a codeword and no check can fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -189,9 +192,14 @@ class CodeGrid:
         return int(self.cells.shape[2])
 
     def cell(self, coord: Coord) -> np.ndarray:
-        if coord.row > self.code.rows:  # the imaginary row
+        """The block stored at ``coord``; row p reads as zeros in the codes
+        whose row p is imaginary (``rows == p - 1``)."""
+        code, (row, col) = self.code, coord
+        if not (1 <= col <= code.n and 1 <= row <= max(code.rows, code.p)):
+            raise ParameterError(f"{coord} is outside the {code.rows} x {code.n} grid")
+        if row > code.rows:
             return np.zeros(self.block_size, dtype=np.uint8)
-        return self.cells[coord.row - 1, coord.col - 1]
+        return self.cells[row - 1, col - 1]
 
     def column(self, col: int) -> np.ndarray:
         return self.cells[:, col - 1]
@@ -412,14 +420,16 @@ class XorSchedule(dict):
     could not reach, solved by GF(2) elimination instead. ``checks`` are the
     parity checks a decode verifies, each a tuple of cells XOR-summing to
     zero. ``steps`` is the schedule compiled to ``(target, sources)`` row
-    indices of a work buffer holding the ``rows * n`` cells
+    indices of a work buffer holding the ``rows * n`` cells of ``code``
     (:func:`_cell_index`) followed by ``slots`` rows: the virtual cells, then
     one scratch row per check, which the last steps XOR each check into.
     """
 
-    def __init__(self, recipe: dict[Coord, tuple[Coord, ...]], steps, slots: int,
-                 eliminated: tuple[Coord, ...] = (), checks: tuple[tuple[Coord, ...], ...] = ()):
+    def __init__(self, code: Code, recipe: dict[Coord, tuple[Coord, ...]], steps,
+                 slots: int, eliminated: tuple[Coord, ...] = (),
+                 checks: tuple[tuple[Coord, ...], ...] = ()):
         super().__init__(recipe)
+        self.code = code
         self.steps = steps
         self.slots = slots
         self.eliminated = eliminated
@@ -443,7 +453,8 @@ class XorSchedule(dict):
         steps = [(index(t), sources(srcs)) for t, srcs in recipe.items()]
         scratch = base + len(virtual)
         steps += [(scratch + i, sources(eq)) for i, eq in enumerate(checks)]
-        return cls(recipe, tuple(steps), scratch + len(checks) - base, eliminated, checks)
+        return cls(code, recipe, tuple(steps), scratch + len(checks) - base,
+                   eliminated, checks)
 
     def pruned(self, keep) -> "XorSchedule":
         """The entries that the buffer rows ``keep`` or the checks depend on,
@@ -463,9 +474,28 @@ class XorSchedule(dict):
         kept.reverse()
         entries = list(self.items())
         recipe = dict(entries[i] for i in kept)
-        return XorSchedule(recipe, tuple(self.steps[i] for i in kept) + self.steps[solves:],
+        return XorSchedule(self.code, recipe,
+                           tuple(self.steps[i] for i in kept) + self.steps[solves:],
                            self.slots, tuple(c for c in self.eliminated if c in recipe),
                            self.checks)
+
+    @cached_property
+    def reads(self) -> tuple:
+        """``(column, buffer rows, column rows)`` of each column's stored
+        cells the steps read and never write: the gather :func:`_execute`
+        makes, worked out once per schedule."""
+        rows, n = self.code.rows, self.code.n
+        read = np.zeros(rows * n + self.slots, dtype=bool)
+        read[np.concatenate([s for _, s in self.steps])] = True
+        read[[t for t, _ in self.steps]] = False
+        out = []
+        for c in range(n):
+            col = np.flatnonzero(read[c * rows:(c + 1) * rows])
+            if len(col) == rows:  # a whole column: slices copy without a temporary
+                out.append((c + 1, slice(c * rows, (c + 1) * rows), slice(None)))
+            elif len(col):
+                out.append((c + 1, c * rows + col, col))
+        return tuple(out)
 
 
 @lru_cache(maxsize=2)
@@ -512,7 +542,8 @@ def _encode_schedule(code: Code) -> XorSchedule:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
+def _solve_schedule(code: Code, erased: tuple[int, ...],
+                    wanted: tuple[int, ...]) -> XorSchedule:
     """Peel the parity checks into a triangular schedule of erased cells.
 
     Repeatedly take a check with exactly one unknown cell left and solve that
@@ -520,9 +551,12 @@ def _solve_schedule(code: Code, erased: tuple[int, ...]) -> XorSchedule:
     peeling stalls (three-erasure patterns of some families, and r > 3) are
     solved by elimination. The checks no peel step used become the
     schedule's verification checks, none when n - k columns are erased (see
-    :func:`mds_decode`). Steps neither an erased cell nor a check depends on
-    are dropped.
+    :func:`mds_decode`). Steps neither a ``wanted`` cell nor a check depends
+    on are dropped; a schedule for fewer columns than ``erased`` is pruned
+    from the cached one for all of them.
     """
+    if wanted != erased:
+        return _solve_schedule(code, erased, erased).pruned(_column_rows(code, wanted))
     eqs = [eq for _, eq in _decode_equations(code)]
     lost = [Coord(r, c) for c in erased for r in range(1, code.rows + 1)]
     lost_set = set(lost)
@@ -627,16 +661,15 @@ def decode_recipe(code: Code, erased: tuple[int, ...], *,
     """The peel-order schedule that rebuilds the ``wanted`` columns (every
     erased one by default) and verifies the survivors.
 
-    The schedule for all of ``erased`` is solved once and cached; for fewer
-    wanted columns it is pruned to the steps their cells and its checks
-    depend on.
+    The schedule for all of ``erased`` is solved once, and for fewer wanted
+    columns pruned once to the steps their cells and its checks depend on;
+    both are cached.
     """
-    schedule = _solve_schedule(code, tuple(sorted(erased)))
-    if wanted is None or set(wanted) == set(erased):
-        return schedule
+    erased = tuple(sorted(set(erased)))
+    wanted = erased if wanted is None else tuple(sorted(set(wanted)))
     if not set(wanted) <= set(erased):
-        raise ParameterError(f"wanted columns {sorted(wanted)} are not all erased")
-    return schedule.pruned(_column_rows(code, wanted))
+        raise ParameterError(f"wanted columns {list(wanted)} are not all erased")
+    return _solve_schedule(code, erased, wanted)
 
 
 def _run_steps(buf: np.ndarray, steps) -> None:
@@ -649,6 +682,30 @@ def _run_steps(buf: np.ndarray, steps) -> None:
         hi = lo + _CHUNK
         for target, sources in steps:
             np.bitwise_xor.reduce(buf[sources, lo:hi], axis=0, out=buf[target, lo:hi])
+
+
+def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
+    """Run ``schedule`` on the columns ``source.column(c)`` it reads, and
+    copy each column of ``out`` (column -> ``(rows, block)`` array) out.
+
+    Per chunk of every block: gather the cells the schedule reads, one index
+    per column, so they stay in cache for the steps; run the steps; raise
+    :class:`CorruptionError` if a check row is non-zero; copy out.
+    """
+    code, block = schedule.code, source.block_size
+    gathers = [(source.column(c), rows, col_rows) for c, rows, col_rows in schedule.reads]
+    buf = np.empty((code.rows * code.n + schedule.slots, min(block, _CHUNK)), dtype=np.uint8)
+    checks = len(schedule.checks)
+    for lo in range(0, block, _CHUNK):
+        chunk = buf[:, :min(block - lo, _CHUNK)]
+        hi = lo + chunk.shape[1]
+        for column, rows, col_rows in gathers:
+            chunk[rows] = column[col_rows, lo:hi]
+        _run_steps(chunk, schedule.steps)
+        if checks and chunk[-checks:].any():
+            raise CorruptionError("surviving columns are inconsistent: a parity check fails")
+        for c, cells in out.items():
+            cells[:, lo:hi] = chunk[(c - 1) * code.rows:c * code.rows]
 
 
 def encode(code: Code, info: np.ndarray) -> CodeGrid:
@@ -682,24 +739,24 @@ def _encode_in_place(code: Code, buf: np.ndarray) -> CodeGrid:
     return CodeGrid(code, cell_view(code, buf))
 
 
-def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
+def mds_decode(code: Code, source, erased: list[int] | tuple[int, ...],
                *, wanted: list[int] | tuple[int, ...] | None = None,
                allow_unchecked: bool = False) -> CodeGrid:
     """Rebuild the ``wanted`` erased columns (all of ``erased`` by default)
     from the surviving ones.
 
-    ``grid`` supplies the surviving columns; erased ones are never read.
-    The surviving columns are copied once into a work buffer with one extra
-    row per virtual adjuster cell and per verification check, and the
-    peel-order schedule of :func:`decode_recipe` is run on it: each step
-    gathers its source rows and XOR-reduces them into its target, in
-    fixed-size byte chunks. The last steps XOR each parity check no peel
-    step used into a scratch row; any row left non-zero raises
+    ``source`` supplies the surviving columns: a :class:`CodeGrid`, or
+    anything else with ``column(c)`` and ``block_size``, such as a simulated
+    cluster; erased columns are never asked for. The peel-order schedule of
+    :func:`decode_recipe` runs on :func:`_execute`, which reads the
+    survivors it needs in place, chunk by chunk. Each parity check no peel
+    step used is XORed into a scratch row; any row left non-zero raises
     :class:`CorruptionError`. With n - k columns erased there are no such
     checks: every set of survivors then decodes to a codeword.
 
-    Returns the grid over the work buffer. Erased columns outside
-    ``wanted`` are not rebuilt, and hold undefined bytes.
+    By default the whole grid is returned, survivors copied in; with nothing
+    erased every check is verified. With ``wanted`` given only the wanted
+    columns are defined; every other column holds undefined bytes.
 
     Patterns beyond the family's proven tolerance are refused unless
     ``allow_unchecked`` is set, which raises the limit to n - k (it matters
@@ -707,21 +764,17 @@ def mds_decode(code: Code, grid: CodeGrid, erased: list[int] | tuple[int, ...],
     solvability case by case.
     """
     erased = tuple(sorted(set(erased)))
-    if not erased:
-        return grid.copy()
     if any(not 1 <= c <= code.n for c in erased):
         raise ParameterError(f"erased columns {erased} out of range 1..{code.n}")
     limit = code.n - code.k if allow_unchecked else code.erasure_tolerance
     if len(erased) > limit:
         raise UnrecoverableError(
             f"{len(erased)} erasures exceed the supported tolerance {limit}")
-    schedule = decode_recipe(code, erased, wanted=wanted)
-    buf = np.empty((code.rows * code.n + schedule.slots, grid.block_size), dtype=np.uint8)
-    cells = cell_view(code, buf)
-    for col in range(code.n):
-        if col + 1 not in erased:
-            cells[:, col] = grid.cells[:, col]
-    _run_steps(buf, schedule.steps)
-    if schedule.checks and buf[-len(schedule.checks):].any():
-        raise CorruptionError("surviving columns are inconsistent: a parity check fails")
+    cells = cell_view(code, np.empty((code.rows * code.n, source.block_size), dtype=np.uint8))
+    _execute(decode_recipe(code, erased, wanted=wanted), source,
+             {c: cells[:, c - 1] for c in (erased if wanted is None else wanted)})
+    if wanted is None:
+        for c in range(1, code.n + 1):
+            if c not in erased:
+                cells[:, c - 1] = source.column(c)
     return CodeGrid(code, cells)

@@ -29,9 +29,10 @@ accounting come from.
 Plans only target data columns. Rebuilding a parity column is a plain
 decode of that column and is handled by the cluster layer at naive cost.
 
-:func:`execute_plan` compiles a plan to ``(target, sources)`` XOR steps and
-runs them on the executor that encodes and decodes (``codes._run_steps``).
-It reads only the shipped blocks, straight from the live columns.
+:func:`execute_plan` turns each group into a decoder recipe entry and runs
+the recipe on the decoder's gather-and-run executor (``codes._execute``),
+in the decoder's buffer layout: the planner keeps no layout of its own. It
+reads only the shipped blocks, straight from the live columns.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codes import _CHUNK, Code, _decode_equations, _run_steps
+from .codes import Code, XorSchedule, _decode_equations, _execute
 from .core import Coord, ParameterError, ParityGroupId, PlanError, mod_index
 
 __all__ = [
@@ -346,68 +347,39 @@ def execute_plan(plan: RepairPlan, source) -> dict[Coord, np.ndarray]:
     """Run a plan against surviving data and return the recovered cells.
 
     ``source`` is a :class:`CodeGrid` or anything else with ``column(c)``
-    and ``block_size``, such as a simulated cluster. The plan is compiled to
-    ``(target, sources)`` steps over one buffer: a row per transmission, a
-    row per adjuster (the slope-v column sum XOR the slope-0 one) and a row
-    per group target. Only the shipped blocks are read, one gather per
-    source column, and the steps run on the executor that encodes and
-    decodes. The plan is checked before any byte is read: a transmission
-    from an erased column, an adjuster whose sums were not shipped, or a
-    member block neither shipped nor recovered by an earlier group (the
-    plan is rank deficient) raises :class:`PlanError`.
+    and ``block_size``, such as a simulated cluster. Each group becomes a
+    decoder recipe entry, target -> (adjuster, parity cell, members), each
+    adjuster the decoder's column identity (the slope-v column sum XOR the
+    slope-0 one), and the recipe runs on the decoder's executor, reading
+    only the shipped blocks. The plan is checked before any byte is read: a
+    transmission from an erased column, an adjuster whose sums were not
+    shipped, or a member block neither shipped nor recovered by an earlier
+    group (the plan is rank deficient) raises :class:`PlanError`.
     """
-    row_of: dict[Coord, int] = {}  # shipped or recovered cell -> buffer row
-    sum_rows: dict[int, int] = {}  # slope -> buffer row of its column sum
-    gathers: dict[int, tuple[list[int], list[int]]] = {}  # col -> (buffer rows, its rows)
-    for i, t in enumerate(plan.transmissions):
+    code = plan.code
+    for t in plan.transmissions:
         if t.source in plan.erased:
             raise PlanError(f"transmission sourced from erased column {t.source}")
-        if t.kind == "sum":
-            sum_rows[t.slope] = i
-        else:
-            row_of[t.coord] = i
-            rows, col_rows = gathers.setdefault(t.source, ([], []))
-            rows.append(i)
-            col_rows.append(t.coord.row - 1)
-    steps = []
-    adjuster_rows: dict[int, int] = {}
-    if 0 in sum_rows:  # only evenodd-tree plans ship column sums
-        for v, row in sum_rows.items():
-            if v != 0:
-                adjuster_rows[v] = len(plan.transmissions) + len(steps)
-                steps.append((adjuster_rows[v],
-                              np.array([row, sum_rows[0]], dtype=np.intp)))
-    first = len(plan.transmissions) + len(steps)  # buffer row of the first group target
-    for k, g in enumerate(plan.groups):
-        sources = []
-        if g.adjuster_slope is not None:
-            if g.adjuster_slope not in adjuster_rows:
-                raise PlanError(f"adjuster for slope {g.adjuster_slope} not shipped")
-            sources.append(adjuster_rows[g.adjuster_slope])
-        wanted = g.members if g.parity_coord is None else (g.parity_coord, *g.members)
-        for m in wanted:
-            if m not in row_of:
+    shipped = {t.coord for t in plan.transmissions if t.kind != "sum"}
+    sums = {t.slope for t in plan.transmissions if t.kind == "sum"}
+    identities = {eq[0]: eq[1:] for gid, eq in _decode_equations(code) if gid is None}
+    recipe: dict[Coord, tuple[Coord, ...]] = {}
+    for v in sorted({g.adjuster_slope for g in plan.groups} - {None}):
+        if not {0, v} <= sums:
+            raise PlanError(f"adjuster for slope {v} not shipped")
+        adjuster = Coord(0, code.parity_col(v))
+        recipe[adjuster] = identities[adjuster]
+    for g in plan.groups:
+        sources = [] if g.adjuster_slope is None else [Coord(0, code.parity_col(g.adjuster_slope))]
+        for m in g.members if g.parity_coord is None else (g.parity_coord, *g.members):
+            if m not in shipped and m not in recipe:
                 raise PlanError(f"member {m} neither shipped nor recovered yet")
-            sources.append(row_of[m])
-        row_of[g.target] = first + k
-        steps.append((first + k, np.array(sources, dtype=np.intp)))
-    sums = [(row, plan.transmissions[row].source) for row in sum_rows.values()]
-    columns = {c: source.column(c) for c in {*gathers, *(c for _, c in sums)}}
-    block = source.block_size
-    out = np.empty((len(plan.groups), block), dtype=np.uint8)
-    buf = np.empty((first + len(plan.groups), min(block, _CHUNK)), dtype=np.uint8)
-    # gather and run one chunk of every block at a time: the shipped blocks
-    # then stay in cache between the gather and the steps that read them
-    for lo in range(0, block, _CHUNK):
-        chunk = buf[:, :min(block - lo, _CHUNK)]
-        hi = lo + chunk.shape[1]
-        for col, (rows, col_rows) in gathers.items():
-            chunk[rows] = columns[col][col_rows, lo:hi]
-        for row, col in sums:
-            np.bitwise_xor.reduce(columns[col][:, lo:hi], axis=0, out=chunk[row])
-        _run_steps(chunk, steps)
-        out[:, lo:hi] = chunk[first:]
-    return {g.target: out[row_of[g.target] - first] for g in plan.groups}
+            sources.append(m)
+        recipe[g.target] = tuple(sources)
+    columns = {c: np.empty((code.rows, source.block_size), dtype=np.uint8)
+               for c in {g.target.col for g in plan.groups}}
+    _execute(XorSchedule.compile(code, recipe), source, columns)
+    return {g.target: columns[g.target.col][g.target.row - 1] for g in plan.groups}
 
 
 def recovered_column(plan: RepairPlan, recovered: dict[Coord, np.ndarray],

@@ -8,8 +8,9 @@ One node stores one column. A repair session picks a strategy:
   helper the plan needs is itself dead), and the result records which
   strategy actually ran.
 * ``naive``  fetch the k lowest-numbered live columns and decode the
-  target column alone from them: the decoder runs only the steps that
-  column depends on.
+  target column alone from them: the decoder reads those columns in place
+  from their nodes, chunk by chunk, and runs only the steps that column
+  depends on.
 
 Nodes answer in deterministic order. When a node first fails, a private
 copy of its column is kept that only the verification step reads, so a
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import Code, CodeGrid, cell_view, encode, mds_decode, random_info
+from .codes import Code, CodeGrid, encode, mds_decode, random_info
 from .core import ParameterError, PlanError, UnrecoverableError
 from .planner import RepairPlan, execute_plan, recovered_column
 
@@ -200,16 +201,11 @@ def _naive_rebuild(cluster: Cluster, target: int,
             f"{len(live)} live nodes cannot rebuild a {code.family} column "
             f"(need {code.k})")
     sources = live[:code.k]
-    # the decoder never reads the erased columns, so they are left unset
-    cells = cell_view(code, np.empty((code.rows * code.n, cluster.block_size),
-                                     dtype=np.uint8))
     for s in sources:
-        cells[:, s - 1] = cluster.node(s).column
         ledger.record(s, code.rows)
     erased = [c for c in range(1, code.n + 1) if c not in sources]
     # n - k erasures: past the proven tolerance of extended codes with r > 3
-    decoded = mds_decode(code, CodeGrid(code, cells), erased, wanted=[target],
-                         allow_unchecked=True)
+    decoded = mds_decode(code, cluster, erased, wanted=[target], allow_unchecked=True)
     return decoded.column(target).copy()
 
 

@@ -107,6 +107,21 @@ def test_imaginary_row_reads_zero():
     assert not grid.cell(Coord(5, 2)).any()
 
 
+def test_cell_refuses_coordinates_outside_the_grid():
+    """Row 0 and column 0 are not stored cells and must not wrap to the
+    last row or column; rows past the grid read as zeros only for the
+    imaginary row p, which X-code (p stored rows) does not have."""
+    rng = np.random.default_rng(0)
+    for code in (Code.evenodd(5), Code.xcode(5)):
+        grid = encode(code, random_info(code, 4, rng))
+        outside = [Coord(0, 1), Coord(1, 0), Coord(code.p + 1, 1), Coord(1, code.n + 1),
+                   Coord(code.p, code.n + 1)]
+        for coord in outside:
+            with pytest.raises(ParameterError):
+                grid.cell(coord)
+    assert np.array_equal(grid.cell(Coord(5, 2)), grid.cells[4, 1])  # X-code stores row p
+
+
 def test_encode_shape_validation():
     code = Code.evenodd(5)
     with pytest.raises(ParameterError):
@@ -249,6 +264,21 @@ def test_blocks_over_one_executor_chunk(family):
         result = simnet.run_repair(cluster, col)
         assert result.strategy_used == "paper", col
         assert np.array_equal(result.column, grid.column(col)), col
+
+
+@pytest.mark.parametrize("family", ["evenodd", "evenodd-ext", "rdp", "xcode", "star"])
+def test_corruption_in_the_last_partial_chunk(family):
+    """The executor checks every chunk: a byte flipped in the short last
+    chunk of a surviving column is caught when redundancy is left."""
+    code = Code.make(family, 5)
+    block = 2 * codes._CHUNK + 5
+    grid = encode(code, random_info(code, block, np.random.default_rng(8)))
+    erased = list(range(2, code.erasure_tolerance + 1))  # fewer than the tolerance
+    broken = grid.copy()
+    broken.cells[:, [c - 1 for c in erased]] = 0
+    broken.cells[code.rows - 1, 0, block - 3] ^= 0x10
+    with pytest.raises(CorruptionError):
+        mds_decode(code, broken, erased)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
@@ -485,6 +515,39 @@ def test_pruned_schedule_rebuilds_wanted_column(p):
                 fixed = mds_decode(code, broken, pattern, wanted=[col])
                 assert np.array_equal(fixed.column(col), grid.column(col)), \
                     (code.family, pattern, col)
+
+
+class _RecordingSource:
+    """A grid served column by column, logging each column asked for."""
+
+    def __init__(self, grid):
+        self.grid, self.block_size, self.asked = grid, grid.block_size, []
+
+    def column(self, col):
+        self.asked.append(col)
+        return self.grid.column(col)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_decode_reads_only_live_survivors(p):
+    """Through any source with ``column`` and ``block_size``, the decoder
+    asks only for surviving columns and gets what decoding the grid gets,
+    for every n - k pattern, each wanted column and all of them."""
+    rng = np.random.default_rng(300 + p)
+    for code in _families(p):
+        grid = encode(code, random_info(code, 3, rng))
+        for pattern in itertools.combinations(range(1, code.n + 1), code.n - code.k):
+            broken = grid.copy()
+            broken.cells[:, [c - 1 for c in pattern]] = 0x3C
+            for wanted in [[col] for col in pattern] + [None]:
+                source = _RecordingSource(broken)
+                got = mds_decode(code, source, pattern, wanted=wanted)
+                assert source.asked and not set(source.asked) & set(pattern), \
+                    (code.family, pattern, wanted)
+                want = mds_decode(code, broken, pattern, wanted=wanted)
+                for col in wanted or range(1, code.n + 1):
+                    assert np.array_equal(got.column(col), want.column(col)), \
+                        (code.family, pattern, wanted, col)
 
 
 def test_wanted_columns_must_be_erased():

@@ -52,6 +52,23 @@ def test_naive_ledger_is_k_columns():
     assert all(e["blocks"] == 4 for e in per_node)
 
 
+@pytest.mark.parametrize("family", ["evenodd", "evenodd-ext", "rdp", "xcode", "star"])
+def test_naive_rebuild_reads_the_columns_it_charges(family):
+    """A naive rebuild asks the cluster for exactly the k columns its
+    ledger charges, whether one column or n - k are down."""
+    for p in (5, 7):
+        code = Code.make(family, p)
+        for failed in ([1], list(range(code.k + 1, code.n + 1))):
+            cluster = simnet.create_cluster(family, p, seed=p)
+            simnet.fail_nodes(cluster, failed)
+            asked, serve = [], cluster.column
+            cluster.column = lambda c: asked.append(c) or serve(c)
+            result = simnet.run_repair(cluster, failed[0], "naive")
+            assert result.verified
+            assert sorted(set(asked)) == sorted(result.ledger.blocks), (p, failed)
+            assert len(result.ledger.blocks) == code.k
+
+
 @pytest.mark.parametrize("family,p", [("evenodd", 7), ("rdp", 7),
                                       ("xcode", 7), ("star", 7),
                                       ("evenodd-ext", 7)])
