@@ -2,7 +2,9 @@
 
 Each digest is the sha256 of the plans' ``plan_to_json`` documents, one
 sorted-key JSON line per plan, so any change to a group, a transmission or
-their order shows up here.
+their order shows up here. The small primes cover every variant; the large
+ones are the sizes the benchmark plans at (its ``wide-16b`` p=53, its
+``bulk-64k`` p=31, its star-validate oracle and its ``analyze`` sweeps).
 """
 
 import hashlib
@@ -11,18 +13,28 @@ import json
 import pytest
 
 from arraycode import Code
+from arraycode.analysis import bandwidth_sweep
 from arraycode.codes import FAMILIES
 from arraycode.planner import plan_evenodd_single, plan_to_json
 
 PRIMES = (5, 7, 11, 13)
+LARGE = (17, 31, 53)
 
 
-def _single_plans():
-    for p in PRIMES:
+def _singles(primes):
+    for p in primes:
         for family in FAMILIES:
             code = Code.make(family, p)
             for col in code.systematic_cols():
                 yield code.spec.plan(code, (col,))
+
+
+def _single_plans():
+    return _singles(PRIMES)
+
+
+def _large_single_plans():
+    return _singles(LARGE)
 
 
 def _evenodd_x_plans():
@@ -50,6 +62,19 @@ def _star_double_plans():
                     yield code.spec.plan(code, (a, b))
 
 
+def _large_extended_plans():
+    for r in range(2, 6):
+        code = Code.evenodd_ext(31, r)
+        for col in code.systematic_cols():
+            yield code.spec.plan(code, (col,))
+
+
+def _star_validate_plans():
+    code = Code.star(31)
+    for x in range(1, 31):
+        yield code.spec.plan(code, (1, 1 + x))
+
+
 GOLDEN = {
     _single_plans:
         "1c97bc5e27483ae11df3064149fb7537fbc2923cb357ab30be363588fb356177",
@@ -59,6 +84,12 @@ GOLDEN = {
         "f2e875c05c210a7567ccc99fa7a7756670581bb8eb4fbcb661855b5bf1623b37",
     _star_double_plans:
         "a13eeb0fa362554df3c0a596a796013a07e1fd852034f9647bfbbce3a672998c",
+    _large_single_plans:
+        "0999bbf80fe1a4cee8ccf8677858c5bef397341180d341caaf0e8bc928e7297a",
+    _large_extended_plans:
+        "6ace43bc1d54b19f5d07aa5d9de6ffd73498571620868566ef2e4613892363e3",
+    _star_validate_plans:
+        "c018d034cd28e524fb62c41c77645f014301a8aac435f9bbefbd614872c62430",
 }
 
 
@@ -73,3 +104,17 @@ def _digest(plans) -> str:
 @pytest.mark.parametrize("plans", list(GOLDEN), ids=lambda f: f.__name__[1:])
 def test_plan_json_digest(plans):
     assert _digest(plans()) == GOLDEN[plans]
+
+
+SWEEP_PRIMES = [q for q in range(5, 102) if all(q % d for d in range(2, q))]
+SWEEP_GOLDEN = "1c231ac89736f2b9e635422c1d505ff89fe39523b0bc20243a0e07b18fd911ae"
+
+
+def test_bandwidth_sweep_digest():
+    """The ``analyze`` rows of every family over p = 5..101 with r = 3."""
+    h = hashlib.sha256()
+    for family in FAMILIES:
+        for rep in bandwidth_sweep(family, SWEEP_PRIMES, r=3):
+            h.update(json.dumps(rep.row()).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == SWEEP_GOLDEN
