@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .codes import Code, family_spec
 from .core import Coord, ParameterError, ParityGroupId, is_prime, parity_group_members
 
@@ -128,20 +130,22 @@ def common_block_count(p: int, partition: Partition, classes: Sequence[int]) -> 
     """Blocks shared by one group of each listed class (column-1 repair).
 
     A shared cell is pinned down by the slope-v1 group index and the
-    column offset y: the remaining indices follow as m1 + y*(v_i - v1).
+    column offset y: the remaining indices follow as m1 + y*(v_i - v1),
+    checked for every (m1, y) at once against a residue table per class.
     Imaginary-row cells count; they matter to the union arithmetic even
     though they are never shipped.
     """
     if len(classes) < 2:
         raise ParameterError("need at least two classes")
     v1 = classes[0]
-    rest = classes[1:]
-    count = 0
-    for m1 in partition[v1]:
-        for y in range(1, p):
-            if all((m1 + y * (v - v1)) % p in partition[v] for v in rest):
-                count += 1
-    return count
+    m1 = np.fromiter(partition[v1], dtype=np.int64)[:, None]
+    y = np.arange(1, p)
+    shared = np.ones((len(m1), p - 1), dtype=bool)
+    for v in classes[1:]:
+        inside = np.zeros(p, dtype=bool)  # residue -> is it in class v
+        inside[[m for m in partition[v] if 0 <= m < p]] = True
+        shared &= inside[(m1 + y * (v - v1)) % p]
+    return int(shared.sum())
 
 
 def common_block_oracle(p: int, partition: Partition, classes: Sequence[int]) -> int:

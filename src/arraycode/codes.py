@@ -21,17 +21,22 @@ Slope-v parity of the evenodd family tree (the families with slopes) is
 ``b[i, v] = adjuster(v) XOR sum_j a[<i + v*(1-j)>, j]`` where the adjuster
 is the XOR of the index-0 line of that slope and ``adjuster(0) = 0``.
 
-Encoding, decoding and plan execution share one executor. Each compiles
-its equations to an ordered ``(target, sources)`` XOR schedule over a work
-buffer that holds the cells and one row per virtual cell; each step gathers
-its sources and XOR-reduces them into its target, in fixed-size byte chunks.
-In the evenodd tree each sloped adjuster is a virtual cell
-``Coord(0, parity column)``.
-
 Grids are stored column-major, as the container file stores them: column
-``c`` is one contiguous run of ``rows`` blocks, so the stored cell
-``(r, c)`` is row ``(c-1)*rows + r-1`` of a work buffer (:func:`cell_view`
-gives the logical ``(rows, n, block)`` view of such a buffer).
+``c`` is one contiguous run of ``rows`` blocks (:func:`cell_view` gives the
+logical ``(rows, n, block)`` view of such a buffer).
+
+The work-buffer row is the one cell identity inside this module and the
+planner. The stored cell ``(r, c)`` is row ``(c-1)*rows + r-1``
+(:func:`_cell_index`); in the evenodd tree each sloped adjuster is a virtual
+cell, row ``rows*n + slot``, after the stored ones. Every parity check is an
+array of such rows, built by line arithmetic over whole arrays, and the
+decoder, the encoder and the planner peel, plan and compile over them.
+:class:`Coord` s are made only for public fields, through one row ->
+``Coord`` table (``Coord(0, parity column)`` for a virtual cell).
+
+Encoding, decoding and plan execution share one executor: each step of an
+ordered ``(target, sources)`` XOR schedule over the work buffer gathers its
+source rows and XOR-reduces them into its target, in fixed-size byte chunks.
 
 * :func:`encode` runs one schedule per code in place: each adjuster from
   its line, then every parity cell from its check.
@@ -53,8 +58,10 @@ gives the logical ``(rows, n, block)`` view of such a buffer).
 
 from __future__ import annotations
 
+from collections import UserDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,11 +70,9 @@ from .core import (
     Coord,
     CorruptionError,
     ParameterError,
-    ParityGroupId,
     UnrecoverableError,
     coord_table,
     is_prime,
-    parity_group_members,
 )
 
 __all__ = [
@@ -234,67 +239,73 @@ def random_info(code: Code, block_size: int, rng: np.random.Generator) -> np.nda
 # parity-check equations (shared by the encoder, the decoder and the planner)
 # ---------------------------------------------------------------------------
 
+def _virtual(code: Code, slope: int) -> int:
+    """Work-buffer row of the virtual adjuster cell of a non-zero slope."""
+    return code.rows * code.n + code.slopes.index(slope) - 1
+
+
+def _lines(code: Code, slope: int, index: np.ndarray) -> np.ndarray:
+    """Work-buffer rows of the stored cells of the lines of ``slope`` through
+    ``index``, a line per row in column order, imaginary cells dropped."""
+    p = code.p
+    col = np.arange(1, p + 1)
+    row = (index[:, None] + slope * (1 - col) - 1) % p + 1
+    cells = (col - 1) * code.rows + row - 1
+    return cells[row != p].reshape(len(index), -1)
+
+
+def _xcode_cols(p: int, slope: int) -> np.ndarray:
+    """``[col - 1, row - 1]``: the column where the X-code line of ``slope``
+    stored in ``col`` crosses data row ``row``."""
+    step = 1 if slope == -1 else -1
+    return (np.arange(1, p + 1)[:, None] + step * np.arange(2, p) - 1) % p + 1
+
+
 def xcode_line(p: int, slope: int, col: int) -> list[Coord]:
     """Data cells covered by the X-code parity of ``slope`` stored in ``col``.
 
     Slope -1 parity sits at (p-1, col); slope +1 parity sits at (p, col) and
     covers the line through the cell (p-1, col) it skips.
     """
-    step = 1 if slope == -1 else -1
     cell = coord_table(p)
-    return [cell[r][(col + step * (r + 1) - 1) % p + 1] for r in range(1, p - 1)]
+    return [cell[r][c] for r, c in enumerate(_xcode_cols(p, slope)[col - 1].tolist(), 1)]
 
 
-# a parity check: its label, and the cells that XOR-sum to zero
-Check = tuple[ParityGroupId, list[Coord]]
+# the labelled checks of one slope: (slope, label indexes, (checks x width)
+# work-buffer rows, each check's head first, padded with -1)
+SlopeChecks = tuple[int, np.ndarray, np.ndarray]
 
 
-def parity_check_equations(code: Code) -> list[list[Coord]]:
-    """Coordinate sets of stored cells, each XOR-summing to zero.
-
-    Imaginary cells are dropped. Every stored parity block appears in
-    exactly one equation, listed first, together with the cells that define
-    it; in RDP the row-parity checks precede the diagonal ones that read
-    row parity.
-    """
-    return [cells for _, cells in code.spec.equations(code)]
-
-
-def _line(p: int, gid: ParityGroupId) -> list[Coord]:
-    """The stored cells of a parity line: its imaginary cell dropped."""
-    return [c for c in parity_group_members(p, gid) if c.row != p]
-
-
-def _tree_equations(code: Code) -> list[Check]:
-    """Slope-v checks list their parity cell, their line, then the adjuster
-    line of the slope (:func:`_decode_equations` relies on that order)."""
-    p, cell = code.p, coord_table(code.p)
-    eqs = []
+def _tree_equations(code: Code) -> list[SlopeChecks]:
+    """Slope-v check i lists its parity cell, its line, then the virtual
+    adjuster cell of the slope; check 0 is the adjuster line, headed by that
+    virtual cell."""
+    p, rows = code.p, code.rows
+    out = []
     for v in code.slopes:
-        pcol = code.parity_col(v)
-        adj = _line(p, ParityGroupId(v, 0)) if v != 0 else []
-        for i in range(1, p):
-            gid = ParityGroupId(v, i)
-            eqs.append((gid, [cell[i][pcol]] + _line(p, gid) + adj))
-    return eqs
+        index = np.arange(0 if v else 1, p)
+        head = (code.parity_col(v) - 1) * rows + index - 1
+        parts = [head, _lines(code, v, index)]
+        if v:
+            head[0] = _virtual(code, v)
+            parts.append(np.where(index > 0, head[0], -1))
+        out.append((v, index, np.column_stack(parts)))
+    return out
 
 
-def _rdp_equations(code: Code) -> list[Check]:
-    p, cell = code.p, coord_table(code.p)
-    eqs = [(ParityGroupId(0, i), [cell[i][p], *cell[i][1:p]]) for i in range(1, p)]
-    for i in range(1, p):
-        gid = ParityGroupId(1, i)
-        eqs.append((gid, [cell[i][p + 1]] + _line(p, gid)))
-    return eqs
+def _rdp_equations(code: Code) -> list[SlopeChecks]:
+    """Row checks (slope 0) then diagonal checks, which read row parity;
+    the diagonal through (p, 1) carries no check."""
+    p, index = code.p, np.arange(1, code.p)
+    diagonal = np.column_stack([p * code.rows + index - 1, _lines(code, 1, index)])
+    return [(0, index, np.roll(_lines(code, 0, index), 1, axis=1)), (1, index, diagonal)]
 
 
-def _xcode_equations(code: Code) -> list[Check]:
-    p, cell = code.p, coord_table(code.p)
-    eqs = []
-    for c in range(1, p + 1):
-        eqs.append((ParityGroupId(-1, c), [cell[p - 1][c]] + xcode_line(p, -1, c)))
-        eqs.append((ParityGroupId(1, c), [cell[p][c]] + xcode_line(p, 1, c)))
-    return eqs
+def _xcode_equations(code: Code) -> list[SlopeChecks]:
+    p, index = code.p, np.arange(1, code.p + 1)
+    return [(v, index, np.column_stack([(index - 1) * p + prow - 1,
+                                        (_xcode_cols(p, v) - 1) * p + np.arange(p - 2)]))
+            for v, prow in ((-1, p - 1), (1, p))]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +330,9 @@ def _tree_geometry(p: int, slopes: tuple[int, ...]) -> Geometry:
 class FamilySpec:
     """Everything the other layers need to know of one array-code family.
 
-    ``equations`` lists the family's parity checks, each labelled with its
-    :class:`ParityGroupId`; the decoder and the repair planners read them.
+    ``equations`` lists the family's parity checks slope by slope, over
+    work-buffer rows, each labelled with its :class:`~.core.ParityGroupId`
+    index; the decoder and the repair planners read them.
     The planners and the closed form live in :mod:`.planner` and
     :mod:`.analysis`, which import this module: the table names each planner
     (a ``planner`` function taking the code) and reaches it and the closed
@@ -334,7 +346,7 @@ class FamilySpec:
     min_p: int
     geometry: Callable[[int, int], Geometry]  # (p, r) -> shape
     tolerance: int  # erasures decoding is proven for, if n - k allows
-    equations: Callable[[Code], list[Check]]
+    equations: Callable[[Code], list[SlopeChecks]]
     plan_single: str  # planner function: (code, erased data column) -> RepairPlan
     closed_form: Callable[[int, int], int]  # (p, r) -> blocks of its analyze plan
     plan_double: str | None = None  # planner function: (code, (col, other)) -> RepairPlan
@@ -410,74 +422,56 @@ _CHUNK = 8192
 _CACHE_SIZE = 128
 
 
-class XorSchedule(dict):
-    """An ordered XOR recipe: computed cell -> the cells XORed into it.
+class XorSchedule(UserDict):
+    """``(target, sources)`` steps over the rows of a work buffer: the cells
+    of ``code``, then ``slots`` rows, its virtual cells and a scratch row per
+    verification check. The first ``solves`` steps compute cells from given
+    cells or earlier targets; the rest XOR each check into its scratch row.
 
-    Entries run in order; every source is a given cell (surviving, or
-    information when encoding) or the key of an earlier entry.
-    ``Coord(0, c)`` is the virtual adjuster cell of the evenodd-tree parity
-    column ``c``. ``eliminated`` names the cells a decode schedule's peeling
-    could not reach, solved by GF(2) elimination instead. ``checks`` are the
-    parity checks a decode verifies, each a tuple of cells XOR-summing to
-    zero. ``steps`` is the schedule compiled to ``(target, sources)`` row
-    indices of a work buffer holding the ``rows * n`` cells of ``code``
-    (:func:`_cell_index`) followed by ``slots`` rows: the virtual cells, then
-    one scratch row per check, which the last steps XOR each check into.
+    As a mapping, a schedule is its recipe cell -> cells in :class:`Coord` s,
+    made on first use, as are ``eliminated`` (the cells peeling could not
+    reach, solved by GF(2) elimination) and ``checks`` (each a tuple of
+    cells XOR-summing to zero).
     """
 
-    def __init__(self, code: Code, recipe: dict[Coord, tuple[Coord, ...]], steps,
-                 slots: int, eliminated: tuple[Coord, ...] = (),
-                 checks: tuple[tuple[Coord, ...], ...] = ()):
-        super().__init__(recipe)
+    def __init__(self, code: Code, steps: tuple, solves: int, eliminated: tuple[int, ...] = ()):
         self.code = code
         self.steps = steps
-        self.slots = slots
-        self.eliminated = eliminated
-        self.checks = checks
+        self.solves = solves
+        self.slots = len(code.slopes[1:]) + len(steps) - solves  # virtual cells, scratch rows
+        self.eliminated_rows = eliminated
 
-    @classmethod
-    def compile(cls, code: Code, recipe: dict[Coord, tuple[Coord, ...]],
-                eliminated: tuple[Coord, ...] = (),
-                checks: tuple[tuple[Coord, ...], ...] = ()) -> "XorSchedule":
-        rows, base = code.rows, code.rows * code.n
-        virtual: dict[Coord, int] = {}
+    def _coords(self, rows) -> tuple[Coord, ...]:
+        return tuple(map(_decode_equations(self.code).coords.__getitem__, rows))
 
-        def index(c: Coord) -> int:
-            if c.row:
-                return _cell_index(rows, c)
-            return virtual.setdefault(c, base + len(virtual))
+    @cached_property
+    def data(self) -> dict[Coord, tuple[Coord, ...]]:  # the mapping's contents
+        targets = self._coords(t for t, _ in self.steps[:self.solves])
+        return dict(zip(targets, (self._coords(s.tolist()) for _, s in self.steps)))
 
-        def sources(cells) -> np.ndarray:
-            return np.array([index(c) for c in cells], dtype=np.intp)
+    @property
+    def eliminated(self) -> tuple[Coord, ...]:
+        return self._coords(self.eliminated_rows)
 
-        steps = [(index(t), sources(srcs)) for t, srcs in recipe.items()]
-        scratch = base + len(virtual)
-        steps += [(scratch + i, sources(eq)) for i, eq in enumerate(checks)]
-        return cls(code, recipe, tuple(steps), scratch + len(checks) - base,
-                   eliminated, checks)
+    @property
+    def checks(self) -> tuple[tuple[Coord, ...], ...]:
+        return tuple(self._coords(s.tolist()) for _, s in self.steps[self.solves:])
 
     def pruned(self, keep) -> "XorSchedule":
-        """The entries that the buffer rows ``keep`` or the checks depend on,
-        in order, over the same buffer layout: walking the steps backwards,
-        a step is kept when its target is needed, and its sources become
-        needed."""
-        solves = len(self)
+        """The solve steps that the buffer rows ``keep`` or the checks depend
+        on, in order, over the same buffer layout: walking the steps
+        backwards, a step is kept when its target is needed, and its sources
+        become needed."""
         needed = set(keep)
-        for _, sources in self.steps[solves:]:
+        for _, sources in self.steps[self.solves:]:
             needed.update(sources.tolist())
         kept = []
-        for i in reversed(range(solves)):
-            target, sources = self.steps[i]
+        for target, sources in reversed(self.steps[:self.solves]):
             if target in needed:
                 needed.update(sources.tolist())
-                kept.append(i)
-        kept.reverse()
-        entries = list(self.items())
-        recipe = dict(entries[i] for i in kept)
-        return XorSchedule(self.code, recipe,
-                           tuple(self.steps[i] for i in kept) + self.steps[solves:],
-                           self.slots, tuple(c for c in self.eliminated if c in recipe),
-                           self.checks)
+                kept.append((target, sources))
+        return XorSchedule(self.code, (*reversed(kept), *self.steps[self.solves:]), len(kept),
+                           tuple(c for c in self.eliminated_rows if c in needed))
 
     @cached_property
     def reads(self) -> tuple:
@@ -498,32 +492,56 @@ class XorSchedule(dict):
         return tuple(out)
 
 
-@lru_cache(maxsize=2)
-def _decode_equations(code: Code) -> tuple[tuple[ParityGroupId | None, tuple[Coord, ...]], ...]:
-    """Labelled parity checks, each sloped adjuster replaced by its virtual cell.
+class Equations:
+    """The parity checks of a code over work-buffer rows, which the decoder,
+    the encoder and the planner read through :func:`_decode_equations`.
 
-    Two more equations define the virtual cell ``s`` of slope ``v``: the
-    adjuster line itself, labelled ``(v, 0)``, and the unlabelled
+    ``table`` holds the labelled checks, one per row, head first, padded
+    with -1; ``slope`` and ``index`` are their labels, ``slopes`` the slopes
+    that have checks. The virtual cell ``s`` of slope ``v`` is defined twice:
+    by its adjuster line, labelled ``(v, 0)``, and by ``identities[v]``,
     ``s = (XOR of the slope-0 parity column) XOR (XOR of the slope-v parity
-    column)``, which holds because p-1 is even. With them every two-column
-    erasure peels without elimination. Every check draws its cells from
-    :func:`coord_table`. The decoder and the planner both read them, so a
-    sweep over p would fill a larger cache with the checks of its largest
-    codes (about 0.3 MB each at p=101); two codes cover the code in use.
+    column)`` (p-1 is even), so every two-column erasure peels. ``labelled``
+    and ``checks`` (then the identities) list each check's cells; ``coords``
+    maps rows to Coords.
     """
-    p, cell = code.p, coord_table(code.p)
-    adjusters = {code.parity_col(v): (v, _line(p, ParityGroupId(v, 0)))
-                 for v in code.slopes if v}
-    out = []
-    for gid, eq in code.spec.equations(code):
-        if eq[0].col in adjusters:  # a slope-v check: name the adjuster cell instead
-            eq = [*eq[:-len(adjusters[eq[0].col][1])], cell[0][eq[0].col]]
-        out.append((gid, tuple(eq)))
-    flat = [cell[i][code.parity_col(0)] for i in range(1, p)] if adjusters else []
-    for pcol, (v, adj) in adjusters.items():
-        out.append((ParityGroupId(v, 0), (cell[0][pcol], *sorted(adj))))
-        out.append((None, (cell[0][pcol], *flat, *(cell[i][pcol] for i in range(1, p)))))
-    return tuple(out)
+
+    def __init__(self, code: Code):
+        blocks = code.spec.equations(code)
+        self.code, self.slopes = code, tuple(v for v, _, _ in blocks)
+        self.table = np.concatenate([cells for _, _, cells in blocks])
+        self.slope = np.concatenate([np.full(len(index), v) for v, index, _ in blocks])
+        self.index = np.concatenate([index for _, index, _ in blocks])
+        self.identities = {v: np.array([_virtual(code, v), *_column_rows(
+            code, (code.parity_col(0), code.parity_col(v)))]) for v in code.slopes[1:]}
+        self.labelled = [row[:-1] if row[-1] < 0 else row for row in self.table]
+        self.checks = self.labelled + list(self.identities.values())
+
+    @cached_property
+    def coords(self) -> tuple[Coord, ...]:
+        code, cell = self.code, coord_table(self.code.p)
+        stored = chain.from_iterable(list(zip(*cell[1:code.rows + 1]))[1:code.n + 1])
+        return (*stored, *(cell[0][code.parity_col(v)] for v in self.identities))
+
+
+# A sweep over p would fill a larger cache with its largest codes (about 0.3
+# MB each at p=101 and r <= 3, 0.4 MB with coords); two cover the code in use.
+_decode_equations = lru_cache(maxsize=2)(Equations)
+
+
+def parity_check_equations(code: Code) -> list[list[Coord]]:
+    """Coordinate sets of stored cells, each XOR-summing to zero.
+
+    Imaginary cells are dropped. Every stored parity block appears in
+    exactly one equation, listed first, together with the cells that define
+    it (a sloped adjuster by its line); in RDP the row-parity checks precede
+    the diagonal ones that read row parity.
+    """
+    eqs, stored = _decode_equations(code), code.rows * code.n
+    lines = {eq[0]: eq[1:] for eq in eqs.labelled if eq[0] >= stored}
+    return [[eqs.coords[c] for c in np.concatenate(
+        [eq[eq < stored], *(lines[v] for v in eq[eq >= stored])]).tolist()]
+        for eq in eqs.labelled if eq[0] < stored]
 
 
 @lru_cache(maxsize=8)
@@ -535,10 +553,9 @@ def _encode_schedule(code: Code) -> XorSchedule:
     order. The column identities that also define the adjusters are left
     out: they serve decoding only and would double a step's sources.
     """
-    eqs = _decode_equations(code)
-    lines = [eq for gid, eq in eqs if gid is not None and not eq[0].row]
-    checks = [eq for _, eq in eqs if eq[0].row]
-    return XorSchedule.compile(code, {eq[0]: eq[1:] for eq in lines + checks})
+    stored = code.rows * code.n
+    eqs = sorted(_decode_equations(code).labelled, key=lambda eq: eq[0] < stored)
+    return XorSchedule(code, tuple((int(eq[0]), eq[1:]) for eq in eqs), len(eqs))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -553,40 +570,43 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     schedule's verification checks, none when n - k columns are erased (see
     :func:`mds_decode`). Steps neither a ``wanted`` cell nor a check depends
     on are dropped; a schedule for fewer columns than ``erased`` is pruned
-    from the cached one for all of them.
+    from the cached one for all of them. Cells are work-buffer rows.
     """
     if wanted != erased:
         return _solve_schedule(code, erased, erased).pruned(_column_rows(code, wanted))
-    eqs = [eq for _, eq in _decode_equations(code)]
-    lost = [Coord(r, c) for c in erased for r in range(1, code.rows + 1)]
-    lost_set = set(lost)
-    unknown_of = [[c for c in eq if c in lost_set or c.row == 0] for eq in eqs]
-    eqs_of: dict[Coord, list[int]] = {}
-    for e, unknowns in enumerate(unknown_of):
-        for c in unknowns:
+    eqs = _decode_equations(code).checks
+    stored = code.rows * code.n
+    lost = _column_rows(code, erased)
+    virtual = range(stored, stored + len(code.slopes[1:]))
+    unknowns = lost + list(virtual)
+    is_unknown = np.zeros(virtual.stop, dtype=bool)
+    is_unknown[unknowns] = True
+    unknown_of = [eq[is_unknown[eq]].tolist() for eq in eqs]
+    eqs_of: dict[int, list[int]] = {}
+    for e, cells in enumerate(unknown_of):
+        for c in cells:
             eqs_of.setdefault(c, []).append(e)
     left = [len(u) for u in unknown_of]
     queue = [e for e, count in enumerate(left) if count == 1]
-    recipe: dict[Coord, tuple[Coord, ...]] = {}
-    eliminated: list[Coord] = []
+    recipe: dict[int, np.ndarray] = {}
+    eliminated: list[int] = []
     used: set[int] = set()
 
-    def solve(target: Coord, sources: tuple[Coord, ...]) -> None:
+    def solve(target: int, sources: np.ndarray) -> None:
         recipe[target] = sources
         for e2 in eqs_of[target]:
             left[e2] -= 1
             if left[e2] == 1:
                 queue.append(e2)
 
-    unknowns = lost + sorted(c for c in eqs_of if c.row == 0)
-    options: dict[Coord, tuple[Coord, ...]] = {}
+    options: dict[int, np.ndarray] = {}
     while True:
         while queue:
             e = queue.pop()
             target = next((c for c in unknown_of[e] if c not in recipe), None)
             if target is not None:  # else another check solved its last unknown
                 used.add(e)
-                solve(target, tuple(c for c in eqs[e] if c != target))
+                solve(target, eqs[e][eqs[e] != target])
         rest = [c for c in unknowns if c not in recipe]
         if not rest:
             break
@@ -597,58 +617,45 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
         eliminated.append(target)
         solve(target, options[target])
     checks = () if len(erased) == code.n - code.k else \
-        tuple(eq for e, eq in enumerate(eqs) if e not in used)
-    schedule = XorSchedule.compile(code, recipe, tuple(eliminated), checks)
-    return schedule.pruned(_column_rows(code, erased))
+        [eq for e, eq in enumerate(eqs) if e not in used]
+    steps = (*recipe.items(), *((virtual.stop + i, eq) for i, eq in enumerate(checks)))
+    return XorSchedule(code, steps, len(recipe), tuple(eliminated)).pruned(lost)
 
 
 def _eliminate(code: Code, erased: tuple[int, ...], eqs,
-               unknowns: list[Coord]) -> dict[Coord, tuple[Coord, ...]]:
+               unknowns: list[int]) -> dict[int, np.ndarray]:
     """Express each of ``unknowns`` as an XOR of surviving or solved cells.
 
-    Gauss-Jordan elimination over GF(2), tracking which equations were
-    combined; their known-cell lists symmetric-difference into the recovery
-    set. Raises :class:`UnrecoverableError` if the system is rank-deficient.
+    Gauss-Jordan elimination over GF(2). Each check is one int bitset: bit i
+    for ``unknowns[i]``, then bit ``len(unknowns) + c`` for each known cell
+    ``c``, so combining checks XORs their known cells into the recovery set
+    too. Raises :class:`UnrecoverableError` if the system is rank-deficient.
     """
-    idx = {coord: i for i, coord in enumerate(unknowns)}
-    pivots: dict[int, tuple[int, set[Coord]]] = {}
+    u = len(unknowns)
+    bit_of = {cell: i for i, cell in enumerate(unknowns)}
+    mask = (1 << u) - 1
+    pivots: dict[int, int] = {}  # lowest unknown bit -> check
     for eq in eqs:
-        mask = 0
-        knowns: set[Coord] = set()
-        for coord in eq:
-            if coord in idx:
-                mask |= 1 << idx[coord]
-            else:
-                knowns.add(coord)
-        while mask:
-            bit = mask & -mask
-            if bit in pivots:
-                pmask, pknowns = pivots[bit]
-                mask ^= pmask
-                knowns = knowns ^ pknowns
-            else:
-                pivots[bit] = (mask, knowns)
+        row = 0
+        for cell in eq.tolist():
+            row ^= 1 << bit_of.get(cell, u + cell)
+        while row & mask:
+            bit = row & -row
+            if bit not in pivots:
+                pivots[bit] = row
                 break
-    if len(pivots) < len(unknowns):
+            row ^= pivots[bit]
+    if len(pivots) < u:
         raise UnrecoverableError(
             f"erasure pattern {sorted(erased)} is not decodable for {code.family} p={code.p}")
-    # back-substitute so every pivot row holds a single unknown
-    for bit in sorted(pivots, reverse=True):
-        mask, knowns = pivots[bit]
-        rest = mask ^ bit
-        while rest:
-            b2 = rest & -rest
-            m2, k2 = pivots[b2]
-            mask ^= m2
-            knowns = knowns ^ k2
-            rest = mask ^ bit
-        pivots[bit] = (mask, knowns)
-    return {unknowns[_bit_index(bit)]: tuple(sorted(knowns))
-            for bit, (_, knowns) in sorted(pivots.items())}
-
-
-def _bit_index(bit: int) -> int:
-    return bit.bit_length() - 1
+    for bit in sorted(pivots, reverse=True):  # back-substitute to one unknown per check
+        row = pivots[bit]
+        while rest := row & mask ^ bit:
+            row ^= pivots[rest & -rest]
+        pivots[bit] = row
+    return {unknowns[bit.bit_length() - 1]: np.flatnonzero(np.unpackbits(np.frombuffer(
+        (row >> u).to_bytes(row.bit_length() // 8 + 1, "little"), np.uint8), bitorder="little"))
+        for bit, row in pivots.items()}
 
 
 def _column_rows(code: Code, cols) -> list[int]:
@@ -695,7 +702,7 @@ def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
     code, block = schedule.code, source.block_size
     gathers = [(source.column(c), rows, col_rows) for c, rows, col_rows in schedule.reads]
     buf = np.empty((code.rows * code.n + schedule.slots, min(block, _CHUNK)), dtype=np.uint8)
-    checks = len(schedule.checks)
+    checks = len(schedule.steps) - schedule.solves
     for lo in range(0, block, _CHUNK):
         chunk = buf[:, :min(block - lo, _CHUNK)]
         hi = lo + chunk.shape[1]

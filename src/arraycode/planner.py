@@ -1,48 +1,44 @@
 """Bandwidth-efficient repair plans.
 
-A plan rebuilds each lost cell from one of the decoder's parity checks
-(``codes._decode_equations``): a group is that check, chosen per lost cell
-by the check's slope, put to work on the cell. Each ``plan_*`` function is
-a chooser over those choices for one family, and :func:`_group` turns every
-choice into a :class:`GroupUse`. The plan lists the groups in the order they
-are solved and the exact transmissions that feed them. Every plan, whatever
-its chooser, is checked by one rule as it is built: a group's members in
+A plan rebuilds each lost cell from one of the decoder's labelled parity
+checks (``codes._decode_equations``): a group is that check, chosen per lost
+cell by its slope, put to work on the cell. Each ``plan_*`` function is a
+chooser over those choices for one family; :func:`_plan` builds every plan
+from its choices, listing the groups in solve order and the exact
+transmissions that feed them, and checks one rule: a group's members in
 erased columns are targets of earlier groups, and every stored cell of the
-recovered column is some group's target; a plan that breaks it raises
-:class:`PlanError`. Three transmission kinds exist:
+recovered column is some group's target (else :class:`PlanError`). It works
+on the decoder's integer cell indices, the work-buffer rows, and makes the
+public objects' :class:`Coord` s once, at the end. Transmissions are:
 
 * ``raw``    one stored block, identified by its coordinate;
 * ``parity`` one stored parity block, identified by its cell and slope;
 * ``sum``    the XOR of a whole parity column, computed by the node that
   stores it and shipped as a single block.
 
-For the evenodd family tree every slope-v check names that slope's
-adjuster (the XOR of the index-0 line) as a virtual cell. A repairing node
-reconstructs the adjuster of slope v by XORing the slope-v column sum with
-the slope-0 column sum, so plans that touch sloped groups carry ``sum``
-transmissions. The index-0 check is the adjuster line itself: it has no
-stored parity block, its parity-side value being the adjuster. Blocks
-wanted by several groups are shipped once: the transmission list is a set
-union, which is where the bandwidth savings over one-group-per-block
-accounting come from.
+In the evenodd tree every slope-v check names that slope's adjuster (the
+XOR of the index-0 line) as a virtual cell, which a repairing node gets by
+XORing the slope-v and slope-0 column sums; the index-0 check is the
+adjuster line itself. Blocks wanted by several groups are shipped once: the
+transmissions are a set union, which is where the bandwidth savings come
+from. Plans only target data columns; a parity column is decoded whole, at
+naive cost, by the cluster layer.
 
-Plans only target data columns. Rebuilding a parity column is a plain
-decode of that column and is handled by the cluster layer at naive cost.
-
-:func:`execute_plan` turns each group into a decoder recipe entry and runs
-the recipe on the decoder's gather-and-run executor (``codes._execute``),
-in the decoder's buffer layout: the planner keeps no layout of its own. It
-reads only the shipped blocks, straight from the live columns.
+:func:`execute_plan` turns each group into one step over work-buffer rows
+and runs the steps on the decoder's executor (``codes._execute``), reading
+only the shipped blocks, straight from the live columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codes import Code, XorSchedule, _decode_equations, _execute
+from .codes import Code, XorSchedule, _column_rows, _decode_equations, _execute
 from .core import Coord, ParameterError, ParityGroupId, PlanError, mod_index
 
 __all__ = [
@@ -116,81 +112,79 @@ class RepairPlan:
 
 
 # ---------------------------------------------------------------------------
-# groups: one decoder check per lost cell
+# groups and transmissions: one decoder check per lost cell
 # ---------------------------------------------------------------------------
 
-def _checks(code: Code, cols: Iterable[int]) -> dict:
-    """(cell, slope) -> the labelled decoder check of that slope through the
-    cell, for the cells of the data columns ``cols``.
+def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int, int], int]],
+          sum_slopes: Sequence[int] = (), **extra) -> RepairPlan:
+    """Rebuild the cell of each ((row, col), slope) choice, in order, from its
+    labelled check of that slope; the first erased column is recovered.
 
-    Unlabelled checks (the adjusters' column identities) are left out; a
-    stored cell lies on at most one labelled check per slope.
+    The check's stored head is the group's ``parity_coord`` unless it is the
+    cell, its virtual cell the ``adjuster_slope``, its other stored cells the
+    ``members``. Transmissions: the sums, each group's parity block, then
+    the surviving members in (column, row), that is work-buffer row, order.
     """
-    cols = set(cols)
-    out = {}
-    for gid, cells in _decode_equations(code):
-        if gid is not None:
-            for c in cells:
-                if c.col in cols:
-                    out[c, gid.slope] = gid, cells
-    return out
+    for col in erased:
+        if not 1 <= col <= code.info_cols:
+            raise ParameterError(f"erased column {col} is not a data column")
+    eqs = _decode_equations(code)
+    rows, stored, coords = code.rows, code.rows * code.n, eqs.coords
+    row, col, slope = np.fromiter(chain.from_iterable((*cell, v) for cell, v in choices),
+                                  dtype=np.intp).reshape(-1, 3).T
+    target, order = (col - 1) * rows + row - 1, np.arange(len(row))
+    in_erased = np.bincount(erased, minlength=code.n + 2) > 0  # column -> erased; 0, n+1 never
+    check = _lookup(eqs, in_erased, row, col, slope)
+    cells = eqs.table[check]
+    head, body = cells[:, 0], cells[:, 1:]
+    parity = (head < stored) & (head != target)
+    member = (body >= 0) & (body < stored) & (body != target[:, None])
+    lost = member & in_erased[body // rows + 1]
+    first = np.full(stored, len(order))  # the first group rebuilding each cell
+    np.minimum.at(first, target, order)
+    late = lost & (first[np.where(lost, body, 0)] >= order[:, None])
+    if late.any():
+        g, m = np.argwhere(late)[0]
+        raise PlanError(f"{coords[target[g]]} needs {coords[body[g, m]]}, "
+                        "which no earlier group rebuilds")
+    if missed := [coords[c] for c in _column_rows(code, erased[:1]) if first[c] == len(order)]:
+        raise PlanError(f"no group rebuilds {missed}")
+    shipped = np.zeros(stored, dtype=bool)
+    shipped[body[member & ~lost]] = True
+    shipped[head[parity]] = False
+    ends = list(accumulate(member.sum(axis=1).tolist()))
+    members = tuple(map(coords.__getitem__, body[member].tolist()))
+    groups = tuple(
+        GroupUse(ParityGroupId(v, i), coords[t], coords[h] if has_parity else None,
+                 members[lo:hi], v if adjusted else None)
+        for v, i, t, h, has_parity, lo, hi, adjusted in zip(
+            slope.tolist(), eqs.index[check].tolist(), target.tolist(), head.tolist(),
+            parity.tolist(), [0, *ends], ends, (cells >= stored).any(axis=1).tolist()))
+    sent = np.concatenate([head[parity], np.flatnonzero(shipped)])
+    tx = [Transmission(code.parity_col(v), "sum", None, v) for v in sum_slopes]
+    tx += map(partial(tuple.__new__, Transmission), zip(  # from plain tuples, at C speed
+        (sent // rows + 1).tolist(), chain(repeat("parity", int(parity.sum())), repeat("raw")),
+        map(coords.__getitem__, sent.tolist()), chain(slope[parity].tolist(), repeat(None))))
+    return RepairPlan(code, erased, erased[0], groups, tuple(tx), **extra)
 
 
-def _group(checks: dict, cell: Coord, slope: int) -> GroupUse:
-    """Rebuild ``cell`` from its decoder check of ``slope``.
-
-    The check's stored head becomes ``parity_coord`` unless it is the cell
-    itself, its virtual adjuster cell becomes ``adjuster_slope``, and its
-    other stored cells become ``members``.
-    """
-    try:
-        gid, cells = checks[cell, slope]
-    except KeyError:
-        raise PlanError(f"no slope-{slope} check through {cell}") from None
-    head = cells[0]
-    parity = head if head.row and head != cell else None
-    adjuster = slope if not head.row or not cells[-1].row else None
-    members = tuple(c for c in cells[1:] if c.row and c != cell)
-    return GroupUse(gid, cell, parity, members, adjuster)
-
-
-# ---------------------------------------------------------------------------
-# transmissions
-# ---------------------------------------------------------------------------
-
-def _build_transmissions(code: Code, groups: Sequence[GroupUse],
-                         erased: Iterable[int], *,
-                         sum_slopes: Sequence[int] = ()) -> tuple[Transmission, ...]:
-    """Sums first, then one parity block per stored group, then the union
-    of surviving member cells ordered by (column, row).
-
-    Groups are solved in order, so a member in an erased column must be the
-    target of an earlier group; a plan that breaks that order raises
-    :class:`PlanError`.
-    """
-    erased = set(erased)
-    out: list[Transmission] = []
-    for v in sum_slopes:
-        out.append(Transmission(code.parity_col(v), "sum", None, v))
-    shipped_parity: set[Coord] = set()
-    for g in groups:
-        if g.parity_coord is not None:
-            out.append(Transmission(g.parity_coord.col, "parity",
-                                    g.parity_coord, g.group.slope))
-            shipped_parity.add(g.parity_coord)
-    raw: set[Coord] = set()
-    rebuilt: set[Coord] = set()
-    for g in groups:
-        for m in g.members:
-            if m.col in erased:
-                if m not in rebuilt:
-                    raise PlanError(f"{g.target} needs {m}, which no earlier group rebuilds")
-            elif m not in shipped_parity:
-                raw.add(m)
-        rebuilt.add(g.target)
-    for c in sorted(raw, key=lambda c: (c.col, c.row)):
-        out.append(Transmission(c.col, "raw", c, None))
-    return tuple(out)
+def _lookup(eqs, in_erased: np.ndarray, row: np.ndarray, col: np.ndarray,
+            slope: np.ndarray) -> np.ndarray:
+    """The row of ``eqs.table`` with the labelled check of each ``slope``
+    through the cell (``row``, ``col``) of an erased column, read from one
+    array per slope over work-buffer rows; none raises PlanError."""
+    rows, stored = eqs.code.rows, eqs.code.rows * eqs.code.n
+    lo, hi = min(eqs.slopes), max(eqs.slopes)
+    on = np.full((hi - lo + 1) * (stored + 1), -1)  # (slope, cell); cell ``stored``: none
+    check, k = np.nonzero(in_erased[eqs.table // rows + 1] & (eqs.table < stored))
+    on[(eqs.slope[check] - lo) * (stored + 1) + eqs.table[check, k]] = check
+    inside = (in_erased[col.clip(0, len(in_erased) - 1)] & (0 < row) & (row <= rows)
+              & (lo <= slope) & (slope <= hi))
+    check = on[np.where(inside, (slope - lo) * (stored + 1) + (col - 1) * rows + row - 1, stored)]
+    if (check < 0).any():
+        g = int(np.argmax(check < 0))
+        raise PlanError(f"no slope-{slope[g]} check through {Coord(int(row[g]), int(col[g]))}")
+    return check
 
 
 def _ordered_rows(p: int, erased_col: int) -> list[int]:
@@ -209,33 +203,11 @@ def _ordered_rows(p: int, erased_col: int) -> list[int]:
 # planners
 # ---------------------------------------------------------------------------
 
-def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[Coord, int]],
-          sum_slopes: Sequence[int] = (), **extra) -> RepairPlan:
-    """Rebuild the cell of each (cell, slope) choice, in order, from its
-    check of that slope; the first erased column is the one recovered.
-
-    A stored cell of that column that no choice rebuilds raises
-    :class:`PlanError`, as does a choice out of solve order
-    (:func:`_build_transmissions`).
-    """
-    for col in erased:
-        if not 1 <= col <= code.info_cols:
-            raise ParameterError(f"erased column {col} is not a data column")
-    checks = _checks(code, erased)
-    groups = tuple(_group(checks, cell, v) for cell, v in choices)
-    tx = _build_transmissions(code, groups, erased, sum_slopes=sum_slopes)
-    missed = {Coord(r, erased[0]) for r in range(1, code.rows + 1)}
-    missed.difference_update(g.target for g in groups)
-    if missed:
-        raise PlanError(f"no group rebuilds {sorted(missed)}")
-    return RepairPlan(code, erased, erased[0], groups, tx, **extra)
-
-
 def _split_plan(code: Code, col: int, x: int, sum_slopes: Sequence[int] = ()) -> RepairPlan:
     """x rows of ``col`` flat, the rest on slope 1 (see :func:`_ordered_rows`)."""
     rows = _ordered_rows(code.p, col)
     flat, sloped = sorted(rows[:x]), sorted(rows[x:])
-    choices = [(Coord(i, col), 0) for i in flat] + [(Coord(i, col), 1) for i in sloped]
+    choices = [((i, col), 0) for i in flat] + [((i, col), 1) for i in sloped]
     return _plan(code, (col,), choices, sum_slopes, horizontal_rows=tuple(flat))
 
 
@@ -273,7 +245,7 @@ def plan_extended_single(code: Code, col: int,
     if partition is None:
         partition = default_partition(p, r)
     validate_partition(p, r, partition)
-    choices = [(Coord(m, col), v) for v, cls in enumerate(partition) for m in sorted(cls)]
+    choices = [((m, col), v) for v, cls in enumerate(partition) for m in sorted(cls)]
     return _plan(code, (col,), choices, sum_slopes=tuple(range(r)),
                  meta={"partition": [sorted(c) for c in partition]})
 
@@ -299,8 +271,8 @@ def plan_xcode_single(code: Code, col: int) -> RepairPlan:
     nothing.
     """
     p = code.p
-    choices = [(Coord(r, col), 1 if r <= (p - 1) // 2 else -1) for r in range(1, p - 1)]
-    return _plan(code, (col,), choices + [(Coord(p - 1, col), -1), (Coord(p, col), 1)])
+    choices = [((r, col), 1 if r <= (p - 1) // 2 else -1) for r in range(1, p - 1)]
+    return _plan(code, (col,), choices + [((p - 1, col), -1), ((p, col), 1)])
 
 
 def _star_schedule(p: int) -> list[tuple[int, int]]:
@@ -330,11 +302,11 @@ def plan_star_double(code: Code, erased: tuple[int, int]) -> RepairPlan:
     if c == other:
         raise ParameterError(f"need two distinct data columns, got {erased}")
     x = (other - c) % p
-    choices = [(Coord(mod_index((m - v) * x, p), other) if v == -1
-                else Coord(mod_index(m * x, p), c), v)
+    choices = [((mod_index((m - v) * x, p), other) if v == -1
+                else (mod_index(m * x, p), c), v)
                for v, m in _star_schedule(p)]
     plan = _plan(code, (c, other), choices, sum_slopes=(0, 1, -1))
-    savings = (p - 1) * (p - 2) - len(plan.raw_cells())
+    savings = (p - 1) * (p - 2) - sum(t.kind == "raw" for t in plan.transmissions)
     plan.meta.update(x=x, savings=savings, parity_values=len(plan.groups))
     return plan
 
@@ -347,39 +319,56 @@ def execute_plan(plan: RepairPlan, source) -> dict[Coord, np.ndarray]:
     """Run a plan against surviving data and return the recovered cells.
 
     ``source`` is a :class:`CodeGrid` or anything else with ``column(c)``
-    and ``block_size``, such as a simulated cluster. Each group becomes a
-    decoder recipe entry, target -> (adjuster, parity cell, members), each
-    adjuster the decoder's column identity (the slope-v column sum XOR the
-    slope-0 one), and the recipe runs on the decoder's executor, reading
-    only the shipped blocks. The plan is checked before any byte is read: a
-    transmission from an erased column, an adjuster whose sums were not
-    shipped, or a member block neither shipped nor recovered by an earlier
-    group (the plan is rank deficient) raises :class:`PlanError`.
+    and ``block_size``, such as a simulated cluster. Each group becomes one
+    step over work-buffer rows, target <- (adjuster, parity cell, members),
+    each adjuster the decoder's column identity, and the steps run on the
+    decoder's executor, reading only the shipped blocks. Before any byte is
+    read, a transmission from an erased column, an adjuster whose sums were
+    not shipped, or a member neither shipped nor rebuilt by an earlier group
+    (the plan is rank deficient) raises :class:`PlanError`.
     """
-    code = plan.code
-    for t in plan.transmissions:
-        if t.source in plan.erased:
-            raise PlanError(f"transmission sourced from erased column {t.source}")
-    shipped = {t.coord for t in plan.transmissions if t.kind != "sum"}
-    sums = {t.slope for t in plan.transmissions if t.kind == "sum"}
-    identities = {eq[0]: eq[1:] for gid, eq in _decode_equations(code) if gid is None}
-    recipe: dict[Coord, tuple[Coord, ...]] = {}
-    for v in sorted({g.adjuster_slope for g in plan.groups} - {None}):
+    code, groups = plan.code, plan.groups
+    rows, stored = code.rows, code.rows * code.n
+    source_of, kind, coord, slope = list(zip(*plan.transmissions)) or [()] * 4
+    if not set(plan.erased).isdisjoint(source_of):
+        raise PlanError("transmission sourced from erased column "
+                        f"{next(c for c in source_of if c in plan.erased)}")
+    sums = set(compress(slope, map("sum".__eq__, kind)))
+    identities = _decode_equations(code).identities
+    steps = []
+    for v in sorted({g.adjuster_slope for g in groups} - {None}):
         if not {0, v} <= sums:
             raise PlanError(f"adjuster for slope {v} not shipped")
-        adjuster = Coord(0, code.parity_col(v))
-        recipe[adjuster] = identities[adjuster]
-    for g in plan.groups:
-        sources = [] if g.adjuster_slope is None else [Coord(0, code.parity_col(g.adjuster_slope))]
-        for m in g.members if g.parity_coord is None else (g.parity_coord, *g.members):
-            if m not in shipped and m not in recipe:
-                raise PlanError(f"member {m} neither shipped nor recovered yet")
-            sources.append(m)
-        recipe[g.target] = tuple(sources)
-    columns = {c: np.empty((code.rows, source.block_size), dtype=np.uint8)
-               for c in {g.target.col for g in plan.groups}}
-    _execute(XorSchedule.compile(code, recipe), source, columns)
-    return {g.target: columns[g.target.col][g.target.row - 1] for g in plan.groups}
+        steps.append((int(identities[v][0]), identities[v][1:]))
+    shipped = np.zeros(stored, dtype=bool)
+    shipped[_rows(rows, filter(None, coord))] = True  # every kind but the sums has a coord
+    target = _rows(rows, (g.target for g in groups))
+    sizes = [len(g.members) + (g.parity_coord is not None) for g in groups]
+    cells = _rows(rows, chain.from_iterable(
+        g.members if g.parity_coord is None else (g.parity_coord, *g.members) for g in groups))
+    first = np.full(stored, len(groups))  # the first group rebuilding each cell
+    np.minimum.at(first, target, np.arange(len(groups)))
+    known = shipped[cells] | (first[cells] < np.repeat(np.arange(len(groups)), sizes))
+    if not known.all():
+        c = int(cells[np.argmin(known)])
+        raise PlanError(f"member {Coord(c % rows + 1, c // rows + 1)} "
+                        "neither shipped nor recovered yet")
+    ends = list(accumulate(sizes))
+    for g, t, lo, hi in zip(groups, target.tolist(), [0, *ends], ends):
+        sources = cells[lo:hi]
+        if g.adjuster_slope is not None:
+            sources = np.concatenate([identities[g.adjuster_slope][:1], sources])
+        steps.append((t, sources))
+    columns = {c: np.empty((rows, source.block_size), dtype=np.uint8)
+               for c in {g.target.col for g in groups}}
+    _execute(XorSchedule(code, tuple(steps), len(steps)), source, columns)
+    return {g.target: columns[g.target.col][g.target.row - 1] for g in groups}
+
+
+def _rows(rows: int, coords: Iterable[Coord]) -> np.ndarray:
+    """Work-buffer rows of stored cells (:func:`codes._cell_index`)."""
+    cells = np.fromiter(chain.from_iterable(coords), dtype=np.intp).reshape(-1, 2)
+    return (cells[:, 1] - 1) * rows + cells[:, 0] - 1
 
 
 def recovered_column(plan: RepairPlan, recovered: dict[Coord, np.ndarray],

@@ -151,17 +151,23 @@ def _label_agrees(code, gid, cells):
             and virtual == ({Coord(0, pcol)} if gid.slope else set()))
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def _labelled_checks(code):
+    """The decoder's labelled checks, each read through its ``Coord`` s."""
+    eqs = codes._decode_equations(code)
+    return [(ParityGroupId(v, i), [eqs.coords[c] for c in row if c >= 0])
+            for v, i, row in zip(eqs.slope.tolist(), eqs.index.tolist(), eqs.table.tolist())]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 53, 101])
 def test_check_labels(p):
     """What the planner's (cell, slope) lookup of the decoder's checks
     relies on: every stored cell lies on at most one labelled check per
     slope, every data cell on exactly one (except RDP's cells on the
     diagonal without parity), and each label names the line its check
-    lists."""
+    lists. The large primes are the sizes the benchmark plans at."""
     ext = [Code.evenodd_ext(p, r) for r in range(2, min(5, p - 1) + 1) if r != 3]
     for code in _families(p) + ext:
-        labelled = [(gid, cells) for gid, cells in codes._decode_equations(code)
-                    if gid is not None]
+        labelled = _labelled_checks(code)
         on = Counter((c, gid.slope) for gid, cells in labelled for c in cells if c.row)
         assert max(on.values()) == 1, code
         slopes = {gid.slope for gid, _ in labelled}
