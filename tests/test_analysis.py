@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraycode import analysis as an
 from arraycode.core import ParameterError
@@ -93,6 +95,20 @@ def test_common_blocks_match_enumeration():
                     assert (an.common_block_count(p, part, classes)
                             == an.common_block_oracle(p, part, classes)), \
                         (p, r, classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_common_blocks_match_enumeration_on_any_partition(data):
+    """The same agreement for any partition and any order of the classes,
+    up to the p of the benchmark's f-check oracle."""
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 31, 53]))
+    r = data.draw(st.integers(2, 5))
+    owner = data.draw(st.lists(st.integers(0, r - 1), min_size=p - 1, max_size=p - 1))
+    part = tuple(frozenset(m for m, v in zip(range(1, p), owner) if v == u) for u in range(r))
+    classes = data.draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=r, unique=True))
+    assert (an.common_block_count(p, part, classes)
+            == an.common_block_oracle(p, part, classes)), (p, part, classes)
 
 
 def test_common_blocks_pairs_are_products():

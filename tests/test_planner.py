@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arraycode import Code, encode, random_info, simnet, xor_blocks
+from arraycode import Code, codes, encode, random_info, simnet, xor_blocks
 from arraycode.analysis import (
     default_partition,
     evenodd_bandwidth,
@@ -15,6 +16,7 @@ from arraycode.analysis import (
     star_symmetry_saving,
     xcode_bandwidth_bound,
 )
+from arraycode.codes import FAMILIES
 from arraycode.core import Coord, ParameterError, ParityGroupId, PlanError
 from arraycode.planner import (
     _plan,
@@ -377,3 +379,27 @@ def test_execute_matches_reference_fold(p, block, seed):
         assert got.keys() == want.keys()
         for coord, value in want.items():
             assert np.array_equal(got[coord], value), (code, plan.erased, coord)
+
+
+def test_plans_and_peeling_never_hash_or_compare_coords(monkeypatch):
+    """Plans, encode schedules and decode schedules (peeled or eliminated)
+    are built over work-buffer rows: no Coord is hashed, compared or sorted
+    on the way, only made for the public fields."""
+    def refuse(*args):
+        raise AssertionError("a Coord was hashed or compared")
+
+    for name in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Coord, name, refuse)
+    p = 13
+    for family in FAMILIES:
+        code = Code.make(family, p)
+        codes._decode_equations.cache_clear()
+        codes._solve_schedule.cache_clear()
+        codes._encode_schedule.cache_clear()
+        plans = [code.spec.plan(code, (col,)) for col in code.systematic_cols()]
+        if code.spec.plan_double is not None:
+            plans += [code.spec.plan(code, (1, b)) for b in range(2, p + 1)]
+        assert all(plan.gamma for plan in plans)
+        encode(code, random_info(code, 1, RNG))
+        for pattern in itertools.combinations(range(1, code.n + 1), code.n - code.k):
+            codes.decode_recipe(code, pattern, wanted=pattern[:1])
