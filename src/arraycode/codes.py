@@ -514,7 +514,8 @@ class Equations:
         self.index = np.concatenate([index for _, index, _ in blocks])
         self.identities = {v: np.array([_virtual(code, v), *_column_rows(
             code, (code.parity_col(0), code.parity_col(v)))]) for v in code.slopes[1:]}
-        self.labelled = [row[:-1] if row[-1] < 0 else row for row in self.table]
+        padded = (self.table[:, -1] < 0).tolist()
+        self.labelled = [row[:-1] if pad else row for row, pad in zip(self.table, padded)]
         self.checks = self.labelled + list(self.identities.values())
 
     @cached_property

@@ -130,11 +130,17 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
             raise ParameterError(f"erased column {col} is not a data column")
     eqs = _decode_equations(code)
     rows, stored, coords = code.rows, code.rows * code.n, eqs.coords
-    row, col, slope = np.fromiter(chain.from_iterable((*cell, v) for cell, v in choices),
-                                  dtype=np.intp).reshape(-1, 3).T
+    choices = [(r, c, v) for (r, c), v in choices]
+    for r, c, v in choices:  # a cell of an erased column, and a slope with checks
+        if c not in erased or not 0 < r <= rows or v not in eqs.slopes:
+            raise PlanError(f"no slope-{v} check through {Coord(r, c)}")
+    row, col, slope = np.fromiter(chain.from_iterable(choices), dtype=np.intp).reshape(-1, 3).T
     target, order = (col - 1) * rows + row - 1, np.arange(len(row))
     in_erased = np.bincount(erased, minlength=code.n + 2) > 0  # column -> erased; 0, n+1 never
-    check = _lookup(eqs, in_erased, row, col, slope)
+    check = _lookup(eqs, in_erased, target, slope)
+    if (check < 0).any():
+        g = int(np.argmax(check < 0))
+        raise PlanError(f"no slope-{slope[g]} check through {coords[target[g]]}")
     cells = eqs.table[check]
     head, body = cells[:, 0], cells[:, 1:]
     parity = (head < stored) & (head != target)
@@ -168,23 +174,15 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
     return RepairPlan(code, erased, erased[0], groups, tuple(tx), **extra)
 
 
-def _lookup(eqs, in_erased: np.ndarray, row: np.ndarray, col: np.ndarray,
-            slope: np.ndarray) -> np.ndarray:
+def _lookup(eqs, in_erased: np.ndarray, target: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """The row of ``eqs.table`` with the labelled check of each ``slope``
-    through the cell (``row``, ``col``) of an erased column, read from one
-    array per slope over work-buffer rows; none raises PlanError."""
+    through each ``target`` (a cell of an erased column), or -1."""
     rows, stored = eqs.code.rows, eqs.code.rows * eqs.code.n
-    lo, hi = min(eqs.slopes), max(eqs.slopes)
-    on = np.full((hi - lo + 1) * (stored + 1), -1)  # (slope, cell); cell ``stored``: none
+    lo = min(eqs.slopes)
+    on = np.full((max(eqs.slopes) - lo + 1) * stored, -1)  # one row -> check array per slope
     check, k = np.nonzero(in_erased[eqs.table // rows + 1] & (eqs.table < stored))
-    on[(eqs.slope[check] - lo) * (stored + 1) + eqs.table[check, k]] = check
-    inside = (in_erased[col.clip(0, len(in_erased) - 1)] & (0 < row) & (row <= rows)
-              & (lo <= slope) & (slope <= hi))
-    check = on[np.where(inside, (slope - lo) * (stored + 1) + (col - 1) * rows + row - 1, stored)]
-    if (check < 0).any():
-        g = int(np.argmax(check < 0))
-        raise PlanError(f"no slope-{slope[g]} check through {Coord(int(row[g]), int(col[g]))}")
-    return check
+    on[(eqs.slope[check] - lo) * stored + eqs.table[check, k]] = check
+    return on[(slope - lo) * stored + target]
 
 
 def _ordered_rows(p: int, erased_col: int) -> list[int]:
@@ -340,12 +338,13 @@ def execute_plan(plan: RepairPlan, source) -> dict[Coord, np.ndarray]:
         if not {0, v} <= sums:
             raise PlanError(f"adjuster for slope {v} not shipped")
         steps.append((int(identities[v][0]), identities[v][1:]))
+    sent = list(filter(None, coord))  # every kind but the sums has a coord
+    srcs = [g.members if g.parity_coord is None else (g.parity_coord, *g.members) for g in groups]
+    cells = _rows(rows, chain(sent, (g.target for g in groups), chain.from_iterable(srcs)))
     shipped = np.zeros(stored, dtype=bool)
-    shipped[_rows(rows, filter(None, coord))] = True  # every kind but the sums has a coord
-    target = _rows(rows, (g.target for g in groups))
-    sizes = [len(g.members) + (g.parity_coord is not None) for g in groups]
-    cells = _rows(rows, chain.from_iterable(
-        g.members if g.parity_coord is None else (g.parity_coord, *g.members) for g in groups))
+    shipped[cells[:len(sent)]] = True
+    target, cells = cells[len(sent):len(sent) + len(groups)], cells[len(sent) + len(groups):]
+    sizes = [len(s) for s in srcs]
     first = np.full(stored, len(groups))  # the first group rebuilding each cell
     np.minimum.at(first, target, np.arange(len(groups)))
     known = shipped[cells] | (first[cells] < np.repeat(np.arange(len(groups)), sizes))
