@@ -179,7 +179,7 @@ def _lookup(eqs, in_erased: np.ndarray, target: np.ndarray, slope: np.ndarray) -
     through each ``target`` (a cell of an erased column), or -1."""
     rows, stored = eqs.code.rows, eqs.code.rows * eqs.code.n
     lo = min(eqs.slopes)
-    on = np.full((max(eqs.slopes) - lo + 1) * stored, -1)  # one row -> check array per slope
+    on = np.full((max(eqs.slopes) - lo + 1) * stored, -1)  # per slope: buffer row -> check
     check, k = np.nonzero(in_erased[eqs.table // rows + 1] & (eqs.table < stored))
     on[(eqs.slope[check] - lo) * stored + eqs.table[check, k]] = check
     return on[(slope - lo) * stored + target]
