@@ -5,6 +5,8 @@ sorted-key JSON line per plan, so any change to a group, a transmission or
 their order shows up here. The small primes cover every variant; the large
 ones are the sizes the benchmark plans at (its ``wide-16b`` p=53, its
 ``bulk-64k`` p=31, its star-validate oracle and its ``analyze`` sweeps).
+The ``analyze --csv`` files of every family over p = 5..101 at each r in
+2..5 are pinned byte for byte as well.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 
 from arraycode import Code
 from arraycode.analysis import bandwidth_sweep
+from arraycode.cli import main
 from arraycode.codes import FAMILIES
 from arraycode.planner import plan_evenodd_single, plan_to_json
 
@@ -118,3 +121,37 @@ def test_bandwidth_sweep_digest():
             h.update(json.dumps(rep.row()).encode())
             h.update(b"\n")
     assert h.hexdigest() == SWEEP_GOLDEN
+
+
+def _analyze_csv_digests(family, tmp_path) -> list[str]:
+    """sha256 of ``arraycode analyze --p-range 5:101 --csv`` at r = 2..5."""
+    out = []
+    for r in range(2, 6):
+        path = tmp_path / f"{family}-{r}.csv"
+        assert main(["analyze", "--family", family, "--p-range", "5:101",
+                     "--r", str(r), "--csv", str(path)]) == 0
+        out.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    return out
+
+
+# per family, the digests at r = 2, 3, 4, 5; a family with a fixed r ignores --r
+ANALYZE_CSV_GOLDEN = {
+    "evenodd":
+        ["63fa3b6c37941e7d249a98df72983055dacb5af9001fb557b3332191a53e81fe"] * 4,
+    "evenodd-ext": [
+        "7022f112901c6a9b874e04f233708fa9086e9847d9fe3c544ce3ceff4f4f246f",
+        "af99cb69aae2f6600923099cabb08f58653bbcef3d18c290f8d5db8a1efea91f",
+        "d246f860f5ee4fc8d8d4a4ba7a02cdc71b4ba78790400ddb938f5dc709033957",
+        "a67f1b5e0430d9c68e880d6826b96202cc08b59b291eff38238b6e1a043256ae"],
+    "rdp":
+        ["7036f0561c77db9f67df212c1db925539d666ed14244f90b2d9fff01760959f2"] * 4,
+    "xcode":
+        ["cc7986896c4ca6a0eeacf7db804c4a77f7a148a31c6b7085e6def12eb0cfb2a8"] * 4,
+    "star":
+        ["ab27f7c9b66b0ee7b39792c38b5f9da454b2876f35b46c042e71460d51153817"] * 4,
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_analyze_csv_digest(family, tmp_path, capsys):
+    assert _analyze_csv_digests(family, tmp_path) == ANALYZE_CSV_GOLDEN[family]
