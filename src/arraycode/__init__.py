@@ -1,6 +1,6 @@
 """Binary MDS array codes with bandwidth-efficient node repair."""
 
-from .codes import Code, CodeGrid, encode, mds_decode, parity_check_equations, random_info
+from .codes import Code, CodeGrid, encode, mds_decode, random_info
 from .core import (
     ArraycodeError,
     Coord,
@@ -12,7 +12,6 @@ from .core import (
     UnrecoverableError,
     mod_index,
     parity_group_members,
-    xor_blocks,
 )
 
 __version__ = "0.1.0"
@@ -25,10 +24,8 @@ __all__ = [
     "encode",
     "mds_decode",
     "random_info",
-    "parity_check_equations",
     "mod_index",
     "parity_group_members",
-    "xor_blocks",
     "ArraycodeError",
     "ParameterError",
     "UnrecoverableError",

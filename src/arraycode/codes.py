@@ -26,9 +26,9 @@ Grids are stored column-major, as the container file stores them: column
 logical ``(rows, n, block)`` view of such a buffer).
 
 The work-buffer row is the one cell identity inside this module and the
-planner. The stored cell ``(r, c)`` is row ``(c-1)*rows + r-1``
-(:func:`_cell_index`); in the evenodd tree each sloped adjuster is a virtual
-cell, row ``rows*n + slot``, after the stored ones. Every parity check is an
+planner. The stored cell ``(r, c)`` is row ``(c-1)*rows + r-1``; in the
+evenodd tree each sloped adjuster is a virtual cell, row ``rows*n + slot``,
+after the stored ones. Every parity check is an
 array of such rows, built by line arithmetic over whole arrays, and the
 decoder, the encoder and the planner peel, plan and compile over them.
 :class:`Coord` s are made only for public fields, through one row ->
@@ -84,7 +84,6 @@ __all__ = [
     "encode",
     "family_spec",
     "mds_decode",
-    "parity_check_equations",
     "random_info",
 ]
 
@@ -224,12 +223,6 @@ def cell_view(code: Code, buf: np.ndarray) -> np.ndarray:
     return stored.transpose(1, 0, 2)
 
 
-def _cell_index(rows: int, c: Coord) -> int:
-    """Row of the stored cell ``c`` of a code with ``rows`` rows, in a buffer
-    laid out by :func:`cell_view`."""
-    return (c.col - 1) * rows + c.row - 1
-
-
 def random_info(code: Code, block_size: int, rng: np.random.Generator) -> np.ndarray:
     rows, cols = code.info_shape
     return rng.integers(0, 256, size=(rows, cols, block_size), dtype=np.uint8)
@@ -259,16 +252,6 @@ def _xcode_cols(p: int, slope: int) -> np.ndarray:
     stored in ``col`` crosses data row ``row``."""
     step = 1 if slope == -1 else -1
     return (np.arange(1, p + 1)[:, None] + step * np.arange(2, p) - 1) % p + 1
-
-
-def xcode_line(p: int, slope: int, col: int) -> list[Coord]:
-    """Data cells covered by the X-code parity of ``slope`` stored in ``col``.
-
-    Slope -1 parity sits at (p-1, col); slope +1 parity sits at (p, col) and
-    covers the line through the cell (p-1, col) it skips.
-    """
-    cell = coord_table(p)
-    return [cell[r][c] for r, c in enumerate(_xcode_cols(p, slope)[col - 1].tolist(), 1)]
 
 
 # the labelled checks of one slope: (slope, label indexes, (checks x width)
@@ -528,21 +511,6 @@ class Equations:
 # A sweep over p would fill a larger cache with its largest codes (about 0.3
 # MB each at p=101 and r <= 3, 0.4 MB with coords); two cover the code in use.
 _decode_equations = lru_cache(maxsize=2)(Equations)
-
-
-def parity_check_equations(code: Code) -> list[list[Coord]]:
-    """Coordinate sets of stored cells, each XOR-summing to zero.
-
-    Imaginary cells are dropped. Every stored parity block appears in
-    exactly one equation, listed first, together with the cells that define
-    it (a sloped adjuster by its line); in RDP the row-parity checks precede
-    the diagonal ones that read row parity.
-    """
-    eqs, stored = _decode_equations(code), code.rows * code.n
-    lines = {eq[0]: eq[1:] for eq in eqs.labelled if eq[0] >= stored}
-    return [[eqs.coords[c] for c in np.concatenate(
-        [eq[eq < stored], *(lines[v] for v in eq[eq >= stored])]).tolist()]
-        for eq in eqs.labelled if eq[0] < stored]
 
 
 @lru_cache(maxsize=8)

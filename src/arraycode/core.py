@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import NamedTuple
 
 __all__ = [
     "ArraycodeError",
@@ -28,7 +26,6 @@ __all__ = [
     "mod_index",
     "coord_table",
     "parity_group_members",
-    "xor_blocks",
 ]
 
 
@@ -136,19 +133,3 @@ def parity_group_members(p: int, g: ParityGroupId) -> list[Coord]:
     v, i = g.slope, g.index
     cell = coord_table(p)
     return [cell[(i + v * (1 - j) - 1) % p + 1][j] for j in range(1, p + 1)]
-
-
-def xor_blocks(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """XOR-fold equal-length byte blocks. Raises on an empty iterable."""
-    it = iter(blocks)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("xor_blocks needs at least one block") from None
-    out = np.array(first, dtype=np.uint8, copy=True)
-    for b in it:
-        arr = np.asarray(b, dtype=np.uint8)
-        if arr.shape != out.shape:
-            raise ValueError(f"block shape mismatch: {arr.shape} vs {out.shape}")
-        out ^= arr
-    return out

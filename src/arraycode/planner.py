@@ -4,36 +4,35 @@ A plan rebuilds each lost cell from one of the decoder's labelled parity
 checks (``codes._decode_equations``): a group is that check, chosen per lost
 cell by its slope, put to work on the cell. Each ``plan_*`` function is a
 chooser over those choices for one family; :func:`_plan` builds every plan
-from its choices, listing the groups in solve order and the exact
-transmissions that feed them, and checks one rule: a group's members in
-erased columns are targets of earlier groups, and every stored cell of the
-recovered column is some group's target (else :class:`PlanError`). It works
-on the decoder's integer cell indices, the work-buffer rows, and makes the
-public objects' :class:`Coord` s once, at the end. Transmissions are:
+from its choices as a :class:`RepairPlan`, a few arrays over the decoder's
+cell indices (the work-buffer rows): each group's check and target, in solve
+order, and the stored cells shipped raw. What crosses the network:
 
-* ``raw``    one stored block, identified by its coordinate;
-* ``parity`` one stored parity block, identified by its cell and slope;
 * ``sum``    the XOR of a whole parity column, computed by the node that
-  stores it and shipped as a single block.
+  stores it and shipped as a single block;
+* ``parity`` one stored parity block, the head of a group's check;
+* ``raw``    one stored block.
 
 In the evenodd tree every slope-v check names that slope's adjuster (the
 XOR of the index-0 line) as a virtual cell, which a repairing node gets by
 XORing the slope-v and slope-0 column sums; the index-0 check is the
-adjuster line itself. Blocks wanted by several groups are shipped once: the
-transmissions are a set union, which is where the bandwidth savings come
-from. Plans only target data columns; a parity column is decoded whole, at
-naive cost, by the cluster layer.
+adjuster line itself. Blocks wanted by several groups are shipped once,
+which is where the bandwidth savings come from. Plans only target data
+columns; a parity column is decoded whole, at naive cost, by the cluster.
 
-:func:`execute_plan` turns each group into one step over work-buffer rows
-and runs the steps on the decoder's executor (``codes._execute``), reading
-only the shipped blocks, straight from the live columns.
+One rule (:func:`_check`) holds for every plan, when it is built and before
+:func:`execute_plan` reads a byte: a group reads only shipped cells and the
+targets of earlier groups, and the groups rebuild the whole recovered
+column.
+:func:`execute_plan` runs each group as one step on the decoder's executor
+(``codes._execute``), reading only the shipped blocks, from the live columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate, chain, compress, repeat
+from functools import cached_property, partial
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -82,37 +81,79 @@ class GroupUse:
     adjuster_slope: int | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class RepairPlan:
+    """A repair plan: group ``g`` rebuilds the cell ``targets[g]`` from the
+    labelled check ``checks[g]``, a row of the decoder's ``Equations.table``;
+    groups run in order. Transmissions (:attr:`sources`): the sum of each of
+    ``sum_slopes``, the parity block of each group whose check heads with a
+    stored cell other than its target, then the ``raw`` cells, ascending.
+    ``groups`` and ``transmissions`` are views, made on first read.
+    """
+
     code: Code
     erased: tuple[int, ...]
     recover_col: int
-    groups: tuple[GroupUse, ...]
-    transmissions: tuple[Transmission, ...]
+    checks: np.ndarray
+    targets: np.ndarray
+    raw: np.ndarray
+    sum_slopes: tuple[int, ...] = ()
     horizontal_rows: tuple[int, ...] | None = None
     meta: dict = field(default_factory=dict)
 
     @property
     def gamma(self) -> int:
         """Total blocks moved: every transmission costs exactly one block."""
-        return len(self.transmissions)
+        return len(self.sources)
 
     @property
     def x(self) -> int | None:
         return None if self.horizontal_rows is None else len(self.horizontal_rows)
 
-    def raw_cells(self) -> set[Coord]:
-        return {t.coord for t in self.transmissions if t.kind == "raw"}
-
     def parity_block_count(self) -> int:
-        return sum(1 for t in self.transmissions if t.kind == "parity")
+        return int(self._cells()[2].sum())
 
-    def sum_count(self) -> int:
-        return sum(1 for t in self.transmissions if t.kind == "sum")
+    def _cells(self):
+        """The decoder's equations, each group's check (head first, padded
+        with -1) and which groups ship the check's head as a parity block."""
+        eqs = _decode_equations(self.code)
+        cells, stored = eqs.table[self.checks], self.code.rows * self.code.n
+        return eqs, cells, (cells[:, 0] < stored) & (cells[:, 0] != self.targets)
+
+    @property
+    def sources(self) -> np.ndarray:
+        """The column serving each transmission, in transmission order."""
+        _, cells, parity = self._cells()
+        sums = np.array([self.code.parity_col(v) for v in self.sum_slopes], dtype=np.intp)
+        return np.concatenate([sums, np.concatenate([cells[parity, 0], self.raw])
+                               // self.code.rows + 1])
+
+    @cached_property
+    def groups(self) -> tuple[GroupUse, ...]:
+        eqs, cells, parity = self._cells()
+        coords, stored = eqs.coords, self.code.rows * self.code.n
+        return tuple(
+            GroupUse(ParityGroupId(v, i), coords[t], coords[check[0]] if has_parity else None,
+                     tuple(coords[c] for c in check[1:] if 0 <= c < stored and c != t),
+                     v if max(check) >= stored else None)
+            for v, i, t, check, has_parity in zip(
+                eqs.slope[self.checks].tolist(), eqs.index[self.checks].tolist(),
+                self.targets.tolist(), cells.tolist(), parity.tolist()))
+
+    @cached_property
+    def transmissions(self) -> tuple[Transmission, ...]:
+        eqs, cells, parity = self._cells()
+        sums = len(self.sum_slopes)
+        sent = np.concatenate([cells[parity, 0], self.raw]).tolist()
+        return tuple(map(partial(tuple.__new__, Transmission), zip(  # at C speed
+            self.sources.tolist(),
+            chain(repeat("sum", sums), repeat("parity", int(parity.sum())), repeat("raw")),
+            chain(repeat(None, sums), map(eqs.coords.__getitem__, sent)),
+            chain(self.sum_slopes, eqs.slope[self.checks][parity].tolist(), repeat(None)))))
 
 
 # ---------------------------------------------------------------------------
-# groups and transmissions: one decoder check per lost cell
+# building and checking plans: one decoder check per lost cell
 # ---------------------------------------------------------------------------
 
 def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int, int], int]],
@@ -120,69 +161,78 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
     """Rebuild the cell of each ((row, col), slope) choice, in order, from its
     labelled check of that slope; the first erased column is recovered.
 
-    The check's stored head is the group's ``parity_coord`` unless it is the
-    cell, its virtual cell the ``adjuster_slope``, its other stored cells the
-    ``members``. Transmissions: the sums, each group's parity block, then
-    the surviving members in (column, row), that is work-buffer row, order.
+    Each stored cell the checks read outside the erased columns is shipped
+    once: as a parity block if it heads a check, else raw.
     """
     for col in erased:
         if not 1 <= col <= code.info_cols:
             raise ParameterError(f"erased column {col} is not a data column")
     eqs = _decode_equations(code)
-    rows, stored, coords = code.rows, code.rows * code.n, eqs.coords
+    rows, stored = code.rows, code.rows * code.n
     choices = [(r, c, v) for (r, c), v in choices]
     for r, c, v in choices:  # a cell of an erased column, and a slope with checks
         if c not in erased or not 0 < r <= rows or v not in eqs.slopes:
             raise PlanError(f"no slope-{v} check through {Coord(r, c)}")
     row, col, slope = np.fromiter(chain.from_iterable(choices), dtype=np.intp).reshape(-1, 3).T
-    target, order = (col - 1) * rows + row - 1, np.arange(len(row))
-    in_erased = np.bincount(erased, minlength=code.n + 2) > 0  # column -> erased; 0, n+1 never
-    check = _lookup(eqs, in_erased, target, slope)
+    target = (col - 1) * rows + row - 1
+    lost = np.zeros(stored + len(eqs.identities), dtype=bool)
+    lost[_column_rows(code, erased)] = True
+    check = _lookup(eqs, lost, target, slope)
     if (check < 0).any():
         g = int(np.argmax(check < 0))
-        raise PlanError(f"no slope-{slope[g]} check through {coords[target[g]]}")
+        raise PlanError(f"no slope-{slope[g]} check through {eqs.coords[target[g]]}")
     cells = eqs.table[check]
-    head, body = cells[:, 0], cells[:, 1:]
-    parity = (head < stored) & (head != target)
-    member = (body >= 0) & (body < stored) & (body != target[:, None])
-    lost = member & in_erased[body // rows + 1]
-    first = np.full(stored, len(order))  # the first group rebuilding each cell
-    np.minimum.at(first, target, order)
-    late = lost & (first[np.where(lost, body, 0)] >= order[:, None])
-    if late.any():
-        g, m = np.argwhere(late)[0]
-        raise PlanError(f"{coords[target[g]]} needs {coords[body[g, m]]}, "
-                        "which no earlier group rebuilds")
-    if missed := [coords[c] for c in _column_rows(code, erased[:1]) if first[c] == len(order)]:
-        raise PlanError(f"no group rebuilds {missed}")
-    shipped = np.zeros(stored, dtype=bool)
-    shipped[body[member & ~lost]] = True
-    shipped[head[parity]] = False
-    ends = list(accumulate(member.sum(axis=1).tolist()))
-    members = tuple(map(coords.__getitem__, body[member].tolist()))
-    groups = tuple(
-        GroupUse(ParityGroupId(v, i), coords[t], coords[h] if has_parity else None,
-                 members[lo:hi], v if adjusted else None)
-        for v, i, t, h, has_parity, lo, hi, adjusted in zip(
-            slope.tolist(), eqs.index[check].tolist(), target.tolist(), head.tolist(),
-            parity.tolist(), [0, *ends], ends, (cells >= stored).any(axis=1).tolist()))
-    sent = np.concatenate([head[parity], np.flatnonzero(shipped)])
-    tx = [Transmission(code.parity_col(v), "sum", None, v) for v in sum_slopes]
-    tx += map(partial(tuple.__new__, Transmission), zip(  # from plain tuples, at C speed
-        (sent // rows + 1).tolist(), chain(repeat("parity", int(parity.sum())), repeat("raw")),
-        map(coords.__getitem__, sent.tolist()), chain(slope[parity].tolist(), repeat(None))))
-    return RepairPlan(code, erased, erased[0], groups, tuple(tx), **extra)
+    shipped = np.zeros(len(lost), dtype=bool)
+    shipped[cells[(cells >= 0) & (cells < stored) & ~lost[cells]]] = True
+    shipped[cells[:, 0]] = False
+    plan = RepairPlan(code, erased, erased[0], check, target, np.flatnonzero(shipped),
+                      tuple(sum_slopes), **extra)
+    _check(plan)
+    return plan
 
 
-def _lookup(eqs, in_erased: np.ndarray, target: np.ndarray, slope: np.ndarray) -> np.ndarray:
+def _lookup(eqs, lost: np.ndarray, target: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """The row of ``eqs.table`` with the labelled check of each ``slope``
-    through each ``target`` (a cell of an erased column), or -1."""
-    rows, stored = eqs.code.rows, eqs.code.rows * eqs.code.n
+    through each ``target`` (a ``lost`` cell), or -1."""
+    stored = eqs.code.rows * eqs.code.n
     lo = min(eqs.slopes)
     on = np.full((max(eqs.slopes) - lo + 1) * stored, -1)  # per slope: buffer row -> check
-    check, k = np.nonzero(in_erased[eqs.table // rows + 1] & (eqs.table < stored))
+    check, k = np.nonzero(lost[eqs.table] & (eqs.table >= 0))
     on[(eqs.slope[check] - lo) * stored + eqs.table[check, k]] = check
     return on[(slope - lo) * stored + target]
+
+
+def _check(plan: RepairPlan) -> tuple:
+    """Raise :class:`PlanError` unless ``plan`` can run: no transmission
+    comes from an erased column, the sums of every adjuster a check names
+    are shipped, each cell a group reads besides its target is shipped or
+    rebuilt by an earlier group, and every stored cell of the recovered
+    column is a target. Returns the equations, each group's check, the mask
+    of the cells each group reads and the slopes of the adjusters."""
+    code, targets, rows = plan.code, plan.targets, plan.code.rows
+    stored = rows * code.n
+    eqs, cells, parity = plan._cells()
+    known = np.zeros(stored + len(eqs.identities), dtype=bool)  # shipped, then virtual
+    known[plan.raw] = known[cells[parity, 0]] = True
+    sums = {code.parity_col(v) for v in plan.sum_slopes}
+    if bad := [c for c in plan.erased if c in sums or known[(c - 1) * rows:c * rows].any()]:
+        raise PlanError(f"transmission sourced from erased column {bad[0]}")
+    adjusters = sorted({code.slopes[c - stored + 1] for c in cells[cells >= stored].tolist()})
+    if missing := [v for v in adjusters if not {0, v} <= set(plan.sum_slopes)]:
+        raise PlanError(f"adjuster for slope {missing[0]} not shipped")
+    known[stored:] = True  # the adjusters, from the sums
+    order = np.arange(len(targets))
+    first = np.full(len(known), len(targets))  # the first group rebuilding each cell
+    np.minimum.at(first, targets, order)
+    read = (cells >= 0) & (cells != targets[:, None])
+    if (late := read & ~known[cells] & (first[cells] >= order[:, None])).any():
+        g, m = np.argwhere(late)[0]
+        raise PlanError(f"{eqs.coords[targets[g]]} needs {eqs.coords[cells[g, m]]}, "
+                        "neither shipped nor rebuilt by an earlier group")
+    col = plan.recover_col
+    if len(missed := np.flatnonzero(first[(col - 1) * rows:col * rows] == len(targets))):
+        raise PlanError(f"no group rebuilds rows {(missed + 1).tolist()} of column {col}")
+    return eqs, cells, read, adjusters
 
 
 def _ordered_rows(p: int, erased_col: int) -> list[int]:
@@ -276,12 +326,7 @@ def plan_xcode_single(code: Code, col: int) -> RepairPlan:
 def _star_schedule(p: int) -> list[tuple[int, int]]:
     """(slope, multiple-of-x) entries; the group of entry (v, m) meets the
     first erased column in row <m*x> and the second in row <(m-v)*x>."""
-    out = []
-    for t in range(1, (p - 1) // 2 + 1):
-        out.append((-1, 2 * (t - 1)))
-        out.append((0, 2 * t - 1))
-        out.append((1, 2 * t))
-    return out
+    return [(v, 2 * t - 1 + v) for t in range(1, (p - 1) // 2 + 1) for v in (-1, 0, 1)]
 
 
 def plan_star_double(code: Code, erased: tuple[int, int]) -> RepairPlan:
@@ -304,8 +349,8 @@ def plan_star_double(code: Code, erased: tuple[int, int]) -> RepairPlan:
                 else (mod_index(m * x, p), c), v)
                for v, m in _star_schedule(p)]
     plan = _plan(code, (c, other), choices, sum_slopes=(0, 1, -1))
-    savings = (p - 1) * (p - 2) - sum(t.kind == "raw" for t in plan.transmissions)
-    plan.meta.update(x=x, savings=savings, parity_values=len(plan.groups))
+    plan.meta.update(x=x, savings=(p - 1) * (p - 2) - len(plan.raw),
+                     parity_values=len(plan.targets))
     return plan
 
 
@@ -313,73 +358,27 @@ def plan_star_double(code: Code, erased: tuple[int, int]) -> RepairPlan:
 # execution
 # ---------------------------------------------------------------------------
 
-def execute_plan(plan: RepairPlan, source) -> dict[Coord, np.ndarray]:
-    """Run a plan against surviving data and return the recovered cells.
+def execute_plan(plan: RepairPlan, source) -> dict[int, np.ndarray]:
+    """Run a plan against surviving data: ``{column: (rows, block) array}``
+    for each column holding a target. The recovered column is whole; in any
+    other, only the targets' rows are defined.
 
     ``source`` is a :class:`CodeGrid` or anything else with ``column(c)``
     and ``block_size``, such as a simulated cluster. Each group becomes one
-    step over work-buffer rows, target <- (adjuster, parity cell, members),
-    each adjuster the decoder's column identity, and the steps run on the
-    decoder's executor, reading only the shipped blocks. Before any byte is
-    read, a transmission from an erased column, an adjuster whose sums were
-    not shipped, or a member neither shipped nor rebuilt by an earlier group
-    (the plan is rank deficient) raises :class:`PlanError`.
+    step over work-buffer rows, target <- the other cells of its check, each
+    adjuster the decoder's column identity, and the steps run on the
+    decoder's executor. A plan that breaks the rule of :func:`_check`
+    raises :class:`PlanError` before any byte is read.
     """
-    code, groups = plan.code, plan.groups
-    rows, stored = code.rows, code.rows * code.n
-    source_of, kind, coord, slope = list(zip(*plan.transmissions)) or [()] * 4
-    if not set(plan.erased).isdisjoint(source_of):
-        raise PlanError("transmission sourced from erased column "
-                        f"{next(c for c in source_of if c in plan.erased)}")
-    sums = set(compress(slope, map("sum".__eq__, kind)))
-    identities = _decode_equations(code).identities
-    steps = []
-    for v in sorted({g.adjuster_slope for g in groups} - {None}):
-        if not {0, v} <= sums:
-            raise PlanError(f"adjuster for slope {v} not shipped")
-        steps.append((int(identities[v][0]), identities[v][1:]))
-    sent = list(filter(None, coord))  # every kind but the sums has a coord
-    srcs = [g.members if g.parity_coord is None else (g.parity_coord, *g.members) for g in groups]
-    cells = _rows(rows, chain(sent, (g.target for g in groups), chain.from_iterable(srcs)))
-    shipped = np.zeros(stored, dtype=bool)
-    shipped[cells[:len(sent)]] = True
-    target, cells = cells[len(sent):len(sent) + len(groups)], cells[len(sent) + len(groups):]
-    sizes = [len(s) for s in srcs]
-    first = np.full(stored, len(groups))  # the first group rebuilding each cell
-    np.minimum.at(first, target, np.arange(len(groups)))
-    known = shipped[cells] | (first[cells] < np.repeat(np.arange(len(groups)), sizes))
-    if not known.all():
-        c = int(cells[np.argmin(known)])
-        raise PlanError(f"member {Coord(c % rows + 1, c // rows + 1)} "
-                        "neither shipped nor recovered yet")
-    ends = list(accumulate(sizes))
-    for g, t, lo, hi in zip(groups, target.tolist(), [0, *ends], ends):
-        sources = cells[lo:hi]
-        if g.adjuster_slope is not None:
-            sources = np.concatenate([identities[g.adjuster_slope][:1], sources])
-        steps.append((t, sources))
-    columns = {c: np.empty((rows, source.block_size), dtype=np.uint8)
-               for c in {g.target.col for g in groups}}
+    code, targets = plan.code, plan.targets
+    eqs, cells, read, adjusters = _check(plan)
+    steps = [(int(eqs.identities[v][0]), eqs.identities[v][1:]) for v in adjusters]
+    sources, ends = cells[read], np.cumsum(read.sum(axis=1)).tolist()
+    steps += [(t, sources[lo:hi]) for t, lo, hi in zip(targets.tolist(), [0, *ends], ends)]
+    columns = {c: np.empty((code.rows, source.block_size), dtype=np.uint8)
+               for c in set((targets // code.rows + 1).tolist())}
     _execute(XorSchedule(code, tuple(steps), len(steps)), source, columns)
-    return {g.target: columns[g.target.col][g.target.row - 1] for g in groups}
-
-
-def _rows(rows: int, coords: Iterable[Coord]) -> np.ndarray:
-    """Work-buffer rows of stored cells (:func:`codes._cell_index`)."""
-    cells = np.fromiter(chain.from_iterable(coords), dtype=np.intp).reshape(-1, 2)
-    return (cells[:, 1] - 1) * rows + cells[:, 0] - 1
-
-
-def recovered_column(plan: RepairPlan, recovered: dict[Coord, np.ndarray],
-                     block_size: int) -> np.ndarray:
-    code = plan.code
-    out = np.zeros((code.rows, block_size), dtype=np.uint8)
-    for r in range(1, code.rows + 1):
-        cell = Coord(r, plan.recover_col)
-        if cell not in recovered:
-            raise PlanError(f"plan did not recover {cell}")
-        out[r - 1] = recovered[cell]
-    return out
+    return columns
 
 
 def plan_to_json(plan: RepairPlan) -> dict:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .codes import Code, CodeGrid, encode, mds_decode, random_info
 from .core import ParameterError, PlanError, UnrecoverableError
-from .planner import RepairPlan, execute_plan, recovered_column
+from .planner import RepairPlan, execute_plan
 
 __all__ = [
     "Node",
@@ -155,13 +155,15 @@ class RepairResult:
 
 
 def _paper_plan(cluster: Cluster, target: int) -> RepairPlan | None:
-    """The family's plan for ``target`` when every dead node holds data."""
+    """The family's plan for ``target`` when every dead node holds data
+    and serves none of the plan's blocks."""
     code = cluster.code
     dead = cluster.dead_ids()
     data_cols = set(code.systematic_cols())
     if target not in data_cols or not set(dead) <= data_cols:
         return None
-    return code.spec.plan(code, (target, *(d for d in dead if d != target)))
+    plan = code.spec.plan(code, (target, *(d for d in dead if d != target)))
+    return None if plan is None or (plan.sources[:, None] == dead).any() else plan
 
 
 def run_repair(cluster: Cluster, target: int, strategy: str = "paper") -> RepairResult:
@@ -173,15 +175,11 @@ def run_repair(cluster: Cluster, target: int, strategy: str = "paper") -> Repair
     ledger = TransferLedger(cluster.next_session(), cluster.block_size)
     plan = _paper_plan(cluster, target) if strategy == "paper" else None
     if plan is not None:
-        dead = set(cluster.dead_ids())
-        if any(t.source in dead for t in plan.transmissions):
-            plan = None  # a helper the plan relies on is gone
-    if plan is not None:
         used = "paper"
-        for t in plan.transmissions:
-            ledger.record(t.source)
-        recovered = execute_plan(plan, cluster)
-        column = recovered_column(plan, recovered, cluster.block_size)
+        nodes, blocks = np.unique(plan.sources, return_counts=True)
+        for nid, nb in zip(nodes.tolist(), blocks.tolist()):
+            ledger.record(nid, nb)
+        column = execute_plan(plan, cluster)[plan.recover_col]
     else:
         used = "naive"
         column = _naive_rebuild(cluster, target, ledger)
@@ -230,7 +228,7 @@ def session_report(cluster: Cluster, failed, strategy: str,
         "repairs": [
             {"target": r.target, "strategy_used": r.strategy_used,
              "gamma_blocks": r.ledger.total_blocks,
-             "groups": None if r.plan is None else len(r.plan.groups),
+             "groups": None if r.plan is None else len(r.plan.targets),
              "parity_blocks": None if r.plan is None
              else r.plan.parity_block_count()}
             for r in results],

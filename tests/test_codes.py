@@ -16,7 +16,6 @@ from arraycode import (
     codes,
     encode,
     mds_decode,
-    parity_check_equations,
     random_info,
     simnet,
 )
@@ -130,6 +129,27 @@ def test_encode_shape_validation():
         encode(code, np.zeros((4, 5), dtype=np.uint8))
 
 
+def xcode_line(p, slope, col):
+    """Data cells covered by the X-code parity of ``slope`` stored in
+    ``col``, from the family definition (Xu and Bruck, 0-based indexes):
+    the slope -1 parity of column i, in row p-2, covers a[k, <i+k+2>] and
+    the slope +1 parity, in row p-1, covers a[k, <i-k-2>], for the data
+    rows k = 0..p-3."""
+    step = 1 if slope == -1 else -1
+    return [Coord(k + 1, (col - 1 + step * (k + 2)) % p + 1) for k in range(p - 2)]
+
+
+def parity_check_equations(code):
+    """Coordinate sets of stored cells, each XOR-summing to zero: every
+    stored parity block once, listed first, with the cells that define it,
+    a sloped adjuster expanded into its line."""
+    eqs, stored = codes._decode_equations(code), code.rows * code.n
+    lines = {eq[0]: eq[1:] for eq in eqs.labelled if eq[0] >= stored}
+    return [[eqs.coords[c] for c in np.concatenate(
+        [eq[eq < stored], *(lines[v] for v in eq[eq >= stored])]).tolist()]
+        for eq in eqs.labelled if eq[0] < stored]
+
+
 def _label_agrees(code, gid, cells):
     """Does a check list the cells of the line its label names, its parity
     cell (or, for an adjuster line, its virtual cell) first?"""
@@ -137,7 +157,7 @@ def _label_agrees(code, gid, cells):
     stored = {c for c in cells[1:] if c.row}
     if code.family == "xcode":
         head = Coord(p - 1 if gid.slope == -1 else p, gid.index)
-        return cells[0] == head and stored == set(codes.xcode_line(p, gid.slope, gid.index))
+        return cells[0] == head and stored == set(xcode_line(p, gid.slope, gid.index))
     if code.family == "rdp" and gid.slope == 0:
         return cells[0] == Coord(gid.index, p) and stored == {
             Coord(gid.index, j) for j in range(1, p)}
@@ -296,7 +316,7 @@ def test_encode_schedule_shape(p):
         schedule = codes._encode_schedule(code)
         rows, cols = code.info_shape
         stored = code.rows * code.n
-        info = {codes._cell_index(code.rows, Coord(r, c)) for r in range(1, rows + 1)
+        info = {(c - 1) * code.rows + r - 1 for r in range(1, rows + 1)
                 for c in range(1, cols + 1)}
         targets = [t for t, _ in schedule.steps]
         assert sorted(t for t in targets if t < stored) == \
@@ -432,7 +452,7 @@ def _survivor_sums(code, pattern, schedule):
 
     def of(c):
         if c.row and c.col not in pattern:
-            return 1 << codes._cell_index(code.rows, c)
+            return 1 << (c.col - 1) * code.rows + c.row - 1
         return sums[c]
 
     for target, sources in schedule.items():

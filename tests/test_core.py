@@ -1,13 +1,9 @@
-import numpy as np
-import pytest
-
 from arraycode.core import (
     Coord,
     ParityGroupId,
     is_prime,
     mod_index,
     parity_group_members,
-    xor_blocks,
 )
 
 
@@ -34,25 +30,6 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert not is_prime(1)
     assert not is_prime(0)
-
-
-def test_xor_blocks_axioms():
-    """XOR over 1-byte blocks: identity, self-inverse, commutative."""
-    z = np.zeros(1, dtype=np.uint8)
-    for a in range(256):
-        av = np.array([a], dtype=np.uint8)
-        assert xor_blocks([av, z])[0] == a
-        assert xor_blocks([av, av])[0] == 0
-        for b in (0, 1, 37, 255):
-            bv = np.array([b], dtype=np.uint8)
-            assert xor_blocks([av, bv])[0] == xor_blocks([bv, av])[0] == a ^ b
-
-
-def test_xor_blocks_errors():
-    with pytest.raises(ValueError):
-        xor_blocks([])
-    with pytest.raises(ValueError):
-        xor_blocks([np.zeros(2, dtype=np.uint8), np.zeros(3, dtype=np.uint8)])
 
 
 def test_group_members_frozen():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arraycode import Code, codes, encode, random_info, simnet, xor_blocks
+from arraycode import Code, codes, encode, planner, random_info, simnet
+from arraycode.analysis import bandwidth_sweep
 from arraycode.analysis import (
     default_partition,
     evenodd_bandwidth,
@@ -27,8 +29,8 @@ from arraycode.planner import (
     plan_star_double,
     plan_to_json,
     plan_xcode_single,
-    recovered_column,
 )
+from arraycode.cli import main
 
 RNG = np.random.default_rng(2024)
 
@@ -37,14 +39,22 @@ def run_and_verify(code, plan, block_size=4):
     """Execute against a fresh random encode; every recovered cell must
     match the ground truth."""
     grid = encode(code, random_info(code, block_size, RNG))
-    recovered = execute_plan(plan, grid)
-    for coord, value in recovered.items():
-        assert np.array_equal(value, grid.cell(coord)), coord
-    column = recovered_column(plan, recovered, block_size)
+    columns = execute_plan(plan, grid)
+    for g in plan.groups:
+        assert np.array_equal(columns[g.target.col][g.target.row - 1], grid.cell(g.target)), g
+    column = columns[plan.recover_col]
     for row in range(1, code.rows + 1):
         assert np.array_equal(column[row - 1],
                               grid.cell(Coord(row, plan.recover_col)))
     return plan.gamma
+
+
+def _count(plan, kind):
+    return sum(t.kind == kind for t in plan.transmissions)
+
+
+def _raw_cells(plan):
+    return {t.coord for t in plan.transmissions if t.kind == "raw"}
 
 
 # -- evenodd ----------------------------------------------------------------
@@ -53,9 +63,9 @@ def test_evenodd_worked_example():
     """p=5, column 1, two flat groups: 16 blocks, four of them shared."""
     plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
     assert plan.gamma == 16
-    assert plan.sum_count() == 2
+    assert _count(plan, "sum") == 2
     assert plan.parity_block_count() == 4
-    assert len(plan.raw_cells()) == 10
+    assert len(_raw_cells(plan)) == 10
     flat = [g for g in plan.groups if g.group.slope == 0]
     sloped = [g for g in plan.groups if g.group.slope == 1]
     shared = ({m for g in flat for m in g.members}
@@ -130,7 +140,7 @@ def test_rdp_shares_through_row_parity_cell():
 
 
 def test_rdp_no_sums():
-    assert plan_rdp_single(Code.rdp(7), 3).sum_count() == 0
+    assert _count(plan_rdp_single(Code.rdp(7), 3), "sum") == 0
 
 
 # -- xcode ------------------------------------------------------------------
@@ -170,7 +180,7 @@ def test_extended_execution_and_union_count(p, r):
         gamma = run_and_verify(code, plan, 2)
         if erased == 1:
             assert gamma == exact_union_bandwidth(p, r)
-    assert plan_extended_single(code, 1).sum_count() == r
+    assert _count(plan_extended_single(code, 1), "sum") == r
 
 
 def test_extended_two_slopes_matches_flat_split():
@@ -208,9 +218,9 @@ def test_star_frozen_pair():
         (-1, 0), (0, 1), (1, 2), (-1, 2), (0, 3), (1, 4)}
     assert plan.meta["parity_values"] == 6
     assert plan.meta["savings"] == 2
-    assert plan.sum_count() == 3
+    assert _count(plan, "sum") == 3
     unsent = ({Coord(r, c) for r in range(1, 5) for c in range(3, 6)}
-              - plan.raw_cells())
+              - _raw_cells(plan))
     assert unsent == {Coord(2, 4), Coord(2, 5)}
 
 
@@ -272,10 +282,17 @@ def test_plan_refuses_choices_missing_a_row():
 
 def test_execute_flags_missing_transmission():
     plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
-    raws = [t for t in plan.transmissions if t.kind == "raw"]
-    broken = dataclasses.replace(
-        plan, transmissions=tuple(t for t in plan.transmissions
-                                  if t != raws[-1]))
+    broken = dataclasses.replace(plan, raw=plan.raw[:-1])
+    code = Code.evenodd(5)
+    grid = encode(code, random_info(code, 2, RNG))
+    with pytest.raises(PlanError):
+        execute_plan(broken, grid)
+
+
+def test_execute_flags_dropped_group():
+    """A plan whose last group is gone leaves a row of its column unbuilt."""
+    plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
+    broken = dataclasses.replace(plan, checks=plan.checks[:-1], targets=plan.targets[:-1])
     code = Code.evenodd(5)
     grid = encode(code, random_info(code, 2, RNG))
     with pytest.raises(PlanError):
@@ -333,8 +350,8 @@ def test_execute_on_cluster_refuses_dead_node():
 
 
 def _reference_execute(plan, grid):
-    """Per-group fold of the shipped blocks with ``xor_blocks``, written
-    without the compiled executor."""
+    """Per-group fold of the shipped blocks, written without the compiled
+    executor."""
     store, sums = {}, {}
     for t in plan.transmissions:
         if t.kind == "sum":
@@ -350,7 +367,7 @@ def _reference_execute(plan, grid):
         if g.adjuster_slope is not None:
             parts.append(adjusters[g.adjuster_slope])
         parts += [store[m] if m in store else recovered[m] for m in g.members]
-        recovered[g.target] = xor_blocks(parts)
+        recovered[g.target] = functools.reduce(np.bitwise_xor, parts)
     return recovered
 
 
@@ -376,9 +393,10 @@ def test_execute_matches_reference_fold(p, block, seed):
             grids[code] = encode(code, random_info(code, block, rng))
         got = execute_plan(plan, grids[code])
         want = _reference_execute(plan, grids[code])
-        assert got.keys() == want.keys()
+        assert got.keys() == {coord.col for coord in want}
         for coord, value in want.items():
-            assert np.array_equal(got[coord], value), (code, plan.erased, coord)
+            assert np.array_equal(got[coord.col][coord.row - 1], value), \
+                (code, plan.erased, coord)
 
 
 def test_plans_and_peeling_never_hash_or_compare_coords(monkeypatch):
@@ -403,3 +421,28 @@ def test_plans_and_peeling_never_hash_or_compare_coords(monkeypatch):
         encode(code, random_info(code, 1, RNG))
         for pattern in itertools.combinations(range(1, code.n + 1), code.n - code.k):
             codes.decode_recipe(code, pattern, wanted=pattern[:1])
+
+
+def test_sweeps_and_sessions_build_no_plan_objects(monkeypatch, tmp_path):
+    """``analyze``, the star-validate oracle and a ``repair --report``
+    session count from the plan's arrays: none of them makes a
+    ``GroupUse`` or a ``Transmission``."""
+    data = tmp_path / "in.bin"
+    data.write_bytes(bytes(range(256)))
+    box = tmp_path / "c.aerc"
+    assert main(["encode", str(data), str(box), "--family", "star", "--p", "7"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plan object was made")
+
+    monkeypatch.setattr(planner, "GroupUse", refuse)
+    monkeypatch.setattr(planner, "Transmission", refuse)
+    primes = [q for q in range(5, 32) if all(q % d for d in range(2, q))]
+    for family in FAMILIES:
+        assert all(rep.gamma for rep in bandwidth_sweep(family, primes, r=3))
+    assert main(["oracle", "--mode", "star-validate", "--p", "13"]) == 0
+    for fail in ("2,5", "3"):
+        report = tmp_path / f"report-{fail}.json"
+        assert main(["repair", str(box), "--fail", fail, "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["verified"] and {r["strategy_used"] for r in doc["repairs"]} == {"paper"}

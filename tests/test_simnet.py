@@ -1,7 +1,11 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from arraycode import Code, encode, random_info, simnet
+from arraycode.codes import FAMILIES
 from arraycode.core import ParameterError, UnrecoverableError
 
 
@@ -208,3 +212,21 @@ def test_insufficient_survivors():
         cluster.node(nid).column = None
     with pytest.raises(UnrecoverableError):
         simnet.run_repair(cluster, 1, "naive")
+
+
+def test_ledger_counts_each_transmission_at_its_source():
+    """The per-node blocks of a paper repair are its plan's transmissions
+    counted by source: every family's single-column plans at p = 5 and 7
+    and every STAR pair at p = 7."""
+    rng = np.random.default_rng(5)
+    runs = [(code, (c,)) for family in FAMILIES for p in (5, 7)
+            for code in [Code.make(family, p)] for c in code.systematic_cols()]
+    star = Code.star(7)
+    runs += [(star, pair) for pair in itertools.permutations(star.systematic_cols(), 2)]
+    for code, erased in runs:
+        cluster = simnet.cluster_from_grid(encode(code, random_info(code, 1, rng)))
+        simnet.fail_nodes(cluster, erased)
+        result = simnet.run_repair(cluster, erased[0])
+        assert result.strategy_used == "paper" and result.verified, (code, erased)
+        want = Counter(t.source for t in result.plan.transmissions)
+        assert result.ledger.blocks == dict(want), (code, erased)
