@@ -28,9 +28,9 @@ logical ``(rows, n, block)`` view of such a buffer).
 The work-buffer row is the one cell identity inside this module and the
 planner. The stored cell ``(r, c)`` is row ``(c-1)*rows + r-1``; in the
 evenodd tree each sloped adjuster is a virtual cell, row ``rows*n + slot``,
-after the stored ones. Every parity check is an
-array of such rows, built by line arithmetic over whole arrays, and the
-decoder, the encoder and the planner peel, plan and compile over them.
+after the stored ones. Every parity check is an array of such rows, built by
+line arithmetic over whole arrays, and the decoder, the encoder and the
+planner peel, plan and compile over them.
 :class:`Coord` s are made only for public fields, through one row ->
 ``Coord`` table (``Coord(0, parity column)`` for a virtual cell).
 

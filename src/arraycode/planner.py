@@ -23,9 +23,9 @@ columns; a parity column is decoded whole, at naive cost, by the cluster.
 One rule (:func:`_check`) holds for every plan, when it is built and before
 :func:`execute_plan` reads a byte: a group reads only shipped cells and the
 targets of earlier groups, and the groups rebuild the whole recovered
-column.
-:func:`execute_plan` runs each group as one step on the decoder's executor
-(``codes._execute``), reading only the shipped blocks, from the live columns.
+column. :func:`execute_plan` runs each group as one step on the decoder's
+executor (``codes._execute``), reading only the shipped blocks, from the
+live columns.
 """
 
 from __future__ import annotations
@@ -373,8 +373,8 @@ def execute_plan(plan: RepairPlan, source) -> dict[int, np.ndarray]:
     code, targets = plan.code, plan.targets
     eqs, cells, read, adjusters = _check(plan)
     steps = [(int(eqs.identities[v][0]), eqs.identities[v][1:]) for v in adjusters]
-    sources, ends = cells[read], np.cumsum(read.sum(axis=1)).tolist()
-    steps += [(t, sources[lo:hi]) for t, lo, hi in zip(targets.tolist(), [0, *ends], ends)]
+    flat, ends = cells[read], np.cumsum(read.sum(axis=1)).tolist()
+    steps += [(t, flat[lo:hi]) for t, lo, hi in zip(targets.tolist(), [0, *ends], ends)]
     columns = {c: np.empty((code.rows, source.block_size), dtype=np.uint8)
                for c in set((targets // code.rows + 1).tolist())}
     _execute(XorSchedule(code, tuple(steps), len(steps)), source, columns)

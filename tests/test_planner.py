@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arraycode import Code, codes, encode, planner, random_info, simnet
-from arraycode.analysis import bandwidth_sweep
 from arraycode.analysis import (
+    bandwidth_sweep,
     default_partition,
     evenodd_bandwidth,
     exact_union_bandwidth,
@@ -18,6 +18,7 @@ from arraycode.analysis import (
     star_symmetry_saving,
     xcode_bandwidth_bound,
 )
+from arraycode.cli import main
 from arraycode.codes import FAMILIES
 from arraycode.core import Coord, ParameterError, ParityGroupId, PlanError
 from arraycode.planner import (
@@ -30,7 +31,6 @@ from arraycode.planner import (
     plan_to_json,
     plan_xcode_single,
 )
-from arraycode.cli import main
 
 RNG = np.random.default_rng(2024)
 
@@ -426,7 +426,7 @@ def test_plans_and_peeling_never_hash_or_compare_coords(monkeypatch):
 def test_sweeps_and_sessions_build_no_plan_objects(monkeypatch, tmp_path):
     """``analyze``, the star-validate oracle and a ``repair --report``
     session count from the plan's arrays: none of them makes a
-    ``GroupUse`` or a ``Transmission``."""
+    ``GroupUse``, a ``Transmission`` or a ``Coord``."""
     data = tmp_path / "in.bin"
     data.write_bytes(bytes(range(256)))
     box = tmp_path / "c.aerc"
@@ -437,6 +437,8 @@ def test_sweeps_and_sessions_build_no_plan_objects(monkeypatch, tmp_path):
 
     monkeypatch.setattr(planner, "GroupUse", refuse)
     monkeypatch.setattr(planner, "Transmission", refuse)
+    monkeypatch.setattr(Coord, "__new__", refuse)
+    monkeypatch.setattr(codes, "coord_table", refuse)
     primes = [q for q in range(5, 32) if all(q % d for d in range(2, q))]
     for family in FAMILIES:
         assert all(rep.gamma for rep in bandwidth_sweep(family, primes, r=3))
