@@ -38,7 +38,6 @@ __all__ = [
     "exact_union_bandwidth",
     "transfer_inequality_holds",
     "brute_force_min_single",
-    "closed_form_bound",
     "BandwidthReport",
     "bandwidth_sweep",
     "write_report_csv",
@@ -293,12 +292,6 @@ class BandwidthReport:
 
 _CSV_HEADER = ["family", "p", "r", "erased", "gamma_blocks", "bound_blocks",
                "naive_blocks", "ratio", "cutset_blocks"]
-
-
-def closed_form_bound(family: str, p: int, r: int) -> int:
-    """The family's closed-form bandwidth (exact where one exists, an
-    upper bound for xcode and the r-parity inclusion-exclusion value)."""
-    return family_spec(family).closed_form(p, r)
 
 
 def bandwidth_sweep(family: str, primes: Iterable[int], r: int = 3) -> list[BandwidthReport]:

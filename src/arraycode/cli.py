@@ -156,17 +156,12 @@ def _cmd_repair(args) -> int:
 
 
 def _parse_p_range(text: str) -> list[int]:
-    if ":" in text:
-        lo_s, _, hi_s = text.partition(":")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ParameterError(f"bad prime range {text!r}") from None
-    else:
-        try:
-            lo = hi = int(text)
-        except ValueError:
-            raise ParameterError(f"bad prime range {text!r}") from None
+    lo_s, sep, hi_s = text.partition(":")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise ParameterError(f"bad prime range {text!r}") from None
     primes = [p for p in range(lo, hi + 1) if is_prime(p) and p >= 3]
     if not primes:
         raise ParameterError(f"no odd primes in range {text!r}")

@@ -31,8 +31,7 @@ evenodd tree each sloped adjuster is a virtual cell, row ``rows*n + slot``,
 after the stored ones. Every parity check is an array of such rows, built by
 line arithmetic over whole arrays, and the decoder, the encoder and the
 planner peel, plan and compile over them.
-:class:`Coord` s are made only for public fields, through one row ->
-``Coord`` table (``Coord(0, parity column)`` for a virtual cell).
+:class:`Coord` s are made only at the public edge, by :func:`_coords`.
 
 Encoding, decoding and plan execution share one executor: each step of an
 ordered ``(target, sources)`` XOR schedule over the work buffer gathers its
@@ -61,7 +60,6 @@ from __future__ import annotations
 from collections import UserDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,7 +69,6 @@ from .core import (
     CorruptionError,
     ParameterError,
     UnrecoverableError,
-    coord_table,
     is_prime,
 )
 
@@ -410,11 +407,10 @@ class XorSchedule(UserDict):
     of ``code``, then ``slots`` rows, its virtual cells and a scratch row per
     verification check. The first ``solves`` steps compute cells from given
     cells or earlier targets; the rest XOR each check into its scratch row.
+    ``eliminated`` holds the solved cells peeling could not reach, solved by
+    GF(2) elimination.
 
-    As a mapping, a schedule is its recipe cell -> cells in :class:`Coord` s,
-    made on first use, as are ``eliminated`` (the cells peeling could not
-    reach, solved by GF(2) elimination) and ``checks`` (each a tuple of
-    cells XOR-summing to zero).
+    As a mapping, a schedule is its recipe: target row -> source rows.
     """
 
     def __init__(self, code: Code, steps: tuple, solves: int, eliminated: tuple[int, ...] = ()):
@@ -422,23 +418,11 @@ class XorSchedule(UserDict):
         self.steps = steps
         self.solves = solves
         self.slots = len(code.slopes[1:]) + len(steps) - solves  # virtual cells, scratch rows
-        self.eliminated_rows = eliminated
-
-    def _coords(self, rows) -> tuple[Coord, ...]:
-        return tuple(map(_decode_equations(self.code).coords.__getitem__, rows))
+        self.eliminated = eliminated
 
     @cached_property
-    def data(self) -> dict[Coord, tuple[Coord, ...]]:  # the mapping's contents
-        targets = self._coords(t for t, _ in self.steps[:self.solves])
-        return dict(zip(targets, (self._coords(s.tolist()) for _, s in self.steps)))
-
-    @property
-    def eliminated(self) -> tuple[Coord, ...]:
-        return self._coords(self.eliminated_rows)
-
-    @property
-    def checks(self) -> tuple[tuple[Coord, ...], ...]:
-        return tuple(self._coords(s.tolist()) for _, s in self.steps[self.solves:])
+    def data(self) -> dict[int, np.ndarray]:  # the mapping's contents
+        return dict(self.steps[:self.solves])
 
     def pruned(self, keep) -> "XorSchedule":
         """The solve steps that the buffer rows ``keep`` or the checks depend
@@ -454,7 +438,7 @@ class XorSchedule(UserDict):
                 needed.update(sources.tolist())
                 kept.append((target, sources))
         return XorSchedule(self.code, (*reversed(kept), *self.steps[self.solves:]), len(kept),
-                           tuple(c for c in self.eliminated_rows if c in needed))
+                           tuple(c for c in self.eliminated if c in needed))
 
     @cached_property
     def reads(self) -> tuple:
@@ -465,13 +449,14 @@ class XorSchedule(UserDict):
         read = np.zeros(rows * n + self.slots, dtype=bool)
         read[np.concatenate([s for _, s in self.steps])] = True
         read[[t for t, _ in self.steps]] = False
+        cols, col_rows = np.nonzero(read[:rows * n].reshape(n, rows))
+        ends = np.cumsum(np.bincount(cols, minlength=n)).tolist()
         out = []
-        for c in range(n):
-            col = np.flatnonzero(read[c * rows:(c + 1) * rows])
-            if len(col) == rows:  # a whole column: slices copy without a temporary
+        for c, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            if hi - lo == rows:  # a whole column: slices copy without a temporary
                 out.append((c + 1, slice(c * rows, (c + 1) * rows), slice(None)))
-            elif len(col):
-                out.append((c + 1, c * rows + col, col))
+            elif hi > lo:
+                out.append((c + 1, c * rows + col_rows[lo:hi], col_rows[lo:hi]))
         return tuple(out)
 
 
@@ -485,8 +470,7 @@ class Equations:
     by its adjuster line, labelled ``(v, 0)``, and by ``identities[v]``,
     ``s = (XOR of the slope-0 parity column) XOR (XOR of the slope-v parity
     column)`` (p-1 is even), so every two-column erasure peels. ``labelled``
-    and ``checks`` (then the identities) list each check's cells; ``coords``
-    maps rows to Coords.
+    and ``checks`` (then the identities) list each check's cells.
     """
 
     def __init__(self, code: Code):
@@ -501,15 +485,19 @@ class Equations:
         self.labelled = [row[:-1] if pad else row for row, pad in zip(self.table, padded)]
         self.checks = self.labelled + list(self.identities.values())
 
-    @cached_property
-    def coords(self) -> tuple[Coord, ...]:
-        code, cell = self.code, coord_table(self.code.p)
-        stored = chain.from_iterable(list(zip(*cell[1:code.rows + 1]))[1:code.n + 1])
-        return (*stored, *(cell[0][code.parity_col(v)] for v in self.identities))
+
+def _coords(code: Code, rows) -> list[Coord]:
+    """The :class:`Coord` of each work-buffer row: ``Coord(r, c)`` for the
+    stored cell ``(r, c)``, ``Coord(0, parity column)`` for the virtual
+    adjuster cell of that column's slope."""
+    stored = code.rows * code.n
+    return [Coord(r % code.rows + 1, r // code.rows + 1) if r < stored
+            else Coord(0, code.p + 2 + r - stored)  # slot s: slope code.slopes[s + 1]
+            for r in np.asarray(rows).tolist()]
 
 
 # A sweep over p would fill a larger cache with its largest codes (about 0.3
-# MB each at p=101 and r <= 3, 0.4 MB with coords); two cover the code in use.
+# MB each at p=101 and r <= 3); two cover the code in use.
 _decode_equations = lru_cache(maxsize=2)(Equations)
 
 

@@ -94,23 +94,24 @@ def mod_index(x: int, p: int) -> int:
     return (x - 1) % p + 1
 
 
-_coords: tuple[tuple[Coord, ...], ...] = ()
+_cells: tuple[tuple[Coord, ...], ...] = ()
 
 
 def coord_table(p: int) -> tuple[tuple[Coord, ...], ...]:
-    """``coord_table(p)[row][col]`` is ``Coord(row, col)``, for rows 0..p and
-    columns 0..p+5 at least, which covers every code over ``p`` (row 0 names
-    the virtual cells of the decoder).
+    """``coord_table(p)[row - 1][col - 1]`` is ``Coord(row, col)``, for rows
+    and columns 1..p: the cells :func:`parity_group_members` lists.
 
     One table serves every p: it is rebuilt only for a p larger than any
-    before, so it holds about p^2 cells of the largest p in use, and the
-    checks of every code share one object per cell.
+    before, so it holds the p^2 cells of the largest p in use, and the lines
+    of every p share one object per cell, which the enumeration oracles'
+    sets compare by identity first.
     """
-    global _coords
-    if len(_coords) <= p:
+    global _cells
+    if len(_cells) < p:
         new = partial(tuple.__new__, Coord)  # Coord(r, c) without its Python-level __new__
-        _coords = tuple(tuple(map(new, zip(repeat(r), range(p + 6)))) for r in range(p + 1))
-    return _coords
+        cols = range(1, p + 1)
+        _cells = tuple(tuple(map(new, zip(repeat(r), cols))) for r in cols)
+    return _cells
 
 
 def _check_group(p: int, g: ParityGroupId) -> None:
@@ -132,4 +133,4 @@ def parity_group_members(p: int, g: ParityGroupId) -> list[Coord]:
     _check_group(p, g)
     v, i = g.slope, g.index
     cell = coord_table(p)
-    return [cell[(i + v * (1 - j) - 1) % p + 1][j] for j in range(1, p + 1)]
+    return [cell[(i + v * (1 - j) - 1) % p][j - 1] for j in range(1, p + 1)]

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codes import Code, XorSchedule, _column_rows, _decode_equations, _execute
+from .codes import Code, XorSchedule, _column_rows, _coords, _decode_equations, _execute
 from .core import Coord, ParameterError, ParityGroupId, PlanError, mod_index
 
 __all__ = [
@@ -106,10 +106,6 @@ class RepairPlan:
         """Total blocks moved: every transmission costs exactly one block."""
         return len(self.sources)
 
-    @property
-    def x(self) -> int | None:
-        return None if self.horizontal_rows is None else len(self.horizontal_rows)
-
     def parity_block_count(self) -> int:
         return int(self._cells()[2].sum())
 
@@ -131,7 +127,8 @@ class RepairPlan:
     @cached_property
     def groups(self) -> tuple[GroupUse, ...]:
         eqs, cells, parity = self._cells()
-        coords, stored = eqs.coords, self.code.rows * self.code.n
+        stored = self.code.rows * self.code.n
+        coords = _coords(self.code, range(stored))
         return tuple(
             GroupUse(ParityGroupId(v, i), coords[t], coords[check[0]] if has_parity else None,
                      tuple(coords[c] for c in check[1:] if 0 <= c < stored and c != t),
@@ -144,11 +141,11 @@ class RepairPlan:
     def transmissions(self) -> tuple[Transmission, ...]:
         eqs, cells, parity = self._cells()
         sums = len(self.sum_slopes)
-        sent = np.concatenate([cells[parity, 0], self.raw]).tolist()
+        sent = _coords(self.code, np.concatenate([cells[parity, 0], self.raw]))
         return tuple(map(partial(tuple.__new__, Transmission), zip(  # at C speed
             self.sources.tolist(),
             chain(repeat("sum", sums), repeat("parity", int(parity.sum())), repeat("raw")),
-            chain(repeat(None, sums), map(eqs.coords.__getitem__, sent)),
+            chain(repeat(None, sums), sent),
             chain(self.sum_slopes, eqs.slope[self.checks][parity].tolist(), repeat(None)))))
 
 
@@ -180,7 +177,7 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
     check = _lookup(eqs, lost, target, slope)
     if (check < 0).any():
         g = int(np.argmax(check < 0))
-        raise PlanError(f"no slope-{slope[g]} check through {eqs.coords[target[g]]}")
+        raise PlanError(f"no slope-{slope[g]} check through {_coords(code, [target[g]])[0]}")
     cells = eqs.table[check]
     shipped = np.zeros(len(lost), dtype=bool)
     shipped[cells[(cells >= 0) & (cells < stored) & ~lost[cells]]] = True
@@ -227,7 +224,8 @@ def _check(plan: RepairPlan) -> tuple:
     read = (cells >= 0) & (cells != targets[:, None])
     if (late := read & ~known[cells] & (first[cells] >= order[:, None])).any():
         g, m = np.argwhere(late)[0]
-        raise PlanError(f"{eqs.coords[targets[g]]} needs {eqs.coords[cells[g, m]]}, "
+        target, needed = _coords(code, (targets[g], cells[g, m]))
+        raise PlanError(f"{target} needs {needed}, "
                         "neither shipped nor rebuilt by an earlier group")
     col = plan.recover_col
     if len(missed := np.flatnonzero(first[(col - 1) * rows:col * rows] == len(targets))):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arraycode import analysis as an
+from arraycode.codes import family_spec
 from arraycode.core import ParameterError
 
 
@@ -168,12 +169,12 @@ def test_brute_force_rejects_composite():
 # -- reports -----------------------------------------------------------------
 
 def test_closed_form_bound_dispatch():
-    assert an.closed_form_bound("evenodd", 5, 2) == 16
-    assert an.closed_form_bound("rdp", 5, 2) == 12
-    assert an.closed_form_bound("xcode", 5, 2) == 17
-    assert an.closed_form_bound("star", 5, 3) == 18
+    assert family_spec("evenodd").closed_form(5, 2) == 16
+    assert family_spec("rdp").closed_form(5, 2) == 12
+    assert family_spec("xcode").closed_form(5, 2) == 17
+    assert family_spec("star").closed_form(5, 3) == 18
     with pytest.raises(ParameterError):
-        an.closed_form_bound("nope", 5, 2)
+        family_spec("nope").closed_form(5, 2)
 
 
 def test_sweep_and_csv(tmp_path):

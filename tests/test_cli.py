@@ -85,7 +85,8 @@ def test_exit_code_bad_parameters(sample):
                "--p", "4") == 2
     assert run("encode", str(src), str(tmp / "o"), "--family", "bogus",
                "--p", "5") == 2
-    assert run("analyze", "--family", "evenodd", "--p-range", "24:28") == 2
+    for bad in ("24:28", "5:", ":7", "1:2:3", "x"):
+        assert run("analyze", "--family", "evenodd", "--p-range", bad) == 2, bad
     assert run("encode", str(src), str(tmp / "o"), "--family", "evenodd",
                "--p", "3", "--block-size", "1") == 2  # capacity too small
 

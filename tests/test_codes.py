@@ -139,13 +139,34 @@ def xcode_line(p, slope, col):
     return [Coord(k + 1, (col - 1 + step * (k + 2)) % p + 1) for k in range(p - 2)]
 
 
+def _coord(code, row):
+    """The ``Coord`` of a work-buffer row, from the buffer layout: the stored
+    cell (r, c) is row (c-1)*rows + r-1, and slot s after the stored cells
+    holds the virtual adjuster of slope ``code.slopes[s + 1]``, named
+    ``Coord(0, parity column of that slope)``."""
+    col, r = divmod(row, code.rows)
+    if col < code.n:
+        return Coord(r + 1, col + 1)
+    return Coord(0, code.parity_col(code.slopes[row - code.rows * code.n + 1]))
+
+
+def _in_coords(code, schedule):
+    """A schedule read through ``_coord``: its recipe, target -> sources in
+    step order, and its verification checks."""
+    def of(rows):
+        return tuple(_coord(code, c) for c in rows)
+
+    recipe = {_coord(code, t): of(s.tolist()) for t, s in schedule.items()}
+    return recipe, tuple(of(s.tolist()) for _, s in schedule.steps[schedule.solves:])
+
+
 def parity_check_equations(code):
     """Coordinate sets of stored cells, each XOR-summing to zero: every
     stored parity block once, listed first, with the cells that define it,
     a sloped adjuster expanded into its line."""
     eqs, stored = codes._decode_equations(code), code.rows * code.n
     lines = {eq[0]: eq[1:] for eq in eqs.labelled if eq[0] >= stored}
-    return [[eqs.coords[c] for c in np.concatenate(
+    return [[_coord(code, c) for c in np.concatenate(
         [eq[eq < stored], *(lines[v] for v in eq[eq >= stored])]).tolist()]
         for eq in eqs.labelled if eq[0] < stored]
 
@@ -174,7 +195,7 @@ def _label_agrees(code, gid, cells):
 def _labelled_checks(code):
     """The decoder's labelled checks, each read through its ``Coord`` s."""
     eqs = codes._decode_equations(code)
-    return [(ParityGroupId(v, i), [eqs.coords[c] for c in row if c >= 0])
+    return [(ParityGroupId(v, i), [_coord(code, c) for c in row if c >= 0])
             for v, i, row in zip(eqs.slope.tolist(), eqs.index.tolist(), eqs.table.tolist())]
 
 
@@ -212,6 +233,29 @@ def test_parity_equations_hold(p):
             for coord in eq:
                 acc ^= grid.cell(coord)
             assert not acc.any(), (code.family, eq)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_coords_name_buffer_rows(p):
+    """``codes._coords`` names each row of an encode work buffer as the
+    layout does, and the grid cell it names holds that row's block; a
+    virtual cell holds its slope's adjuster, the XOR of the slope-0 and
+    slope-v parity columns."""
+    rng = np.random.default_rng(40 + p)
+    ext = [Code.evenodd_ext(p, r) for r in range(2, min(5, p - 1) + 1) if r != 3]
+    for code in _families(p) + ext:
+        buf = codes._encode_buffer(code, 4)
+        codes.cell_view(code, buf)[:code.info_shape[0], :code.info_cols] = \
+            random_info(code, 4, rng)
+        grid = codes._encode_in_place(code, buf)
+        got = codes._coords(code, range(len(buf)))
+        assert got == [_coord(code, row) for row in range(len(buf))], code
+        for row, coord in enumerate(got):
+            if coord.row:
+                assert np.array_equal(buf[row], grid.cell(coord)), (code, coord)
+            else:
+                parity = grid.column(code.parity_col(0)) ^ grid.column(coord.col)
+                assert np.array_equal(buf[row], np.bitwise_xor.reduce(parity)), (code, coord)
 
 
 def _reference_encode(code, info):
@@ -402,7 +446,7 @@ def test_schedule_reads_only_known_cells(p):
     for code in _families(p):
         stored_rows = range(1, code.rows + 1)
         for pattern in _within_tolerance(code):
-            recipe = codes.decode_recipe(code, pattern)
+            recipe, _ = _in_coords(code, codes.decode_recipe(code, pattern))
             lost = {Coord(r, c) for c in pattern for r in stored_rows}
             assert lost <= recipe.keys(), (code.family, pattern)
             done = set()
@@ -411,6 +455,22 @@ def test_schedule_reads_only_known_cells(p):
                     assert c in done or (c.row in stored_rows and c.col not in pattern), \
                         (code.family, pattern, target, c)
                 done.add(target)
+
+
+def test_decode_schedule_maps_rows_to_rows():
+    """A decode schedule, peeled, eliminated or pruned, is a mapping from
+    int work-buffer rows to int arrays of rows."""
+    star = Code.star(7)
+    cases = [(code, pattern, None) for code in _families(7) for pattern in ((2,), (1, 3))]
+    cases += [(star, (1, 2, 3), None), (star, (1, 2, 3), (2,))]
+    for code, pattern, wanted in cases:
+        schedule = codes.decode_recipe(code, pattern, wanted=wanted)
+        assert len(schedule) == schedule.solves > 0
+        for target, sources in schedule.items():
+            assert type(target) is int, (code, pattern, target)
+            assert isinstance(sources, np.ndarray) and sources.dtype.kind == "i"
+        assert all(type(c) is int for c in schedule.eliminated)
+    assert codes.decode_recipe(star, (1, 2, 3)).eliminated
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -445,8 +505,8 @@ def test_decode_recipe_cached_for_any_column_order():
     assert codes.decode_recipe(code, (3, 1)) is codes.decode_recipe(code, (1, 3))
 
 
-def _survivor_sums(code, pattern, schedule):
-    """Each cell a schedule reads or solves, as the set of surviving cells
+def _survivor_sums(code, pattern, recipe):
+    """Each cell a recipe reads or solves, as the set of surviving cells
     XORing to it (an int bitset over work-buffer rows)."""
     sums = {}
 
@@ -455,7 +515,7 @@ def _survivor_sums(code, pattern, schedule):
             return 1 << (c.col - 1) * code.rows + c.row - 1
         return sums[c]
 
-    for target, sources in schedule.items():
+    for target, sources in recipe.items():
         bits = 0
         for c in sources:
             bits ^= of(c)
@@ -484,12 +544,12 @@ def test_verification_checks_exactly_below_redundancy(p):
     for code in _families(p):
         assert code.erasure_tolerance == code.n - code.k  # every pattern up to n - k
         for pattern in _within_tolerance(code):
-            schedule = codes.decode_recipe(code, pattern)
+            recipe, checks = _in_coords(code, codes.decode_recipe(code, pattern))
             spare = code.n - code.k - len(pattern)
-            assert bool(schedule.checks) == (spare > 0), (code.family, pattern)
-            of = _survivor_sums(code, pattern, schedule)
+            assert bool(checks) == (spare > 0), (code.family, pattern)
+            of = _survivor_sums(code, pattern, recipe)
             residuals = []
-            for check in schedule.checks:
+            for check in checks:
                 bits = 0
                 for c in check:
                     bits ^= of(c)
@@ -501,8 +561,8 @@ def test_verification_checks_of_unchecked_extended_code():
     """Past the proven tolerance of r = 4: a decodable pattern of n - k
     columns has no checks, and one of three columns still verifies."""
     code = Code.evenodd_ext(11, 4)
-    assert codes.decode_recipe(code, (1, 4, 8, 12)).checks == ()
-    assert codes.decode_recipe(code, (1, 4, 8)).checks
+    assert _in_coords(code, codes.decode_recipe(code, (1, 4, 8, 12)))[1] == ()
+    assert _in_coords(code, codes.decode_recipe(code, (1, 4, 8)))[1]
     grid = encode(code, random_info(code, 3, np.random.default_rng(9)))
     broken = grid.copy()
     broken.cells[:, [0, 3, 7, 11]] = 0x5A
@@ -522,11 +582,11 @@ def test_pruned_schedule_rebuilds_wanted_column(p):
     for code in _families(p):
         grid = encode(code, random_info(code, 3, rng))
         for pattern in itertools.combinations(range(1, code.n + 1), code.n - code.k):
-            full = codes.decode_recipe(code, pattern)
+            full, _ = _in_coords(code, codes.decode_recipe(code, pattern))
             broken = grid.copy()
             broken.cells[:, [c - 1 for c in pattern]] = 0xA5
             for col in pattern:
-                pruned = codes.decode_recipe(code, pattern, wanted=(col,))
+                pruned, _ = _in_coords(code, codes.decode_recipe(code, pattern, wanted=(col,)))
                 order = list(full)
                 positions = [order.index(t) for t in pruned]
                 assert positions == sorted(positions), (code.family, pattern, col)

@@ -92,7 +92,7 @@ def test_evenodd_gamma_formula_and_execution(p):
 
 def test_evenodd_default_x_is_balanced():
     plan = plan_evenodd_single(Code.evenodd(11), 4)
-    assert plan.x == 5
+    assert len(plan.horizontal_rows) == 5
 
 
 def test_evenodd_plan_validation():
@@ -438,7 +438,6 @@ def test_sweeps_and_sessions_build_no_plan_objects(monkeypatch, tmp_path):
     monkeypatch.setattr(planner, "GroupUse", refuse)
     monkeypatch.setattr(planner, "Transmission", refuse)
     monkeypatch.setattr(Coord, "__new__", refuse)
-    monkeypatch.setattr(codes, "coord_table", refuse)
     primes = [q for q in range(5, 32) if all(q % d for d in range(2, q))]
     for family in FAMILIES:
         assert all(rep.gamma for rep in bandwidth_sweep(family, primes, r=3))
