@@ -17,7 +17,7 @@ ERASED = (1, 3)
 
 
 def main():
-    code = Code.star(P)
+    code = Code.make("star", P)
     plan = plan_star_double(code, ERASED)
     print(f"star p={P}, erased columns {ERASED} "
           f"(gap x={plan.meta['x']})")

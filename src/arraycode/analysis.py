@@ -207,13 +207,10 @@ def covered_imaginary_cells(p: int, r: int,
                if any(((col - 1) * v) % p in partition[v] for v in range(r)))
 
 
-def transfer_inequality_holds(p: int, r: int = 3,
-                              partition: Partition | None = None) -> bool:
+def transfer_inequality_holds(p: int, partition: Partition | None = None) -> bool:
     """Is the three-parity repair cheap enough that eighteen repairs cost
     less than 13p^2 + 34p - 47 blocks? Holds for every prime p >= 13."""
-    if r != 3:
-        raise ParameterError("the inequality is stated for three parities")
-    gamma = exact_union_bandwidth(p, r, partition)
+    gamma = exact_union_bandwidth(p, 3, partition)
     return 18 * gamma < 13 * p * p + 34 * p - 47
 
 

@@ -8,8 +8,8 @@ live on a grid of byte blocks over a prime ``p``:
 
 * ``evenodd``      (p-1) x (p+2): p data columns, slope-0 and slope-1 parity.
 * ``evenodd-ext``  (p-1) x (p+r): p data columns, slopes 0..r-1. MDS is
-  guaranteed for r <= 3; r in {4, 5} encode fine but decoding more than 3
-  erasures must be requested explicitly.
+  guaranteed for r <= 3; for r in {4, 5} a pattern of up to r erasures
+  decodes exactly when its parity checks have full rank.
 * ``rdp``          (p-1) x (p+1): p-1 data columns, a row-parity column and a
   diagonal-parity column whose diagonals include the row parity. The
   diagonal through (p, 1) carries no parity block.
@@ -129,26 +129,6 @@ class Code:
         to the family's and is ignored by families whose r is fixed."""
         spec = family_spec(family)
         return cls(family, p, spec.r if r is None or spec.r_range is None else r)
-
-    @classmethod
-    def evenodd(cls, p: int) -> "Code":
-        return cls.make("evenodd", p)
-
-    @classmethod
-    def evenodd_ext(cls, p: int, r: int) -> "Code":
-        return cls("evenodd-ext", p, r)
-
-    @classmethod
-    def rdp(cls, p: int) -> "Code":
-        return cls.make("rdp", p)
-
-    @classmethod
-    def xcode(cls, p: int) -> "Code":
-        return cls.make("xcode", p)
-
-    @classmethod
-    def star(cls, p: int) -> "Code":
-        return cls.make("star", p)
 
     @property
     def spec(self) -> FamilySpec:
@@ -704,8 +684,7 @@ def _encode_in_place(code: Code, buf: np.ndarray) -> CodeGrid:
 
 
 def mds_decode(code: Code, source, erased: list[int] | tuple[int, ...],
-               *, wanted: list[int] | tuple[int, ...] | None = None,
-               allow_unchecked: bool = False) -> CodeGrid:
+               *, wanted: list[int] | tuple[int, ...] | None = None) -> CodeGrid:
     """Rebuild the ``wanted`` erased columns (all of ``erased`` by default)
     from the surviving ones.
 
@@ -722,18 +701,17 @@ def mds_decode(code: Code, source, erased: list[int] | tuple[int, ...],
     erased every check is verified. With ``wanted`` given only the wanted
     columns are defined; every other column holds undefined bytes.
 
-    Patterns beyond the family's proven tolerance are refused unless
-    ``allow_unchecked`` is set, which raises the limit to n - k (it matters
-    for extended codes with r > 3); the elimination fallback then decides
-    solvability case by case.
+    Any pattern of up to n - k erased columns is tried, and the rank of its
+    parity checks decides: a rank-deficient pattern (possible only past the
+    proven tolerance, in extended codes with r > 3) raises
+    :class:`UnrecoverableError`, as does erasing more than n - k columns.
     """
     erased = tuple(sorted(set(erased)))
     if any(not 1 <= c <= code.n for c in erased):
         raise ParameterError(f"erased columns {erased} out of range 1..{code.n}")
-    limit = code.n - code.k if allow_unchecked else code.erasure_tolerance
-    if len(erased) > limit:
+    if len(erased) > code.n - code.k:
         raise UnrecoverableError(
-            f"{len(erased)} erasures exceed the supported tolerance {limit}")
+            f"{len(erased)} erasures exceed the {code.n - code.k} parity columns")
     cells = cell_view(code, np.empty((code.rows * code.n, source.block_size), dtype=np.uint8))
     _execute(decode_recipe(code, erased, wanted=wanted), source,
              {c: cells[:, c - 1] for c in (erased if wanted is None else wanted)})

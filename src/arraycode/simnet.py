@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import Code, CodeGrid, encode, mds_decode, random_info
-from .core import ParameterError, PlanError, UnrecoverableError
+from .core import ParameterError, PlanError
 from .planner import RepairPlan, execute_plan
 
 __all__ = [
@@ -193,17 +193,11 @@ def run_repair(cluster: Cluster, target: int, strategy: str = "paper") -> Repair
 def _naive_rebuild(cluster: Cluster, target: int,
                    ledger: TransferLedger) -> np.ndarray:
     code = cluster.code
-    live = [n.id for n in cluster.nodes if n.alive]
-    if len(live) < code.k:
-        raise UnrecoverableError(
-            f"{len(live)} live nodes cannot rebuild a {code.family} column "
-            f"(need {code.k})")
-    sources = live[:code.k]
+    sources = [n.id for n in cluster.nodes if n.alive][:code.k]
     for s in sources:
         ledger.record(s, code.rows)
     erased = [c for c in range(1, code.n + 1) if c not in sources]
-    # n - k erasures: past the proven tolerance of extended codes with r > 3
-    decoded = mds_decode(code, cluster, erased, wanted=[target], allow_unchecked=True)
+    decoded = mds_decode(code, cluster, erased, wanted=[target])
     return decoded.column(target).copy()
 
 

@@ -41,7 +41,7 @@ def test_evenodd_single_repair_bandwidth():
     prime planned in under a second."""
     for p in (3, 5, 7, 11, 13):
         start = time.perf_counter()
-        code = Code.evenodd(p)
+        code = Code.make("evenodd", p)
         gamma = _verify_plan(code, plan_evenodd_single(code, 1))
         elapsed = time.perf_counter() - start
         assert gamma == (3 * p * p - 4 * p + 9) // 4, (p, gamma)
@@ -67,17 +67,18 @@ def test_flat_count_brute_force_oracle():
 def test_rdp_single_repair_bandwidth():
     for p in (3, 5, 7, 11):
         for erased in (1, p - 1):
-            gamma = _verify_plan(Code.rdp(p), plan_rdp_single(Code.rdp(p), erased))
+            gamma = _verify_plan(Code.make("rdp", p), plan_rdp_single(Code.make("rdp", p), erased))
             assert gamma == 3 * (p - 1) * (p - 1) // 4, (p, erased, gamma)
-    assert plan_rdp_single(Code.rdp(5), 1).gamma == 12
+    assert plan_rdp_single(Code.make("rdp", 5), 1).gamma == 12
     print("PASS rdp single-erasure bandwidth 3(p-1)^2/4, p in 3..11")
 
 
 def test_xcode_bound_and_reconstruction():
     for p in (5, 7, 11, 13):
+        code = Code.make("xcode", p)
         bound = (3 * p * p - 2 * p + 5) // 4
         for erased in (1, 2, p):
-            gamma = _verify_plan(Code.xcode(p), plan_xcode_single(Code.xcode(p), erased))
+            gamma = _verify_plan(code, plan_xcode_single(code, erased))
             assert gamma <= bound, (p, erased, gamma, bound)
     print("PASS xcode bandwidth within bound with bit-exact rebuild, p in 5..13")
 
@@ -114,11 +115,11 @@ def test_star_double_erasure_chain():
     for p in (5, 7, 11, 13):
         want_saving = an.star_symmetry_saving(p)
         for x in range(1, p):
-            plan = plan_star_double(Code.star(p), (1, 1 + x))
+            plan = plan_star_double(Code.make("star", p), (1, 1 + x))
             assert plan.meta["parity_values"] == 3 * (p - 1) // 2, (p, x)
             assert plan.meta["savings"] == want_saving, \
                 (p, x, plan.meta["savings"], want_saving)
-            _verify_plan(Code.star(p), plan, 2)
+            _verify_plan(Code.make("star", p), plan, 2)
     assert an.star_symmetry_saving(5) == 2
     print("PASS star double-erasure chain, parity-group count, and savings")
 
@@ -128,12 +129,12 @@ def test_randomized_roundtrips_and_exhaustive_patterns():
     plus every within-tolerance pattern for p <= 7."""
     combos = []
     for p in (3, 5, 7, 11, 13):
-        combos.append(Code.evenodd(p))
-        combos.append(Code.rdp(p))
+        combos.append(Code.make("evenodd", p))
+        combos.append(Code.make("rdp", p))
         if p >= 5:
-            combos.append(Code.evenodd_ext(p, 3))
-            combos.append(Code.xcode(p))
-            combos.append(Code.star(p))
+            combos.append(Code("evenodd-ext", p, 3))
+            combos.append(Code.make("xcode", p))
+            combos.append(Code.make("star", p))
     rounds = 0
     for block_size in (1, 16):
         for code in combos:
@@ -172,7 +173,7 @@ def test_large_prime_savings_ratio():
     """At p=31 the planner moves about three quarters of what naive
     repair moves, and the flow bound is exactly (p^2-1)/2 blocks."""
     p = 31
-    code = Code.evenodd(p)
+    code = Code.make("evenodd", p)
     plan = plan_evenodd_single(code, 1)
     naive = code.k * code.rows
     ratio = plan.gamma / naive

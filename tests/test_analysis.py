@@ -148,8 +148,6 @@ def test_inclusion_exclusion_slack_is_imaginary_overhead():
 def test_transfer_inequality():
     for p in (13, 17, 19, 23, 29, 31):
         assert an.transfer_inequality_holds(p)
-    with pytest.raises(ParameterError):
-        an.transfer_inequality_holds(13, r=4)
 
 
 # -- brute force -------------------------------------------------------------

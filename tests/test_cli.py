@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from arraycode import analysis
+from arraycode import analysis, cli
 from arraycode.cli import main
+from arraycode.planner import plan_star_double
 
 
 def run(*argv):
@@ -89,6 +91,12 @@ def test_exit_code_bad_parameters(sample):
         assert run("analyze", "--family", "evenodd", "--p-range", bad) == 2, bad
     assert run("encode", str(src), str(tmp / "o"), "--family", "evenodd",
                "--p", "3", "--block-size", "1") == 2  # capacity too small
+    assert run("encode", str(src), str(tmp / "o"), "--family", "evenodd",
+               "--p", "5", "--block-size", "0") == 2
+    assert run("analyze", "--family", "xcode", "--p-range", "3") == 2  # xcode needs p >= 5
+    box = tmp / "c.aerc"
+    run("encode", str(src), str(box), "--family", "evenodd", "--p", "5")
+    assert run("repair", str(box), "--fail", "x") == 2
 
 
 def test_exit_code_io_error(tmp_path):
@@ -131,7 +139,6 @@ def test_damaged_container_exit_code(sample, damage):
 
 
 def test_exit_code_unrecoverable(sample, monkeypatch):
-    import arraycode.cli as cli
     from arraycode.core import UnrecoverableError
 
     def explode(cluster, target, strategy):
@@ -188,6 +195,23 @@ def test_oracle_mismatch_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(analysis, "evenodd_min_bandwidth", lambda p: 999)
     assert run("oracle", "--mode", "evenodd-min", "--p", "5") == 5
     assert "mismatch" in capsys.readouterr().err
+    monkeypatch.setattr(analysis, "common_block_oracle", lambda p, part, classes: -1)
+    assert run("oracle", "--mode", "f-check", "--p", "7") == 5
+    assert "enumeration -1" in capsys.readouterr().err
+    monkeypatch.setattr(analysis, "star_symmetry_saving", lambda p: -1)
+    assert run("oracle", "--mode", "star-validate", "--p", "7") == 5
+    assert "measured savings" in capsys.readouterr().err
+
+
+def test_oracle_parity_group_mismatch_exit_code(monkeypatch, capsys):
+    """star-validate also checks the count of parity groups each plan uses."""
+    def miscounted(code, erased):
+        plan = plan_star_double(code, erased)
+        return dataclasses.replace(plan, meta={**plan.meta, "parity_values": 0})
+
+    monkeypatch.setattr(cli, "plan_star_double", miscounted)
+    assert run("oracle", "--mode", "star-validate", "--p", "7") == 5
+    assert "0 parity groups" in capsys.readouterr().err
 
 
 def test_empty_file_container(tmp_path):

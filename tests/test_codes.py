@@ -23,45 +23,46 @@ from arraycode.core import Coord, ParityGroupId, parity_group_members
 
 
 def _families(p):
-    codes = [Code.evenodd(p), Code.rdp(p), Code.star(p)]
+    codes = [Code.make("evenodd", p), Code.make("rdp", p), Code.make("star", p)]
     if p >= 5:
-        codes.append(Code.evenodd_ext(p, 3))
-        codes.append(Code.xcode(p))
+        codes.append(Code("evenodd-ext", p, 3))
+        codes.append(Code.make("xcode", p))
     return codes
 
 
 def test_constructor_validation():
     with pytest.raises(ParameterError):
-        Code.evenodd(4)
+        Code.make("evenodd", 4)
     with pytest.raises(ParameterError):
-        Code.evenodd(1)
+        Code.make("evenodd", 1)
     with pytest.raises(ParameterError):
-        Code.xcode(3)
+        Code.make("xcode", 3)
     with pytest.raises(ParameterError):
-        Code.evenodd_ext(5, 6)
+        Code("evenodd-ext", 5, 6)
     with pytest.raises(ParameterError):
-        Code.evenodd_ext(3, 3)
+        Code("evenodd-ext", 3, 3)
     with pytest.raises(ParameterError):
         Code.make("nonsense", 5)
 
 
 def test_shapes():
-    assert Code.evenodd(5).n == 7
-    assert Code.evenodd(5).k == 5
-    assert Code.rdp(5).n == 6
-    assert Code.star(5).n == 8
-    assert Code.evenodd_ext(7, 4).n == 11
-    assert Code.xcode(7).n == 7
-    assert Code.xcode(7).k == 5
-    assert Code.xcode(7).rows == 7
-    assert Code.evenodd(7).rows == 6
+    assert Code.make("evenodd", 5).n == 7
+    assert Code.make("evenodd", 5).k == 5
+    assert Code.make("rdp", 5).n == 6
+    assert Code.make("star", 5).n == 8
+    assert Code("evenodd-ext", 7, 4).n == 11
+    assert Code.make("xcode", 7).n == 7
+    assert Code.make("xcode", 7).k == 5
+    assert Code.make("xcode", 7).rows == 7
+    assert Code.make("evenodd", 7).rows == 6
 
 
 def test_make_dispatch():
-    assert Code.make("evenodd", 5) == Code.evenodd(5)
-    assert Code.make("evenodd-ext", 7, 4) == Code.evenodd_ext(7, 4)
-    assert Code.make("evenodd-ext", 7) == Code.evenodd_ext(7, 3)
-    assert Code.make("star", 5) == Code.star(5)
+    """make fills in each family's r and passes an extended code's r on."""
+    for f, spec in codes.FAMILIES.items():
+        assert Code.make(f, 7) == Code(f, 7, spec.r)
+    assert Code.make("evenodd-ext", 7, 4) == Code("evenodd-ext", 7, 4)
+    assert Code.make("evenodd-ext", 7) == Code("evenodd-ext", 7, 3)
 
 
 def test_code_is_its_family_p_and_r():
@@ -72,14 +73,14 @@ def test_code_is_its_family_p_and_r():
     assert hash(code) == hash(Code("evenodd-ext", 7, 4))
     restored = pickle.loads(pickle.dumps(code))
     assert restored == code and (restored.n, restored.slopes) == (11, (0, 1, 2, 3))
-    assert Code.make("evenodd", 5, 7) == Code.evenodd(5)
+    assert Code.make("evenodd", 5, 7) == Code("evenodd", 5, 2)
     with pytest.raises(ParameterError):
         Code("evenodd", 5, 7)
 
 
 def test_evenodd_p3_single_bit():
     """Hand-worked p=3 encode: one set byte at info cell (1,1)."""
-    code = Code.evenodd(3)
+    code = Code.make("evenodd", 3)
     info = np.zeros((2, 3, 1), dtype=np.uint8)
     info[0, 0, 0] = 1
     grid = encode(code, info)
@@ -89,7 +90,7 @@ def test_evenodd_p3_single_bit():
 
 def test_evenodd_p3_adjuster_bit():
     """A byte on the index-0 diagonal folds into every slope-1 parity."""
-    code = Code.evenodd(3)
+    code = Code.make("evenodd", 3)
     info = np.zeros((2, 3, 1), dtype=np.uint8)
     info[1, 1, 0] = 1  # cell (2,2), on the line through the imaginary cell
     grid = encode(code, info)
@@ -100,7 +101,7 @@ def test_evenodd_p3_adjuster_bit():
 
 
 def test_imaginary_row_reads_zero():
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     rng = np.random.default_rng(0)
     grid = encode(code, random_info(code, 4, rng))
     assert not grid.cell(Coord(5, 2)).any()
@@ -111,7 +112,7 @@ def test_cell_refuses_coordinates_outside_the_grid():
     last row or column; rows past the grid read as zeros only for the
     imaginary row p, which X-code (p stored rows) does not have."""
     rng = np.random.default_rng(0)
-    for code in (Code.evenodd(5), Code.xcode(5)):
+    for code in (Code.make("evenodd", 5), Code.make("xcode", 5)):
         grid = encode(code, random_info(code, 4, rng))
         outside = [Coord(0, 1), Coord(1, 0), Coord(code.p + 1, 1), Coord(1, code.n + 1),
                    Coord(code.p, code.n + 1)]
@@ -122,7 +123,7 @@ def test_cell_refuses_coordinates_outside_the_grid():
 
 
 def test_encode_shape_validation():
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     with pytest.raises(ParameterError):
         encode(code, np.zeros((3, 5, 1), dtype=np.uint8))
     with pytest.raises(ParameterError):
@@ -206,7 +207,7 @@ def test_check_labels(p):
     slope, every data cell on exactly one (except RDP's cells on the
     diagonal without parity), and each label names the line its check
     lists. The large primes are the sizes the benchmark plans at."""
-    ext = [Code.evenodd_ext(p, r) for r in range(2, min(5, p - 1) + 1) if r != 3]
+    ext = [Code("evenodd-ext", p, r) for r in range(2, min(5, p - 1) + 1) if r != 3]
     for code in _families(p) + ext:
         labelled = _labelled_checks(code)
         on = Counter((c, gid.slope) for gid, cells in labelled for c in cells if c.row)
@@ -242,7 +243,7 @@ def test_coords_name_buffer_rows(p):
     virtual cell holds its slope's adjuster, the XOR of the slope-0 and
     slope-v parity columns."""
     rng = np.random.default_rng(40 + p)
-    ext = [Code.evenodd_ext(p, r) for r in range(2, min(5, p - 1) + 1) if r != 3]
+    ext = [Code("evenodd-ext", p, r) for r in range(2, min(5, p - 1) + 1) if r != 3]
     for code in _families(p) + ext:
         buf = codes._encode_buffer(code, 4)
         codes.cell_view(code, buf)[:code.info_shape[0], :code.info_cols] = \
@@ -355,7 +356,7 @@ def test_corruption_in_the_last_partial_chunk(family):
 def test_encode_schedule_shape(p):
     """Every parity cell is computed exactly once, from information cells or
     cells computed before it, by a step of at most p sources."""
-    extra = [Code.evenodd_ext(p, 5)] if p > 5 else []
+    extra = [Code("evenodd-ext", p, 5)] if p > 5 else []
     for code in _families(p) + extra:
         schedule = codes._encode_schedule(code)
         rows, cols = code.info_shape
@@ -393,28 +394,54 @@ def test_decode_exhaustive_within_tolerance(p):
 
 
 def test_decode_rejects_excess_erasures():
-    code = Code.evenodd(5)
+    """More erased columns than parity columns, or a column outside 1..n."""
+    code = Code.make("evenodd", 5)
     rng = np.random.default_rng(1)
     grid = encode(code, random_info(code, 2, rng))
     with pytest.raises(UnrecoverableError):
         mds_decode(code, grid, [1, 2, 3])
+    for bad in ([0], [2, 8]):
+        with pytest.raises(ParameterError):
+            mds_decode(code, grid, bad)
 
 
 def test_extended_unchecked_beyond_three():
-    code = Code.evenodd_ext(11, 4)
+    """Four erasures of r = 4, past the proven tolerance: the solver's rank
+    decides, and this pattern decodes."""
+    code = Code("evenodd-ext", 11, 4)
     rng = np.random.default_rng(2)
     grid = encode(code, random_info(code, 2, rng))
     broken = grid.copy()
     for c in (1, 4, 8, 12):
         broken.cells[:, c - 1] = 0
-    with pytest.raises(UnrecoverableError):
-        mds_decode(code, broken, [1, 4, 8, 12])
-    fixed = mds_decode(code, broken, [1, 4, 8, 12], allow_unchecked=True)
+    fixed = mds_decode(code, broken, [1, 4, 8, 12])
     assert np.array_equal(fixed.cells, grid.cells)
 
 
+@pytest.mark.parametrize("p,r,decodable,undecodable", [
+    (5, 4, 126, 0), (7, 4, 302, 28), (7, 5, 708, 84)])
+def test_extended_rank_decides_every_pattern(p, r, decodable, undecodable):
+    """Past the proven tolerance the extended code is not MDS in general:
+    of all r-column patterns, the decodable ones rebuild bit-exactly and
+    the rest raise UnrecoverableError from the rank check."""
+    code = Code("evenodd-ext", p, r)
+    grid = encode(code, random_info(code, 1, np.random.default_rng(p * r)))
+    verdicts = Counter()
+    for pattern in itertools.combinations(range(1, code.n + 1), r):
+        broken = grid.copy()
+        broken.cells[:, [c - 1 for c in pattern]] = 0xA5
+        try:
+            fixed = mds_decode(code, broken, pattern)
+        except UnrecoverableError:
+            verdicts["undecodable"] += 1
+            continue
+        assert np.array_equal(fixed.cells, grid.cells), pattern
+        verdicts["decodable"] += 1
+    assert verdicts == Counter(decodable=decodable, undecodable=undecodable)
+
+
 def test_decode_detects_corruption():
-    code = Code.rdp(5)
+    code = Code.make("rdp", 5)
     rng = np.random.default_rng(3)
     grid = encode(code, random_info(code, 4, rng))
     broken = grid.copy()
@@ -425,7 +452,7 @@ def test_decode_detects_corruption():
 
 
 def test_grid_copy_is_deep():
-    code = Code.star(5)
+    code = Code.make("star", 5)
     rng = np.random.default_rng(4)
     grid = encode(code, random_info(code, 2, rng))
     dup = grid.copy()
@@ -460,7 +487,7 @@ def test_schedule_reads_only_known_cells(p):
 def test_decode_schedule_maps_rows_to_rows():
     """A decode schedule, peeled, eliminated or pruned, is a mapping from
     int work-buffer rows to int arrays of rows."""
-    star = Code.star(7)
+    star = Code.make("star", 7)
     cases = [(code, pattern, None) for code in _families(7) for pattern in ((2,), (1, 3))]
     cases += [(star, (1, 2, 3), None), (star, (1, 2, 3), (2,))]
     for code, pattern, wanted in cases:
@@ -485,7 +512,7 @@ def test_two_column_patterns_peel(p):
 
 
 def test_decode_cache_is_bounded():
-    code = Code.star(13)
+    code = Code.make("star", 13)
     rng = np.random.default_rng(5)
     grid = encode(code, random_info(code, 3, rng))
     cache = codes._solve_schedule
@@ -501,7 +528,7 @@ def test_decode_cache_is_bounded():
 
 
 def test_decode_recipe_cached_for_any_column_order():
-    code = Code.star(7)
+    code = Code.make("star", 7)
     assert codes.decode_recipe(code, (3, 1)) is codes.decode_recipe(code, (1, 3))
 
 
@@ -560,17 +587,17 @@ def test_verification_checks_exactly_below_redundancy(p):
 def test_verification_checks_of_unchecked_extended_code():
     """Past the proven tolerance of r = 4: a decodable pattern of n - k
     columns has no checks, and one of three columns still verifies."""
-    code = Code.evenodd_ext(11, 4)
+    code = Code("evenodd-ext", 11, 4)
     assert _in_coords(code, codes.decode_recipe(code, (1, 4, 8, 12)))[1] == ()
     assert _in_coords(code, codes.decode_recipe(code, (1, 4, 8)))[1]
     grid = encode(code, random_info(code, 3, np.random.default_rng(9)))
     broken = grid.copy()
     broken.cells[:, [0, 3, 7, 11]] = 0x5A
-    fixed = mds_decode(code, broken, [1, 4, 8, 12], allow_unchecked=True)
+    fixed = mds_decode(code, broken, [1, 4, 8, 12])
     assert np.array_equal(fixed.cells, grid.cells)
     broken.cells[2, 1, 0] ^= 1
     with pytest.raises(CorruptionError):
-        mds_decode(code, broken, [1, 4, 8], allow_unchecked=True)
+        mds_decode(code, broken, [1, 4, 8])
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -637,7 +664,7 @@ def test_decode_reads_only_live_survivors(p):
 
 
 def test_wanted_columns_must_be_erased():
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     grid = encode(code, random_info(code, 2, np.random.default_rng(6)))
     with pytest.raises(ParameterError):
         mds_decode(code, grid, [1, 2], wanted=[3])

@@ -12,7 +12,7 @@ from arraycode.codes import FAMILIES
 
 
 def test_header_layout():
-    code = Code.star(5)
+    code = Code.make("star", 5)
     grid = ct.encode_payload(code, b"hello", 4)
     blob = ct.pack_grid(grid, 5)
     assert blob[:5] == b"AERC1"
@@ -21,7 +21,7 @@ def test_header_layout():
 
 
 def test_roundtrip_exact():
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     payload = bytes(range(100))
     grid = ct.encode_payload(code, payload, 16)
     restored, length = ct.unpack_grid(ct.pack_grid(grid, len(payload)))
@@ -32,7 +32,7 @@ def test_roundtrip_exact():
 
 
 def test_empty_payload():
-    code = Code.rdp(5)
+    code = Code.make("rdp", 5)
     grid = ct.encode_payload(code, b"", 8)
     assert not grid.cells[:, :4].any()
     restored, length = ct.unpack_grid(ct.pack_grid(grid, 0))
@@ -40,10 +40,12 @@ def test_empty_payload():
 
 
 def test_capacity_enforced():
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     with pytest.raises(ct.ContainerError):
         ct.encode_payload(code, bytes(321), 16)
-    ct.encode_payload(code, bytes(320), 16)
+    grid = ct.encode_payload(code, bytes(320), 16)
+    with pytest.raises(ct.ContainerError):
+        ct.extract_payload(grid, 321)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -66,7 +68,7 @@ def test_payload_fills_information_cells_column_major(family):
 
 def test_column_major_body():
     """Node c's bytes are one contiguous run in the body."""
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     payload = bytes(range(80))
     grid = ct.encode_payload(code, payload, 4)
     body = ct.pack_grid(grid, 80)[26:]
@@ -82,7 +84,7 @@ def test_bad_inputs():
         ct.unpack_grid(b"AERC")
     with pytest.raises(ct.ContainerError):
         ct.unpack_grid(b"XXXXX" + bytes(21))
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     blob = ct.pack_grid(ct.encode_payload(code, b"x", 4), 1)
     with pytest.raises(ct.ContainerError):
         ct.unpack_grid(blob[:-3])
@@ -108,7 +110,7 @@ def test_header_r_must_match_family(tmp_path, family):
 
 
 def test_file_io(tmp_path):
-    code = Code.xcode(7)
+    code = Code.make("xcode", 7)
     payload = b"xcode stores data in rows, not columns"
     grid = ct.encode_payload(code, payload, 2)
     path = tmp_path / "x.aerc"
@@ -118,7 +120,7 @@ def test_file_io(tmp_path):
 
 
 def test_written_file_matches_pack_grid(tmp_path):
-    code = Code.star(5)
+    code = Code.make("star", 5)
     payload = bytes(range(150))
     grid = ct.encode_payload(code, payload, 8)
     path = tmp_path / "s.aerc"
@@ -139,7 +141,7 @@ def _assert_column_major(grid):
 
 
 def test_grids_share_the_file_layout(tmp_path):
-    code = Code.xcode(7)
+    code = Code.make("xcode", 7)
     grid = ct.encode_payload(code, bytes(range(100)), 3)
     _assert_column_major(grid)
     path = tmp_path / "x.aerc"

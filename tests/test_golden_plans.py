@@ -42,7 +42,7 @@ def _large_single_plans():
 
 def _evenodd_x_plans():
     for p in PRIMES:
-        code = Code.evenodd(p)
+        code = Code.make("evenodd", p)
         for col in code.systematic_cols():
             for x in range(p):
                 yield plan_evenodd_single(code, col, x)
@@ -51,14 +51,14 @@ def _evenodd_x_plans():
 def _extended_plans():
     for p in PRIMES:
         for r in range(2, min(5, p - 1) + 1):
-            code = Code.evenodd_ext(p, r)
+            code = Code("evenodd-ext", p, r)
             for col in code.systematic_cols():
                 yield code.spec.plan(code, (col,))
 
 
 def _star_double_plans():
     for p in PRIMES:
-        code = Code.star(p)
+        code = Code.make("star", p)
         for a in code.systematic_cols():
             for b in code.systematic_cols():
                 if a != b:
@@ -67,13 +67,13 @@ def _star_double_plans():
 
 def _large_extended_plans():
     for r in range(2, 6):
-        code = Code.evenodd_ext(31, r)
+        code = Code("evenodd-ext", 31, r)
         for col in code.systematic_cols():
             yield code.spec.plan(code, (col,))
 
 
 def _star_validate_plans():
-    code = Code.star(31)
+    code = Code.make("star", 31)
     for x in range(1, 31):
         yield code.spec.plan(code, (1, 1 + x))
 

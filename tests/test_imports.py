@@ -1,3 +1,7 @@
+"""Rules checked over the source of every ``src/arraycode`` module: no
+import goes unread, and no line outside the ``codes.FAMILIES`` table
+branches on a family name."""
+
 import ast
 from pathlib import Path
 
@@ -38,3 +42,59 @@ def test_unused_import_check_sees_a_leftover():
                      "from .core import Coord\n"
                      "def f(n) -> 'Coord':\n    return list(repeat(n, 2))\n")
     assert _unused_imports(tree) == ["chain (line 1)"]
+
+
+def _family_table(tree: ast.Module) -> ast.AST | None:
+    """The ``FAMILIES = ...`` statement of a module, if it has one."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(getattr(t, "id", None) == "FAMILIES" for t in targets):
+            return node
+    return None
+
+
+def _family_names() -> set[str]:
+    """The name each ``FamilySpec`` of the table is built with."""
+    table = _family_table(ast.parse((SRC / "codes.py").read_text()))
+    return {node.args[0].value for node in ast.walk(table)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FamilySpec"}
+
+
+def _family_branches(tree: ast.Module, names: set[str]) -> list[int]:
+    """Lines outside the family table that compare a value with a family
+    name, or a collection of them, or match a case on one."""
+    table = _family_table(tree)
+    inside = {id(node) for node in ast.walk(table)} if table else set()
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        for operand in operands:
+            values = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) \
+                else [operand]
+            if any(isinstance(v, ast.Constant) and v.value in names for v in values):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_branch_on_a_family_name(path):
+    assert _family_branches(ast.parse(path.read_text()), _family_names()) == []
+
+
+def test_family_branch_check_sees_each_form():
+    names = _family_names()
+    assert names == {"evenodd", "evenodd-ext", "rdp", "xcode", "star"}
+    tree = ast.parse("FAMILIES = {'star': 1}\n"
+                     "if code.family == 'star':\n    pass\n"
+                     "ok = family in ('rdp', 'xcode')\n"
+                     "match family:\n    case 'evenodd':\n        pass\n"
+                     "code = Code.make('evenodd', 5)\n"
+                     "same = code.family != other.family\n")
+    assert _family_branches(tree, names) == [2, 4, 6]

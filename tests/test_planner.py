@@ -61,7 +61,7 @@ def _raw_cells(plan):
 
 def test_evenodd_worked_example():
     """p=5, column 1, two flat groups: 16 blocks, four of them shared."""
-    plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
+    plan = plan_evenodd_single(Code.make("evenodd", 5), 1, 2)
     assert plan.gamma == 16
     assert _count(plan, "sum") == 2
     assert plan.parity_block_count() == 4
@@ -71,12 +71,12 @@ def test_evenodd_worked_example():
     shared = ({m for g in flat for m in g.members}
               & {m for g in sloped for m in g.members})
     assert shared == {Coord(1, 3), Coord(1, 4), Coord(2, 2), Coord(2, 3)}
-    run_and_verify(Code.evenodd(5), plan)
+    run_and_verify(Code.make("evenodd", 5), plan)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_evenodd_gamma_formula_and_execution(p):
-    code = Code.evenodd(p)
+    code = Code.make("evenodd", p)
     for erased in range(1, p + 1):
         for x in range(p):
             plan = plan_evenodd_single(code, erased, x)
@@ -91,12 +91,12 @@ def test_evenodd_gamma_formula_and_execution(p):
 
 
 def test_evenodd_default_x_is_balanced():
-    plan = plan_evenodd_single(Code.evenodd(11), 4)
+    plan = plan_evenodd_single(Code.make("evenodd", 11), 4)
     assert len(plan.horizontal_rows) == 5
 
 
 def test_evenodd_plan_validation():
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     with pytest.raises(ParameterError):
         plan_evenodd_single(code, 0)
     with pytest.raises(ParameterError):
@@ -104,7 +104,7 @@ def test_evenodd_plan_validation():
     with pytest.raises(ParameterError):
         plan_evenodd_single(code, 1, x=5)
     with pytest.raises(ParameterError):
-        plan_evenodd_single(Code.rdp(5), 1)
+        plan_evenodd_single(Code.make("rdp", 5), 1)
 
 
 def test_special_row_prefers_flat():
@@ -112,7 +112,7 @@ def test_special_row_prefers_flat():
     line and must sort into the flat half."""
     for p in (5, 7):
         for erased in range(2, p + 1):
-            plan = plan_evenodd_single(Code.evenodd(p), erased)
+            plan = plan_evenodd_single(Code.make("evenodd", p), erased)
             special = (1 - erased) % p
             if special == 0:
                 continue
@@ -123,7 +123,7 @@ def test_special_row_prefers_flat():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_rdp_gamma_exact(p):
-    code = Code.rdp(p)
+    code = Code.make("rdp", p)
     for erased in range(1, p):
         plan = plan_rdp_single(code, erased)
         assert run_and_verify(code, plan, 2) == rdp_bandwidth(p)
@@ -132,7 +132,7 @@ def test_rdp_gamma_exact(p):
 def test_rdp_shares_through_row_parity_cell():
     """A diagonal group's line passes through the horizontal parity
     column, so one shipped parity block can serve both group kinds."""
-    plan = plan_rdp_single(Code.rdp(5), 2)
+    plan = plan_rdp_single(Code.make("rdp", 5), 2)
     parity_coords = {t.coord for t in plan.transmissions if t.kind == "parity"}
     member_cells = {m for g in plan.groups for m in g.members}
     assert parity_coords & member_cells
@@ -140,14 +140,14 @@ def test_rdp_shares_through_row_parity_cell():
 
 
 def test_rdp_no_sums():
-    assert _count(plan_rdp_single(Code.rdp(7), 3), "sum") == 0
+    assert _count(plan_rdp_single(Code.make("rdp", 7), 3), "sum") == 0
 
 
 # -- xcode ------------------------------------------------------------------
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_xcode_within_bound_and_exact(p):
-    code = Code.xcode(p)
+    code = Code.make("xcode", p)
     for erased in range(1, p + 1):
         plan = plan_xcode_single(code, erased)
         gamma = run_and_verify(code, plan, 2)
@@ -158,12 +158,12 @@ def test_xcode_gamma_pinned():
     """Plan sizes for every erased column, as first measured."""
     expected = {5: 12, 7: 28, 11: 78, 13: 112}
     for p, gamma in expected.items():
-        code = Code.xcode(p)
+        code = Code.make("xcode", p)
         assert {plan_xcode_single(code, e).gamma for e in range(1, p + 1)} == {gamma}
 
 
 def test_xcode_parity_rows_force_own_groups():
-    plan = plan_xcode_single(Code.xcode(7), 4)
+    plan = plan_xcode_single(Code.make("xcode", 7), 4)
     targets = {g.target for g in plan.groups}
     assert Coord(6, 4) in targets and Coord(7, 4) in targets
     own = [g for g in plan.groups if g.target.row >= 6]
@@ -174,7 +174,7 @@ def test_xcode_parity_rows_force_own_groups():
 
 @pytest.mark.parametrize("p,r", [(5, 3), (7, 3), (7, 4), (7, 5), (11, 4)])
 def test_extended_execution_and_union_count(p, r):
-    code = Code.evenodd_ext(p, r)
+    code = Code("evenodd-ext", p, r)
     for erased in (1, 2, p):
         plan = plan_extended_single(code, erased)
         gamma = run_and_verify(code, plan, 2)
@@ -188,19 +188,19 @@ def test_extended_two_slopes_matches_flat_split():
     size |M_0|, and the transmission counts agree."""
     for p in (5, 7, 11):
         x = len(default_partition(p, 2)[0])
-        assert (plan_extended_single(Code.evenodd_ext(p, 2), 1).gamma
+        assert (plan_extended_single(Code("evenodd-ext", p, 2), 1).gamma
                 == evenodd_bandwidth(p, x))
 
 
 def test_extended_custom_partition():
     part = (frozenset({1, 2}), frozenset({3}), frozenset({4}))
-    plan = plan_extended_single(Code.evenodd_ext(5, 3), 1, partition=part)
+    plan = plan_extended_single(Code("evenodd-ext", 5, 3), 1, partition=part)
     assert plan.gamma == exact_union_bandwidth(5, 3, part)
-    run_and_verify(Code.evenodd_ext(5, 3), plan, 2)
+    run_and_verify(Code("evenodd-ext", 5, 3), plan, 2)
 
 
 def test_extended_rejects_bad_partition():
-    code = Code.evenodd_ext(5, 3)
+    code = Code("evenodd-ext", 5, 3)
     with pytest.raises(ParameterError):
         plan_extended_single(code, 1, partition=(frozenset({1}),) * 3)
     with pytest.raises(ParameterError):
@@ -212,7 +212,7 @@ def test_extended_rejects_bad_partition():
 # -- star -------------------------------------------------------------------
 
 def test_star_frozen_pair():
-    plan = plan_star_double(Code.star(5), (1, 2))
+    plan = plan_star_double(Code.make("star", 5), (1, 2))
     assert plan.gamma == 18
     assert {(g.group.slope, g.group.index) for g in plan.groups} == {
         (-1, 0), (0, 1), (1, 2), (-1, 2), (0, 3), (1, 4)}
@@ -225,7 +225,7 @@ def test_star_frozen_pair():
 
 
 def test_star_pseudo_group_uses_adjuster():
-    plan = plan_star_double(Code.star(5), (1, 2))
+    plan = plan_star_double(Code.make("star", 5), (1, 2))
     pseudo = [g for g in plan.groups if g.parity_coord is None]
     assert len(pseudo) == 1
     assert pseudo[0].group == ParityGroupId(-1, 0)
@@ -234,7 +234,7 @@ def test_star_pseudo_group_uses_adjuster():
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_star_all_pairs_recover(p):
-    code = Code.star(p)
+    code = Code.make("star", p)
     for c in range(1, p + 1):
         for other in range(1, p + 1):
             if other == c:
@@ -246,13 +246,13 @@ def test_star_all_pairs_recover(p):
 
 
 def test_star_single_erasure_via_flat_sloped_split():
-    code = Code.star(7)
+    code = Code.make("star", 7)
     plan = plan_evenodd_single(code, 3)
     assert run_and_verify(code, plan, 2) == evenodd_bandwidth(7, 3)
 
 
 def test_star_rejects_degenerate_pair():
-    code = Code.star(5)
+    code = Code.make("star", 5)
     with pytest.raises(ParameterError):
         plan_star_double(code, (2, 2))
     with pytest.raises(ParameterError):
@@ -265,7 +265,7 @@ def _choices(plan):
 
 def test_plan_refuses_chain_out_of_solve_order():
     # the second group's flat check reads the cell the first group rebuilds
-    plan = plan_star_double(Code.star(7), (2, 5))
+    plan = plan_star_double(Code.make("star", 7), (2, 5))
     choices = _choices(plan)
     choices[:2] = choices[1::-1]
     with pytest.raises(PlanError):
@@ -273,43 +273,55 @@ def test_plan_refuses_chain_out_of_solve_order():
 
 
 def test_plan_refuses_choices_missing_a_row():
-    plan = plan_evenodd_single(Code.evenodd(7), 3)
+    plan = plan_evenodd_single(Code.make("evenodd", 7), 3)
     with pytest.raises(PlanError):
         _plan(plan.code, plan.erased, _choices(plan)[:-1], sum_slopes=(0, 1))
+
+
+def test_plan_refuses_a_check_the_code_lacks():
+    """A slope the code has no parity for, and RDP's slope 1 on the row of
+    column 2 whose diagonal carries no parity block."""
+    with pytest.raises(PlanError, match="no slope-2 check"):
+        _plan(Code.make("evenodd", 5), (1,), [(Coord(1, 1), 2)])
+    with pytest.raises(PlanError, match="no slope-1 check"):
+        _plan(Code.make("rdp", 5), (2,), [(Coord(4, 2), 1)])
 
 
 # -- execution and serialization -------------------------------------------
 
 def test_execute_flags_missing_transmission():
-    plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
+    """A raw cell, or the slope-1 sum the diagonal checks' adjuster needs."""
+    plan = plan_evenodd_single(Code.make("evenodd", 5), 1, 2)
     broken = dataclasses.replace(plan, raw=plan.raw[:-1])
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     grid = encode(code, random_info(code, 2, RNG))
     with pytest.raises(PlanError):
         execute_plan(broken, grid)
+    with pytest.raises(PlanError, match="adjuster for slope 1"):
+        execute_plan(dataclasses.replace(plan, sum_slopes=(0,)), grid)
 
 
 def test_execute_flags_dropped_group():
     """A plan whose last group is gone leaves a row of its column unbuilt."""
-    plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
+    plan = plan_evenodd_single(Code.make("evenodd", 5), 1, 2)
     broken = dataclasses.replace(plan, checks=plan.checks[:-1], targets=plan.targets[:-1])
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     grid = encode(code, random_info(code, 2, RNG))
     with pytest.raises(PlanError):
         execute_plan(broken, grid)
 
 
 def test_execute_refuses_source_in_erased_column():
-    plan = plan_evenodd_single(Code.evenodd(5), 1, 2)
+    plan = plan_evenodd_single(Code.make("evenodd", 5), 1, 2)
     bad = dataclasses.replace(plan, erased=(1, plan.transmissions[-1].source))
-    code = Code.evenodd(5)
+    code = Code.make("evenodd", 5)
     grid = encode(code, random_info(code, 2, RNG))
     with pytest.raises(PlanError):
         execute_plan(bad, grid)
 
 
 def test_plan_json_schema():
-    plan = plan_star_double(Code.star(5), (1, 2))
+    plan = plan_star_double(Code.make("star", 5), (1, 2))
     doc = plan_to_json(plan)
     text = json.dumps(doc)
     parsed = json.loads(text)
@@ -331,9 +343,9 @@ def test_plan_json_schema():
 def test_transmission_sources_never_erased():
     for p in (5, 7):
         for erased in range(1, p + 1):
-            plan = plan_evenodd_single(Code.evenodd(p), erased)
+            plan = plan_evenodd_single(Code.make("evenodd", p), erased)
             assert all(t.source != erased for t in plan.transmissions)
-    plan = plan_star_double(Code.star(7), (2, 5))
+    plan = plan_star_double(Code.make("star", 7), (2, 5))
     assert all(t.source not in (2, 5) for t in plan.transmissions)
 
 
@@ -341,7 +353,7 @@ def test_execute_on_cluster_refuses_dead_node():
     """A plan read through a cluster cannot read a failed node's column."""
     cluster = simnet.create_cluster("evenodd", 5, block_size=4, seed=3)
     simnet.fail_nodes(cluster, [1, 3])
-    plan = plan_evenodd_single(Code.evenodd(5), 1)
+    plan = plan_evenodd_single(Code.make("evenodd", 5), 1)
     assert 3 in {t.source for t in plan.transmissions}
     with pytest.raises(PlanError):
         cluster.column(3)
@@ -381,11 +393,10 @@ def _single_plans(code):
 @given(block=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_execute_matches_reference_fold(p, block, seed):
     rng = np.random.default_rng(seed)
-    star = Code.star(p)
+    star = Code.make("star", p)
     plans = [(star, plan_star_double(star, (a, b)))
              for a in range(1, p + 1) for b in range(1, p + 1) if a != b]
-    for code in (Code.evenodd(p), Code.evenodd_ext(p, 3), Code.rdp(p),
-                 Code.xcode(p), star):
+    for code in (Code.make(f, p) for f in FAMILIES):
         plans += [(code, plan) for plan in _single_plans(code)]
     grids = {}
     for code, plan in plans:

@@ -26,9 +26,15 @@ def test_fail_budget():
 
 
 def test_repair_requires_dead_target():
+    """A live target, a node that does not exist, an unknown strategy."""
     cluster = simnet.create_cluster("evenodd", 5, seed=0)
     with pytest.raises(ParameterError):
         simnet.run_repair(cluster, 2)
+    with pytest.raises(ParameterError):
+        cluster.node(0)
+    simnet.fail_nodes(cluster, [2])
+    with pytest.raises(ParameterError):
+        simnet.run_repair(cluster, 2, "fast")
 
 
 def test_paper_single_ledger_matches_plan():
@@ -99,7 +105,7 @@ def test_rebuild_restores_node():
 
 
 def test_nodes_view_grid_and_shadow_is_private():
-    code = Code.rdp(5)
+    code = Code.make("rdp", 5)
     grid = encode(code, random_info(code, 4, np.random.default_rng(8)))
     original = grid.copy()
     cluster = simnet.cluster_from_grid(grid)
@@ -221,7 +227,7 @@ def test_ledger_counts_each_transmission_at_its_source():
     rng = np.random.default_rng(5)
     runs = [(code, (c,)) for family in FAMILIES for p in (5, 7)
             for code in [Code.make(family, p)] for c in code.systematic_cols()]
-    star = Code.star(7)
+    star = Code.make("star", 7)
     runs += [(star, pair) for pair in itertools.permutations(star.systematic_cols(), 2)]
     for code, erased in runs:
         cluster = simnet.cluster_from_grid(encode(code, random_info(code, 1, rng)))
