@@ -37,6 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .analysis import default_partition, validate_partition
 from .codes import Code, XorSchedule, _column_rows, _coords, _decode_equations, _execute
 from .core import Coord, ParameterError, ParityGroupId, PlanError, mod_index
 
@@ -98,7 +99,6 @@ class RepairPlan:
     targets: np.ndarray
     raw: np.ndarray
     sum_slopes: tuple[int, ...] = ()
-    horizontal_rows: tuple[int, ...] | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -254,7 +254,7 @@ def _split_plan(code: Code, col: int, x: int, sum_slopes: Sequence[int] = ()) ->
     rows = _ordered_rows(code.p, col)
     flat, sloped = sorted(rows[:x]), sorted(rows[x:])
     choices = [((i, col), 0) for i in flat] + [((i, col), 1) for i in sloped]
-    return _plan(code, (col,), choices, sum_slopes, horizontal_rows=tuple(flat))
+    return _plan(code, (col,), choices, sum_slopes, meta={"x": x})
 
 
 def plan_evenodd_single(code: Code, col: int, x: int | None = None) -> RepairPlan:
@@ -286,7 +286,6 @@ def plan_extended_single(code: Code, col: int,
     available. r=2 exists as a consistency path (it must match the
     flat/sloped split above); r in 3..5 is the useful range.
     """
-    from .analysis import default_partition, validate_partition
     p, r = code.p, code.r
     if partition is None:
         partition = default_partition(p, r)
@@ -395,7 +394,5 @@ def plan_to_json(plan: RepairPlan) -> dict:
             for t in plan.transmissions],
         "gamma": plan.gamma,
     }
-    if plan.horizontal_rows is not None:
-        doc["x"] = len(plan.horizontal_rows)
     doc.update(plan.meta)
     return doc

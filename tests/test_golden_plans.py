@@ -6,12 +6,14 @@ their order shows up here. The small primes cover every variant; the large
 ones are the sizes the benchmark plans at (its ``wide-16b`` p=53, its
 ``bulk-64k`` p=31, its star-validate oracle and its ``analyze`` sweeps).
 The ``analyze --csv`` files of every family over p = 5..101 at each r in
-2..5 are pinned byte for byte as well.
+2..5 are pinned byte for byte as well, and so is the whole output of
+``repair`` at p = 7 under both strategies.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from arraycode import Code
@@ -155,3 +157,44 @@ ANALYZE_CSV_GOLDEN = {
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_analyze_csv_digest(family, tmp_path, capsys):
     assert _analyze_csv_digests(family, tmp_path) == ANALYZE_CSV_GOLDEN[family]
+
+
+REPAIR_FAILS = ("2", "{n}", "1,3", "1,{n}")
+
+
+def _repair_digest(family, tmp_path, capsys) -> str:
+    """sha256 of ``arraycode repair`` at p = 7 with 16-byte blocks, for each
+    failure of :data:`REPAIR_FAILS` under each strategy: the exit code, the
+    stdout, and the ``--report`` and ``--plan`` JSON files."""
+    code = Code.make(family, 7)
+    src, box = tmp_path / "in.bin", tmp_path / "c.aerc"
+    src.write_bytes(np.random.default_rng(14).integers(0, 256, 500, dtype=np.uint8).tobytes())
+    extra = ["--r", "3"] if family == "evenodd-ext" else []
+    assert main(["encode", str(src), str(box), "--family", family, "--p", "7",
+                 "--block-size", "16", *extra]) == 0
+    capsys.readouterr()
+    rep, plan = tmp_path / "report.json", tmp_path / "plan.json"
+    h = hashlib.sha256()
+    for fail in REPAIR_FAILS:
+        for strategy in ("paper", "naive"):
+            rc = main(["repair", str(box), "--fail", fail.format(n=code.n),
+                       "--strategy", strategy, "--report", str(rep), "--plan", str(plan)])
+            for part in (str(rc).encode(), capsys.readouterr().out.encode(),
+                         rep.read_bytes(), plan.read_bytes()):
+                h.update(part)
+                h.update(b"\n")
+    return h.hexdigest()
+
+
+REPAIR_GOLDEN = {
+    "evenodd": "abdb14ef740dbc6697d78e158bdeef77fdcb28e4f4fea4fefdb53ff68d9d64f4",
+    "evenodd-ext": "d2073a54238bab7856d3654ac4cdcfd687dbe1e9595472b29207be2262a76c73",
+    "rdp": "77e114af34ad7f7386678545f5d2102665980deec3739774509fa88430572d58",
+    "xcode": "2dfa4b1a6a44d365f380b5b45f581b66d71956f15db993dd055f34bb6cda426e",
+    "star": "d73ae9c831b65dfb8e58e17c0a0beace308f57ef2213dc854e57195c9cb9a652",
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_repair_output_digest(family, tmp_path, capsys):
+    assert _repair_digest(family, tmp_path, capsys) == REPAIR_GOLDEN[family]

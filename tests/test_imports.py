@@ -1,6 +1,7 @@
 """Rules checked over the source of every ``src/arraycode`` module: no
-import goes unread, and no line outside the ``codes.FAMILIES`` table
-branches on a family name."""
+import goes unread, a function imports a package module only to break an
+import cycle, and no line outside the ``codes.FAMILIES`` table branches on
+a family name."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,56 @@ def test_unused_import_check_sees_a_leftover():
                      "from .core import Coord\n"
                      "def f(n) -> 'Coord':\n    return list(repeat(n, 2))\n")
     assert _unused_imports(tree) == ["chain (line 1)"]
+
+
+def _package_imports(node: ast.AST, modules) -> list[str]:
+    """The package modules a relative import statement names."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return []
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names if alias.name in modules]
+
+
+def _acyclic_local_imports(sources: dict[str, str]) -> list[str]:
+    """Imports of a package module inside a function that break no import
+    cycle: the imported module does not reach the importing one through
+    the modules' top-level imports."""
+    top, local = {}, {}
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        inner = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        top[name] = {m for node in ast.walk(tree) if id(node) not in inner
+                     for m in _package_imports(node, sources)}
+        local[name] = [(m, node.lineno) for node in ast.walk(tree) if id(node) in inner
+                       for m in _package_imports(node, sources)]
+
+    def reaches(start: str, goal: str) -> bool:
+        seen, stack = set(), [start]
+        while stack:
+            if (module := stack.pop()) == goal:
+                return True
+            if module not in seen:
+                seen.add(module)
+                stack.extend(top.get(module, ()))
+        return False
+
+    return [f"{name} line {line}: {m}" for name, imports in sorted(local.items())
+            for m, line in imports if not reaches(m, name)]
+
+
+def test_local_imports_break_cycles():
+    assert _acyclic_local_imports({path.stem: path.read_text()
+                                   for path in SRC.glob("*.py")}) == []
+
+
+def test_local_import_check_sees_an_acyclic_import():
+    sources = {"a": "from .b import f\ndef g():\n    from .c import h\n",
+               "b": "from . import c\ndef f():\n    from .a import g\n",
+               "c": "class C:\n    def m(self):\n        from . import b\n"}
+    assert _acyclic_local_imports(sources) == ["a line 3: c"]
 
 
 def _family_table(tree: ast.Module) -> ast.AST | None:

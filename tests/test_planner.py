@@ -92,7 +92,7 @@ def test_evenodd_gamma_formula_and_execution(p):
 
 def test_evenodd_default_x_is_balanced():
     plan = plan_evenodd_single(Code.make("evenodd", 11), 4)
-    assert len(plan.horizontal_rows) == 5
+    assert plan.meta["x"] == 5
 
 
 def test_evenodd_plan_validation():
@@ -116,7 +116,8 @@ def test_special_row_prefers_flat():
             special = (1 - erased) % p
             if special == 0:
                 continue
-            assert special in plan.horizontal_rows
+            flat = plan.targets[codes._decode_equations(plan.code).slope[plan.checks] == 0]
+            assert special in (flat % plan.code.rows + 1).tolist()
 
 
 # -- rdp --------------------------------------------------------------------

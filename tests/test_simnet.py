@@ -4,15 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from arraycode import Code, encode, random_info, simnet
-from arraycode.codes import FAMILIES
+from arraycode import Code, container, encode, random_info, simnet
+from arraycode.codes import FAMILIES, decode_recipe
 from arraycode.core import ParameterError, UnrecoverableError
 
 
 def test_node_counts():
-    assert len(simnet.create_cluster("evenodd", 5, seed=0).nodes) == 7
-    assert len(simnet.create_cluster("star", 5, seed=0).nodes) == 8
-    assert len(simnet.create_cluster("rdp", 5, seed=0).nodes) == 6
+    assert len(simnet.create_cluster("evenodd", 5, seed=0).columns) == 7
+    assert len(simnet.create_cluster("star", 5, seed=0).columns) == 8
+    assert len(simnet.create_cluster("rdp", 5, seed=0).columns) == 6
 
 
 def test_fail_budget():
@@ -31,7 +31,7 @@ def test_repair_requires_dead_target():
     with pytest.raises(ParameterError):
         simnet.run_repair(cluster, 2)
     with pytest.raises(ParameterError):
-        cluster.node(0)
+        cluster.column(0)
     simnet.fail_nodes(cluster, [2])
     with pytest.raises(ParameterError):
         simnet.run_repair(cluster, 2, "fast")
@@ -76,7 +76,35 @@ def test_naive_rebuild_reads_the_columns_it_charges(family):
             result = simnet.run_repair(cluster, failed[0], "naive")
             assert result.verified
             assert sorted(set(asked)) == sorted(result.ledger.blocks), (p, failed)
-            assert len(result.ledger.blocks) == code.k
+            # every family here is MDS at its default r: the k lowest live columns
+            live = [c for c in range(1, code.n + 1) if c not in failed]
+            assert sorted(result.ledger.blocks) == live[:code.k], (p, failed)
+
+
+def test_naive_rebuild_skips_columns_that_do_not_decode():
+    """Past the proven tolerance the k lowest live columns of evenodd-ext at
+    (p, r) = (7, 5) do not always decode the target. Every decodable failure
+    of fewer than r columns is repaired and verified under both strategies,
+    and each naive repair still charges k whole columns."""
+    code = Code("evenodd-ext", 7, 5)
+    grid = encode(code, random_info(code, 1, np.random.default_rng(75)))
+    decodable = 0
+    for size in range(1, code.r):
+        for failed in itertools.combinations(range(1, code.n + 1), size):
+            try:
+                decode_recipe(code, failed)
+            except UnrecoverableError:
+                continue
+            decodable += 1
+            for strategy in ("paper", "naive"):
+                cluster = simnet.cluster_from_grid(grid)
+                simnet.fail_nodes(cluster, failed)
+                for target in failed:
+                    result = simnet.run_repair(cluster, target, strategy)
+                    assert result.verified, (failed, strategy, target)
+                    if result.strategy_used == "naive":
+                        assert result.ledger.total_blocks == code.k * code.rows
+    assert decodable == 793
 
 
 @pytest.mark.parametrize("family,p", [("evenodd", 7), ("rdp", 7),
@@ -95,12 +123,12 @@ def test_paper_never_beats_naive_backwards(family, p):
 
 def test_rebuild_restores_node():
     cluster = simnet.create_cluster("rdp", 5, seed=7)
-    original = cluster.node(2).column.copy()
+    original = cluster.column(2).copy()
     simnet.fail_nodes(cluster, [2])
-    assert cluster.node(2).column is None
+    assert cluster.columns[1] is None
     result = simnet.run_repair(cluster, 2)
-    assert cluster.node(2).alive
-    assert np.array_equal(cluster.node(2).column, original)
+    assert cluster.dead_ids() == []
+    assert np.array_equal(cluster.column(2), original)
     assert result.verified
 
 
@@ -109,27 +137,27 @@ def test_nodes_view_grid_and_shadow_is_private():
     grid = encode(code, random_info(code, 4, np.random.default_rng(8)))
     original = grid.copy()
     cluster = simnet.cluster_from_grid(grid)
-    for node in cluster.nodes:
-        assert np.shares_memory(node.column, grid.cells)
+    for column in cluster.columns:
+        assert np.shares_memory(column, grid.cells)
     simnet.fail_nodes(cluster, [2, 4])
     for nid in (2, 4):
         kept = cluster.originals[nid]
         assert np.array_equal(kept, original.column(nid))
         assert not np.shares_memory(kept, grid.cells)
-        for node in cluster.nodes:
-            assert node.column is None or not np.shares_memory(kept, node.column)
+        for column in cluster.columns:
+            assert column is None or not np.shares_memory(kept, column)
     assert simnet.run_repair(cluster, 2).verified
-    assert not np.shares_memory(cluster.node(2).column, grid.cells)
-    assert not np.shares_memory(cluster.node(2).column, cluster.originals[2])
+    assert not np.shares_memory(cluster.column(2), grid.cells)
+    assert not np.shares_memory(cluster.column(2), cluster.originals[2])
     assert np.array_equal(grid.cells, original.cells)
 
 
 def test_original_kept_from_first_failure():
     cluster = simnet.create_cluster("evenodd", 5, seed=3)
-    original = cluster.node(2).column.copy()
+    original = cluster.column(2).copy()
     simnet.fail_nodes(cluster, [2])
     simnet.run_repair(cluster, 2)
-    cluster.node(2).column = cluster.node(2).column ^ 1  # a bad repair installed
+    cluster.columns[1] = cluster.columns[1] ^ 1  # a bad repair installed
     simnet.fail_nodes(cluster, [2])
     assert np.array_equal(cluster.originals[2], original)
     assert simnet.run_repair(cluster, 2).verified
@@ -204,7 +232,8 @@ def test_extended_wide_failure_naive():
 
 def test_payload_backed_cluster():
     data = bytes(range(160))
-    cluster = simnet.create_cluster("rdp", 5, block_size=16, data=data)
+    grid = container.encode_payload(Code.make("rdp", 5), data, 16)
+    cluster = simnet.cluster_from_grid(grid)
     simnet.fail_nodes(cluster, [1])
     assert simnet.run_repair(cluster, 1).verified
 
@@ -213,9 +242,7 @@ def test_insufficient_survivors():
     cluster = simnet.create_cluster("evenodd", 5, seed=6)
     simnet.fail_nodes(cluster, [1])
     # lose two more columns behind the budget checker's back
-    for nid in (2, 3):
-        cluster.node(nid).alive = False
-        cluster.node(nid).column = None
+    cluster.columns[1] = cluster.columns[2] = None
     with pytest.raises(UnrecoverableError):
         simnet.run_repair(cluster, 1, "naive")
 
