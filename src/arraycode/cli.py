@@ -31,12 +31,7 @@ from .planner import plan_star_double, plan_to_json
 __all__ = ["main"]
 
 
-def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="arraycode",
-                                 description="Binary MDS array codes with "
-                                             "bandwidth-efficient repair")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
+def _add_encode(sub) -> None:
     enc = sub.add_parser("encode", help="encode a file into a container")
     enc.add_argument("input")
     enc.add_argument("output")
@@ -45,10 +40,14 @@ def _parser() -> argparse.ArgumentParser:
     enc.add_argument("--r", type=int, default=None)
     enc.add_argument("--block-size", type=int, default=16)
 
+
+def _add_extract(sub) -> None:
     ext = sub.add_parser("extract", help="recover the original file")
     ext.add_argument("input")
     ext.add_argument("output")
 
+
+def _add_repair(sub) -> None:
     rep = sub.add_parser("repair", help="fail columns and rebuild them")
     rep.add_argument("input")
     rep.add_argument("--fail", required=True,
@@ -57,6 +56,8 @@ def _parser() -> argparse.ArgumentParser:
     rep.add_argument("--report", help="write the session report JSON here")
     rep.add_argument("--plan", help="write the first repair plan JSON here")
 
+
+def _add_analyze(sub) -> None:
     ana = sub.add_parser("analyze", help="bandwidth sweep over primes")
     ana.add_argument("--family", required=True, choices=sorted(FAMILIES))
     ana.add_argument("--p-range", required=True,
@@ -64,16 +65,37 @@ def _parser() -> argparse.ArgumentParser:
     ana.add_argument("--r", type=int, default=3)
     ana.add_argument("--csv", help="write the sweep as CSV here")
 
+
+def _add_oracle(sub) -> None:
     orc = sub.add_parser("oracle", help="check closed forms by enumeration")
     orc.add_argument("--mode", required=True,
                      choices=["evenodd-min", "f-check", "star-validate"])
     orc.add_argument("--p", type=int, required=True)
     orc.add_argument("--r", type=int, default=3)
+
+
+_SUBPARSERS = {"encode": _add_encode, "extract": _add_extract, "repair": _add_repair,
+               "analyze": _add_analyze, "oracle": _add_oracle}
+
+
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with only the subcommand ``argv[0]`` names,
+    or every subcommand when it names none (``--help``, no arguments, an
+    unknown command), so usage text and errors list them all."""
+    ap = argparse.ArgumentParser(prog="arraycode",
+                                 description="Binary MDS array codes with "
+                                             "bandwidth-efficient repair")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    named = argv[0] if argv and argv[0] in _SUBPARSERS else None
+    for name, add in _SUBPARSERS.items():
+        if named in (None, name):
+            add(sub)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     handler = {"encode": _cmd_encode, "extract": _cmd_extract,
                "repair": _cmd_repair, "analyze": _cmd_analyze,
                "oracle": _cmd_oracle}[args.cmd]

@@ -34,8 +34,11 @@ planner peel, plan and compile over them.
 :class:`Coord` s are made only at the public edge, by :func:`_coords`.
 
 Encoding, decoding and plan execution share one executor: each step of an
-ordered ``(target, sources)`` XOR schedule over the work buffer gathers its
-source rows and XOR-reduces them into its target, in fixed-size byte chunks.
+ordered ``(target, sources)`` XOR schedule over the work buffer XORs its
+source rows into its target, in fixed-size byte chunks. The steps run level
+by level, each level's steps of one width in one gather and one reduction
+(:attr:`XorSchedule.groups`), so a schedule of small blocks costs a few
+NumPy calls per level rather than one per step.
 
 * :func:`encode` runs one schedule per code in place: each adjuster from
   its line, then every parity cell from its check.
@@ -378,6 +381,12 @@ def family_spec(family: str) -> FamilySpec:
 # bytes of each block one gather reads: a step's sources stay in cache, and a
 # gather of whole 64 KiB blocks was measured slower than this
 _CHUNK = 8192
+# bytes one batched gather of :func:`_run_steps` may read. Batching saves
+# NumPy calls, which is what small blocks cost; once a step gathers a few KiB
+# its bytes cost more, and larger temporaries only disturb the allocator (at
+# p=7 with 4 KiB blocks, batches under a 64 KiB budget made CLI repairs 3-4%
+# slower, and a 256 KiB budget made encodes about 2x slower)
+_GATHER = 32 * 1024
 # compiled schedules kept; each holds about 0.1 MB at p=53
 _CACHE_SIZE = 128
 
@@ -406,19 +415,64 @@ class XorSchedule(UserDict):
 
     def pruned(self, keep) -> "XorSchedule":
         """The solve steps that the buffer rows ``keep`` or the checks depend
-        on, in order, over the same buffer layout: walking the steps
-        backwards, a step is kept when its target is needed, and its sources
-        become needed."""
-        needed = set(keep)
-        for _, sources in self.steps[self.solves:]:
-            needed.update(sources.tolist())
-        kept = []
-        for target, sources in reversed(self.steps[:self.solves]):
-            if target in needed:
-                needed.update(sources.tolist())
-                kept.append((target, sources))
-        return XorSchedule(self.code, (*reversed(kept), *self.steps[self.solves:]), len(kept),
-                           tuple(c for c in self.eliminated if c in needed))
+        on, in order, over the same buffer layout: walking the links from
+        reading to writing step backwards (:attr:`_links`), a step is kept
+        when its target is kept or a kept step or check reads it."""
+        step_of = {t: i for i, (t, _) in enumerate(self.steps)}
+        kept = [False] * self.solves + [True] * (len(self.steps) - self.solves)
+        for row in keep:
+            if row in step_of:
+                kept[step_of[row]] = True
+        readers, writers = self._links
+        for step, by in zip(reversed(readers.tolist()), reversed(writers.tolist())):
+            kept[by] = kept[by] or kept[step]
+        return XorSchedule(self.code, tuple(s for s, k in zip(self.steps, kept) if k),
+                           sum(kept[:self.solves]),
+                           tuple(c for c in self.eliminated if kept[step_of[c]]))
+
+    @cached_property
+    def _links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each source that another step writes, as the index of the step
+        reading it (ascending) and of the step writing it: one mask over
+        the steps' sources laid end to end."""
+        steps = self.steps
+        writer = np.full(self.code.rows * self.code.n + self.slots, -1)
+        writer[[t for t, _ in steps]] = np.arange(len(steps))
+        written = writer[np.concatenate([s for _, s in steps])]
+        hits = np.flatnonzero(written >= 0)
+        readers = np.repeat(np.arange(len(steps)), [len(s) for _, s in steps])[hits]
+        return readers, written[hits]
+
+    @cached_property
+    def narrowest(self) -> int:
+        """The fewest sources any step reads."""
+        return min(len(s) for _, s in self.steps)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The steps as ``(targets, sources)`` groups, level by level, that
+        :func:`_run_steps` runs; worked out once per schedule.
+
+        A step's level is one more than the highest level among the steps
+        that wrote its sources (0 when it reads only given rows), so the
+        steps of one level never read each other's targets. Each row is
+        written at most once and read only after it is written, so running
+        the levels in order gives what running the steps in order does. The
+        steps of one level and one width form a group; ``sources`` is its
+        ``(width, steps)`` matrix, one column per step, so a gather of some
+        of its columns reduces over axis 0. A group of one step is that
+        step, ``(target, sources)``, as :attr:`steps` holds it.
+        """
+        readers, writers = self._links
+        level = [0] * len(self.steps)
+        for step, by in zip(readers.tolist(), writers.tolist()):
+            if level[by] >= level[step]:
+                level[step] = level[by] + 1
+        members: dict[tuple[int, int], list] = {}
+        for step, lv in zip(self.steps, level):
+            members.setdefault((lv, len(step[1])), []).append(step)
+        return tuple((np.array([t for t, _ in m]), np.array([s for _, s in m]).T)
+                     if len(m) > 1 else m[0] for _, m in sorted(members.items()))
 
     @cached_property
     def reads(self) -> tuple:
@@ -497,7 +551,7 @@ def _encode_schedule(code: Code) -> XorSchedule:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _solve_schedule(code: Code, erased: tuple[int, ...],
-                    wanted: tuple[int, ...]) -> XorSchedule:
+                    wanted: tuple[int, ...]) -> XorSchedule | None:
     """Peel the parity checks into a triangular schedule of erased cells.
 
     Repeatedly take a check with exactly one unknown cell left and solve that
@@ -508,9 +562,12 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     :func:`mds_decode`). Steps neither a ``wanted`` cell nor a check depends
     on are dropped; a schedule for fewer columns than ``erased`` is pruned
     from the cached one for all of them. Cells are work-buffer rows.
+    Returns None, cached like a schedule, when the pattern's checks are
+    rank-deficient.
     """
     if wanted != erased:
-        return _solve_schedule(code, erased, erased).pruned(_column_rows(code, wanted))
+        whole = _solve_schedule(code, erased, erased)
+        return None if whole is None else whole.pruned(_column_rows(code, wanted))
     eqs = _decode_equations(code).checks
     stored = code.rows * code.n
     lost = _column_rows(code, erased)
@@ -549,7 +606,9 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
             break
         # peeling stalled: solve the cheapest cell elimination offers, then peel on
         if not options:
-            options = _eliminate(code, erased, eqs, rest)
+            options = _eliminate(eqs, rest)
+            if options is None:
+                return None
         target = min(rest, key=lambda c: len(options[c]))
         eliminated.append(target)
         solve(target, options[target])
@@ -559,14 +618,13 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     return XorSchedule(code, steps, len(recipe), tuple(eliminated)).pruned(lost)
 
 
-def _eliminate(code: Code, erased: tuple[int, ...], eqs,
-               unknowns: list[int]) -> dict[int, np.ndarray]:
+def _eliminate(eqs, unknowns: list[int]) -> dict[int, np.ndarray] | None:
     """Express each of ``unknowns`` as an XOR of surviving or solved cells.
 
     Gauss-Jordan elimination over GF(2). Each check is one int bitset: bit i
     for ``unknowns[i]``, then bit ``len(unknowns) + c`` for each known cell
     ``c``, so combining checks XORs their known cells into the recovery set
-    too. Raises :class:`UnrecoverableError` if the system is rank-deficient.
+    too. Returns None if the system is rank-deficient.
     """
     u = len(unknowns)
     bit_of = {cell: i for i, cell in enumerate(unknowns)}
@@ -583,8 +641,7 @@ def _eliminate(code: Code, erased: tuple[int, ...], eqs,
                 break
             row ^= pivots[bit]
     if len(pivots) < u:
-        raise UnrecoverableError(
-            f"erasure pattern {sorted(erased)} is not decodable for {code.family} p={code.p}")
+        return None
     for bit in sorted(pivots, reverse=True):  # back-substitute to one unknown per check
         row = pivots[bit]
         while rest := row & mask ^ bit:
@@ -607,25 +664,54 @@ def decode_recipe(code: Code, erased: tuple[int, ...], *,
 
     The schedule for all of ``erased`` is solved once, and for fewer wanted
     columns pruned once to the steps their cells and its checks depend on;
-    both are cached.
+    both are cached, and so is the verdict on a rank-deficient pattern,
+    which raises :class:`UnrecoverableError`.
     """
     erased = tuple(sorted(set(erased)))
     wanted = erased if wanted is None else tuple(sorted(set(wanted)))
     if not set(wanted) <= set(erased):
         raise ParameterError(f"wanted columns {list(wanted)} are not all erased")
-    return _solve_schedule(code, erased, wanted)
+    schedule = _solve_schedule(code, erased, wanted)
+    if schedule is None:
+        raise UnrecoverableError(
+            f"erasure pattern {list(erased)} is not decodable for {code.family} p={code.p}")
+    return schedule
 
 
-def _run_steps(buf: np.ndarray, steps) -> None:
-    """XOR each step's source rows of ``buf`` into its target row, in order.
+def _run_steps(buf: np.ndarray, schedule: XorSchedule) -> None:
+    """Run the steps of ``schedule`` on the rows of ``buf``: XOR each step's
+    source rows into its target row.
 
-    Runs chunk by chunk over the block bytes: a step only reads bytes of the
-    same chunk that earlier steps wrote, and one chunk's gather stays small.
+    Runs chunk by chunk over the block bytes, since a step reads only bytes
+    of its own chunk, and in each chunk level by level
+    (:attr:`XorSchedule.groups`): the steps of a group run as batches of one
+    gather each, ``buf[sources[:, a:b]]`` of shape ``(width, steps, chunk)``
+    reduced over axis 0 (about 2x faster at 16-byte blocks than reducing a
+    ``(steps, width)`` gather over axis 1), so a batch costs a few NumPy
+    calls whatever its size. A batch is cut so its gather stays within
+    ``_GATHER`` bytes; a batch of one step reduces straight into its target
+    row. When no two steps fit in one gather (at 64 KiB blocks, or at p=7
+    with 4 KiB blocks) nothing can batch, and the steps run in schedule
+    order, each a group of one, without working out levels.
     """
+    chunk = min(buf.shape[1], _CHUNK)
+    groups = schedule.groups if 2 * chunk * schedule.narrowest <= _GATHER else schedule.steps
     for lo in range(0, buf.shape[1], _CHUNK):
-        hi = lo + _CHUNK
-        for target, sources in steps:
-            np.bitwise_xor.reduce(buf[sources, lo:hi], axis=0, out=buf[target, lo:hi])
+        hi = min(lo + _CHUNK, buf.shape[1])
+        for targets, sources in groups:
+            if sources.ndim == 1:  # a group of one step
+                np.bitwise_xor.reduce(buf[sources, lo:hi], axis=0, out=buf[targets, lo:hi])
+                continue
+            width, count = sources.shape
+            batch = _GATHER // (width * (hi - lo))
+            for a in range(0, count, max(batch, 1)):
+                if batch < 2 or a + 1 == count:
+                    np.bitwise_xor.reduce(buf[sources[:, a], lo:hi], axis=0,
+                                          out=buf[targets[a], lo:hi])
+                else:
+                    b = a + batch
+                    buf[targets[a:b], lo:hi] = np.bitwise_xor.reduce(
+                        buf[sources[:, a:b], lo:hi], axis=0)
 
 
 def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
@@ -645,7 +731,7 @@ def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
         hi = lo + chunk.shape[1]
         for column, rows, col_rows in gathers:
             chunk[rows] = column[col_rows, lo:hi]
-        _run_steps(chunk, schedule.steps)
+        _run_steps(chunk, schedule)
         if checks and chunk[-checks:].any():
             raise CorruptionError("surviving columns are inconsistent: a parity check fails")
         for c, cells in out.items():
@@ -679,7 +765,7 @@ def _encode_buffer(code: Code, block: int) -> np.ndarray:
 def _encode_in_place(code: Code, buf: np.ndarray) -> CodeGrid:
     """Compute the parity cells of a work buffer whose information cells
     are filled; returns the grid over it."""
-    _run_steps(buf, _encode_schedule(code).steps)
+    _run_steps(buf, _encode_schedule(code))
     return CodeGrid(code, cell_view(code, buf))
 
 

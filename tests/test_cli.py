@@ -99,6 +99,32 @@ def test_exit_code_bad_parameters(sample):
     assert run("repair", str(box), "--fail", "x") == 2
 
 
+COMMANDS = ["encode", "extract", "repair", "analyze", "oracle"]
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    assert run("--help") == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    for command in COMMANDS:
+        assert f"\n    {command} " in out, command
+
+
+def test_missing_or_unknown_command_exits_2(capsys):
+    assert run() == 2
+    assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().err
+    assert run("bogus", "--p", "5") == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(command in err for command in COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_help(command, capsys):
+    assert run(command, "--help") == 0
+    assert capsys.readouterr().out.startswith(f"usage: arraycode {command} ")
+
+
 def test_exit_code_io_error(tmp_path):
     assert run("extract", str(tmp_path / "missing.aerc"),
                str(tmp_path / "out")) == 3

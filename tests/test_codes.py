@@ -1,6 +1,7 @@
 import itertools
 import pickle
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from arraycode import (
     codes,
     encode,
     mds_decode,
+    planner,
     random_info,
     simnet,
 )
@@ -373,6 +375,86 @@ def test_encode_schedule_shape(p):
             assert len(sources) <= p, (code, target)
             assert all(s in info or s in done for s in sources), (code, target)
             done.add(target)
+
+
+def _step_by_step(buf, steps):
+    """The reference fold: each step over whole blocks, in schedule order."""
+    for target, sources in steps:
+        buf[target] = np.bitwise_xor.reduce(buf[sources], axis=0)
+
+
+def _group_steps(group):
+    """The ``(target, source list)`` steps of one executor group."""
+    targets, sources = group
+    if sources.ndim == 1:
+        return [(int(targets), sources.tolist())]
+    return [(t, sources[:, j].tolist()) for j, t in enumerate(targets.tolist())]
+
+
+def _plan_schedule(code, erased):
+    """The schedule ``execute_plan`` compiles for the family's plan of the
+    data columns ``erased``, or None when the family has no such plan."""
+    plan = code.spec.plan(code, erased)
+    if plan is None:
+        return None
+    compiled = []
+    with mock.patch.object(planner, "_execute", lambda s, source, out: compiled.append(s)):
+        planner.execute_plan(plan, encode(code, random_info(code, 1, np.random.default_rng(0))))
+    return compiled[0]
+
+
+def _schedules(code, erased):
+    """Every schedule the executor runs for ``erased``: the encode schedule,
+    the decode schedule, its pruning to the first erased column, and the
+    repair plan's when the family plans for those columns."""
+    out = [codes._encode_schedule(code), codes.decode_recipe(code, erased),
+           codes.decode_recipe(code, erased, wanted=erased[:1])]
+    if set(erased) <= set(code.systematic_cols()):
+        out.append(_plan_schedule(code, erased))
+    return [s for s in out if s is not None]
+
+
+@st.composite
+def _schedule_runs(draw):
+    family = draw(st.sampled_from(["evenodd", "evenodd-ext", "rdp", "xcode", "star"]))
+    code = Code.make(family, draw(st.sampled_from([5, 7, 13])), draw(st.sampled_from([2, 3])))
+    erased = draw(st.lists(st.integers(1, code.n), min_size=1,
+                           max_size=code.erasure_tolerance, unique=True))
+    block = draw(st.sampled_from([1, 16, 4096, 2 * codes._CHUNK + 5, 65536]))
+    return code, tuple(erased), block, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_schedule_runs())
+def test_levelled_run_matches_step_by_step(case):
+    """The executor's level-by-level batched run writes what running the
+    steps one by one writes, at every block size its batching sees."""
+    code, erased, block, seed = case
+    rng = np.random.default_rng(seed)
+    for schedule in _schedules(code, erased):
+        buf = rng.integers(0, 256, (code.rows * code.n + schedule.slots, block), dtype=np.uint8)
+        want = buf.copy()
+        _step_by_step(want, schedule.steps)
+        codes._run_steps(buf, schedule)
+        assert np.array_equal(buf, want), (code, erased, block)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_groups_are_levels(p):
+    """Every step sits in exactly one group, and no group reads a row that
+    a step of its own group or of a later one writes."""
+    for code in _families(p) + ([Code("evenodd-ext", p, 5)] if p > 5 else []):
+        for erased in itertools.chain.from_iterable(
+                itertools.combinations(range(1, code.n + 1), t)
+                for t in range(1, code.erasure_tolerance + 1)):
+            for schedule in _schedules(code, erased):
+                groups = [_group_steps(g) for g in schedule.groups]
+                assert sorted(step for g in groups for step in g) == \
+                    sorted((t, s.tolist()) for t, s in schedule.steps), (code, erased)
+                later = set()
+                for group in reversed(groups):
+                    later.update(t for t, _ in group)
+                    assert not later & {r for _, s in group for r in s}, (code, erased)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from arraycode import Code, container, encode, random_info, simnet
+from arraycode import Code, codes, container, encode, random_info, simnet
 from arraycode.codes import FAMILIES, decode_recipe
 from arraycode.core import ParameterError, UnrecoverableError
 
@@ -105,6 +105,27 @@ def test_naive_rebuild_skips_columns_that_do_not_decode():
                     if result.strategy_used == "naive":
                         assert result.ledger.total_blocks == code.k * code.rows
     assert decodable == 793
+
+
+def test_naive_rebuild_caches_an_undecodable_subset():
+    """The first k live columns after failing (1, 2, 4, 9) of evenodd-ext
+    at (7, 5) do not decode column 1, so a naive repair skips them; the
+    solver's verdict on them is cached, and a repeated repair solves
+    nothing anew."""
+    code = Code("evenodd-ext", 7, 5)
+    grid = encode(code, random_info(code, 16, np.random.default_rng(79)))
+
+    def repair():
+        cluster = simnet.fail_nodes(simnet.cluster_from_grid(grid), (1, 2, 4, 9))
+        assert simnet.run_repair(cluster, 1, "naive").verified
+
+    with pytest.raises(UnrecoverableError):
+        decode_recipe(code, (1, 2, 4, 9, 12), wanted=(1,))
+    repair()
+    misses = codes._solve_schedule.cache_info().misses
+    repair()
+    repair()
+    assert codes._solve_schedule.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("family,p", [("evenodd", 7), ("rdp", 7),
