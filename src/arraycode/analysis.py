@@ -4,6 +4,12 @@ Counts are in blocks. A repair that reads k whole surviving columns (the
 fallback every MDS code supports) costs k times the column height; the
 functions here quantify how far below that the group-based plans land and
 what an information-flow argument says is the floor.
+
+The counting oracles mark lines of one slope on a boolean grid of the cells
+of columns 2..p, imaginary row p included, straight from the line formula
+(:func:`_covered`), and AND, OR or sum such grids. None reads a closed form
+or :func:`common_block_count`'s residue table, so each checks them
+independently.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codes import Code, family_spec
-from .core import Coord, ParameterError, ParityGroupId, is_prime, parity_group_members
+from .core import ParameterError, is_prime
 
 __all__ = [
     "evenodd_bandwidth",
@@ -147,21 +153,28 @@ def common_block_count(p: int, partition: Partition, classes: Sequence[int]) -> 
     return int(shared.sum())
 
 
+def _covered(p: int, slope: int, indices: Iterable[int]) -> np.ndarray:
+    """The cells of columns 2..p on the lines of ``slope`` through
+    ``indices``: ``grid[row - 1, col - 2]`` of a ``(p, p - 1)`` boolean
+    grid, imaginary row p last. The line through index i visits row
+    ``<i + slope*(1 - j)>`` of column j."""
+    grid = np.zeros((p, p - 1), dtype=bool)
+    i = np.fromiter(indices, dtype=np.int64)[:, None]
+    j = np.arange(2, p + 1)
+    grid[(i + slope * (1 - j) - 1) % p, j - 2] = True
+    return grid
+
+
 def common_block_oracle(p: int, partition: Partition, classes: Sequence[int]) -> int:
-    """Same count by brute construction: build each class's covered cell
-    set over columns 2..p (imaginary row included) and intersect."""
-    covered: list[set[Coord]] = []
-    for v in classes:
-        cells: set[Coord] = set()
-        for m in partition[v]:
-            for c in parity_group_members(p, ParityGroupId(v, m)):
-                if c.col != 1:
-                    cells.add(c)
-        covered.append(cells)
-    common = covered[0]
-    for cells in covered[1:]:
-        common &= cells
-    return len(common)
+    """Same count by brute construction: mark each class's covered cells
+    over columns 2..p (imaginary row included) and intersect."""
+    if not is_prime(p) or p < 3 or any(not -p < v < p or not partition[v] <= set(range(p))
+                                       for v in classes):
+        raise ParameterError(f"classes {list(classes)} are not line sets of an odd prime p={p}")
+    common = _covered(p, classes[0], partition[classes[0]])
+    for v in classes[1:]:
+        common &= _covered(p, v, partition[v])
+    return int(common.sum())
 
 
 def inclusion_exclusion_bound(p: int, r: int,
@@ -190,21 +203,16 @@ def exact_union_bandwidth(p: int, r: int,
     if partition is None:
         partition = default_partition(p, r)
     validate_partition(p, r, partition)
-    slope_sets = [frozenset(cls) for cls in partition]
-    raw = 0
-    for row in range(1, p):
-        for col in range(2, p + 1):
-            if any((row + (col - 1) * v) % p in slope_sets[v] for v in range(r)):
-                raw += 1
-    return raw + (p - 1) + r
+    covered = np.logical_or.reduce([_covered(p, v, cls) for v, cls in enumerate(partition)])
+    return int(covered[:-1].sum()) + (p - 1) + r
 
 
 def covered_imaginary_cells(p: int, r: int,
                             partition: Partition | None = None) -> int:
     if partition is None:
         partition = default_partition(p, r)
-    return sum(1 for col in range(2, p + 1)
-               if any(((col - 1) * v) % p in partition[v] for v in range(r)))
+    covered = np.logical_or.reduce([_covered(p, v, cls) for v, cls in enumerate(partition)])
+    return int(covered[-1].sum())
 
 
 def transfer_inequality_holds(p: int, partition: Partition | None = None) -> bool:
@@ -220,48 +228,48 @@ def transfer_inequality_holds(p: int, partition: Partition | None = None) -> boo
 
 def brute_force_min_single(p: int) -> tuple[int, frozenset[int]]:
     """Try all 2^(p-1) flat/sloped row assignments for column-1 repair and
-    measure each union exactly with bitsets.
+    count each union exactly.
+
+    A cell of columns 2..p (rows 1..p-1) ships unless its row is sloped and
+    the slope-1 line through it is not. With ``s`` marking the sloped rows,
+    ``C[a, b]`` the cells of row a on slope-1 line b (from :func:`_covered`)
+    and w = p - 1, an assignment leaves out ``w*|s| - s'Cs`` of the w^2
+    cells. Each half of the rows is enumerated as a table, and the halves
+    are combined in blocks of at most 2^15 pairs (one first-half row past
+    p = 31), so memory does not grow with 2^(p-1).
 
     Returns the minimum block count and the set of flat-group counts that
     reach it. No closed form is consulted anywhere here.
     """
-    if not is_prime(p):
-        raise ParameterError(f"p={p} is not prime")
-    width = p - 1
+    if not is_prime(p) or p < 3:
+        raise ParameterError(f"p must be an odd prime, got {p}")
+    w = p - 1
+    h = w // 2
+    C = np.stack([_covered(p, 1, (b,))[:-1].sum(1) for b in range(1, p)], axis=1)
 
-    def bit(row: int, col: int) -> int:
-        return 1 << ((row - 1) * width + (col - 2))
+    def half(bits: int) -> np.ndarray:  # every 0/1 assignment of ``bits`` rows
+        return np.arange(1 << bits)[:, None] >> np.arange(bits) & 1
 
-    flat_mask = []
-    sloped_mask = []
-    for row in range(1, p):
-        fm = 0
-        for col in range(2, p + 1):
-            fm |= bit(row, col)
-        flat_mask.append(fm)
-        sm = 0
-        for c in parity_group_members(p, ParityGroupId(1, row)):
-            if c.col != 1 and c.row != p:
-                sm |= bit(c.row, c.col)
-        sloped_mask.append(sm)
-    best = None
-    best_x: set[int] = set()
-    for sigma in range(1 << width):
-        union = 0
-        x = 0
-        for i in range(width):
-            if sigma >> i & 1:
-                union |= flat_mask[i]
-                x += 1
-            else:
-                union |= sloped_mask[i]
-        gamma = union.bit_count() + (p - 1) + 2
-        if best is None or gamma < best:
-            best = gamma
-            best_x = {x}
-        elif gamma == best:
-            best_x.add(x)
-    return best, frozenset(best_x)
+    s1, s2 = half(h), half(w - h)
+    # cells left out, w|s| - s'Cs, are out1[s1] + out2[s2] - s1'K s2, K = C12 + C21'
+    out1 = w * s1.sum(1) - ((s1 @ C[:h, :h]) * s1).sum(1)
+    out2 = w * s2.sum(1) - ((s2 @ C[h:, h:]) * s2).sum(1)
+    cross = (C[:h, h:] + C[h:, :h].T) @ s2.T
+    # A block is the s1 rows a..a+step-1, a a multiple of step: s1[a + i] is
+    # s1[a] + s1[i], so every block shares the low bits' terms.
+    step = min(1 << h, max(1, (1 << 15) >> (w - h)))  # at most 2^15 pairs a block
+    low_out = out2 - s1[:step] @ cross
+    low_sloped = s1[:step].sum(1)[:, None] + s2.sum(1)
+    most, hit = -1, np.zeros(w + 1, dtype=bool)  # hit: sloped-row counts at the most
+    for a in range(0, 1 << h, step):
+        out = out1[a:a + step, None] + low_out - s1[a] @ cross
+        high = int(out.max())
+        if high > most:
+            most = high
+            hit[:] = False
+        if high == most:
+            hit[s1[a].sum() + low_sloped[out == high]] = True
+    return w * w - most + (p - 1) + 2, frozenset((w - np.flatnonzero(hit)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -665,9 +665,18 @@ def decode_recipe(code: Code, erased: tuple[int, ...], *,
     The schedule for all of ``erased`` is solved once, and for fewer wanted
     columns pruned once to the steps their cells and its checks depend on;
     both are cached, and so is the verdict on a rank-deficient pattern,
-    which raises :class:`UnrecoverableError`.
+    which raises :class:`UnrecoverableError`, as does erasing more than
+    n - k columns. A column outside 1..n, a wanted column that is not
+    erased, or an empty ``wanted`` raises :class:`ParameterError`.
     """
     erased = tuple(sorted(set(erased)))
+    if any(not 1 <= c <= code.n for c in erased):
+        raise ParameterError(f"erased columns {erased} out of range 1..{code.n}")
+    if len(erased) > code.n - code.k:
+        raise UnrecoverableError(
+            f"{len(erased)} erasures exceed the {code.n - code.k} parity columns")
+    if wanted is not None and not wanted:
+        raise ParameterError("wanted names no column")
     wanted = erased if wanted is None else tuple(sorted(set(wanted)))
     if not set(wanted) <= set(erased):
         raise ParameterError(f"wanted columns {list(wanted)} are not all erased")
@@ -785,22 +794,18 @@ def mds_decode(code: Code, source, erased: list[int] | tuple[int, ...],
 
     By default the whole grid is returned, survivors copied in; with nothing
     erased every check is verified. With ``wanted`` given only the wanted
-    columns are defined; every other column holds undefined bytes.
+    columns are defined; every other column holds undefined bytes. An empty
+    ``wanted`` raises :class:`ParameterError`, as a column outside 1..n
+    does: :func:`decode_recipe` checks every column argument.
 
     Any pattern of up to n - k erased columns is tried, and the rank of its
     parity checks decides: a rank-deficient pattern (possible only past the
     proven tolerance, in extended codes with r > 3) raises
     :class:`UnrecoverableError`, as does erasing more than n - k columns.
     """
-    erased = tuple(sorted(set(erased)))
-    if any(not 1 <= c <= code.n for c in erased):
-        raise ParameterError(f"erased columns {erased} out of range 1..{code.n}")
-    if len(erased) > code.n - code.k:
-        raise UnrecoverableError(
-            f"{len(erased)} erasures exceed the {code.n - code.k} parity columns")
+    schedule = decode_recipe(code, erased, wanted=wanted)
     cells = cell_view(code, np.empty((code.rows * code.n, source.block_size), dtype=np.uint8))
-    _execute(decode_recipe(code, erased, wanted=wanted), source,
-             {c: cells[:, c - 1] for c in (erased if wanted is None else wanted)})
+    _execute(schedule, source, {c: cells[:, c - 1] for c in wanted or erased})
     if wanted is None:
         for c in range(1, code.n + 1):
             if c not in erased:

@@ -5,12 +5,15 @@ An array codeword is a grid of fixed-size blocks. Rows and columns are
 arithmetic can land on it, but it is never stored. A parity line of slope
 ``v`` through index ``i`` visits, in column ``j``, the row ``<i + v*(1-j)>``
 where ``<x>`` wraps into ``1..p``.
+
+:func:`parity_group_members` lists a line as plain ``Coord`` values: the
+tests' reference line. The codes build lines as arrays, and the counting
+oracles in ``analysis`` mark them on a boolean grid straight from this
+formula, never from a closed form or ``common_block_count``'s residue table.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import repeat
 from typing import NamedTuple
 
 __all__ = [
@@ -24,7 +27,6 @@ __all__ = [
     "ParityGroupId",
     "is_prime",
     "mod_index",
-    "coord_table",
     "parity_group_members",
 ]
 
@@ -94,26 +96,6 @@ def mod_index(x: int, p: int) -> int:
     return (x - 1) % p + 1
 
 
-_cells: tuple[tuple[Coord, ...], ...] = ()
-
-
-def coord_table(p: int) -> tuple[tuple[Coord, ...], ...]:
-    """``coord_table(p)[row - 1][col - 1]`` is ``Coord(row, col)``, for rows
-    and columns 1..p: the cells :func:`parity_group_members` lists.
-
-    One table serves every p: it is rebuilt only for a p larger than any
-    before, so it holds the p^2 cells of the largest p in use, and the lines
-    of every p share one object per cell, which the enumeration oracles'
-    sets compare by identity first.
-    """
-    global _cells
-    if len(_cells) < p:
-        new = partial(tuple.__new__, Coord)  # Coord(r, c) without its Python-level __new__
-        cols = range(1, p + 1)
-        _cells = tuple(tuple(map(new, zip(repeat(r), cols))) for r in cols)
-    return _cells
-
-
 def _check_group(p: int, g: ParityGroupId) -> None:
     if not is_prime(p) or p < 3:
         raise ParameterError(f"p must be an odd prime, got {p}")
@@ -132,5 +114,4 @@ def parity_group_members(p: int, g: ParityGroupId) -> list[Coord]:
     """
     _check_group(p, g)
     v, i = g.slope, g.index
-    cell = coord_table(p)
-    return [cell[(i + v * (1 - j) - 1) % p][j - 1] for j in range(1, p + 1)]
+    return [Coord(mod_index(i + v * (1 - j), p), j) for j in range(1, p + 1)]

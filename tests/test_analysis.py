@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,93 @@ from hypothesis import strategies as st
 
 from arraycode import analysis as an
 from arraycode.codes import family_spec
-from arraycode.core import ParameterError
+from arraycode.core import ParameterError, ParityGroupId, is_prime, parity_group_members
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi + 1) if is_prime(p)]
+
+
+# -- references: the loop and set versions of the counting oracles ------------
+
+def _ref_common_block_oracle(p, partition, classes):
+    """Intersect each class's covered Coord set over columns 2..p."""
+    covered = []
+    for v in classes:
+        cells = set()
+        for m in partition[v]:
+            for c in parity_group_members(p, ParityGroupId(v, m)):
+                if c.col != 1:
+                    cells.add(c)
+        covered.append(cells)
+    common = covered[0]
+    for cells in covered[1:]:
+        common &= cells
+    return len(common)
+
+
+def _ref_exact_union_bandwidth(p, r, partition):
+    slope_sets = [frozenset(cls) for cls in partition]
+    raw = 0
+    for row in range(1, p):
+        for col in range(2, p + 1):
+            if any((row + (col - 1) * v) % p in slope_sets[v] for v in range(r)):
+                raw += 1
+    return raw + (p - 1) + r
+
+
+def _ref_covered_imaginary_cells(p, r, partition):
+    return sum(1 for col in range(2, p + 1)
+               if any(((col - 1) * v) % p in partition[v] for v in range(r)))
+
+
+def _ref_brute_force_min_single(p):
+    """Every flat/sloped row assignment, its union measured as an int bitset."""
+    width = p - 1
+
+    def bit(row, col):
+        return 1 << ((row - 1) * width + (col - 2))
+
+    flat_mask = []
+    sloped_mask = []
+    for row in range(1, p):
+        fm = 0
+        for col in range(2, p + 1):
+            fm |= bit(row, col)
+        flat_mask.append(fm)
+        sm = 0
+        for c in parity_group_members(p, ParityGroupId(1, row)):
+            if c.col != 1 and c.row != p:
+                sm |= bit(c.row, c.col)
+        sloped_mask.append(sm)
+    best = None
+    best_x = set()
+    for sigma in range(1 << width):
+        union = 0
+        x = 0
+        for i in range(width):
+            if sigma >> i & 1:
+                union |= flat_mask[i]
+                x += 1
+            else:
+                union |= sloped_mask[i]
+        gamma = union.bit_count() + (p - 1) + 2
+        if best is None or gamma < best:
+            best = gamma
+            best_x = {x}
+        elif gamma == best:
+            best_x.add(x)
+    return best, frozenset(best_x)
+
+
+def _any_partition(data, primes):
+    """A drawn prime p, class count r and partition of rows 1..p-1 into r
+    classes, some possibly empty."""
+    p = data.draw(st.sampled_from(primes))
+    r = data.draw(st.integers(2, 5))
+    owner = data.draw(st.lists(st.integers(0, r - 1), min_size=p - 1, max_size=p - 1))
+    return p, r, tuple(frozenset(m for m, v in zip(range(1, p), owner) if v == u)
+                       for u in range(r))
 
 
 def test_evenodd_bandwidth_frozen_p5():
@@ -103,13 +190,34 @@ def test_common_blocks_match_enumeration():
 def test_common_blocks_match_enumeration_on_any_partition(data):
     """The same agreement for any partition and any order of the classes,
     up to the p of the benchmark's f-check oracle."""
-    p = data.draw(st.sampled_from([5, 7, 11, 13, 31, 53]))
-    r = data.draw(st.integers(2, 5))
-    owner = data.draw(st.lists(st.integers(0, r - 1), min_size=p - 1, max_size=p - 1))
-    part = tuple(frozenset(m for m, v in zip(range(1, p), owner) if v == u) for u in range(r))
+    p, r, part = _any_partition(data, [5, 7, 11, 13, 31, 53])
     classes = data.draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=r, unique=True))
     assert (an.common_block_count(p, part, classes)
-            == an.common_block_oracle(p, part, classes)), (p, part, classes)
+            == an.common_block_oracle(p, part, classes)
+            == _ref_common_block_oracle(p, part, classes)), (p, part, classes)
+
+
+def test_common_block_oracle_matches_set_reference():
+    for p in _primes(3, 53):
+        for r in (3, 4, 5):
+            if r >= p:
+                continue
+            part = an.default_partition(p, r)
+            for size in range(2, r + 1):
+                for classes in combinations(range(r), size):
+                    assert (an.common_block_oracle(p, part, classes)
+                            == _ref_common_block_oracle(p, part, classes)), (p, r, classes)
+
+
+def test_common_block_oracle_errors():
+    part = an.default_partition(7, 3)
+    with pytest.raises(ParameterError):
+        an.common_block_oracle(9, an.default_partition(9, 3), (0, 1))
+    with pytest.raises(ParameterError):
+        an.common_block_oracle(7, (*part[:2], frozenset({7})), (0, 2))
+    with pytest.raises(ParameterError):  # slope 5 at p=5
+        an.common_block_oracle(5, (frozenset({2, 3, 4}), *[frozenset()] * 4, frozenset({1})),
+                               (0, 5))
 
 
 def test_common_blocks_pairs_are_products():
@@ -145,23 +253,66 @@ def test_inclusion_exclusion_slack_is_imaginary_overhead():
             assert bound - exact == p + an.covered_imaginary_cells(p, r)
 
 
+def test_union_counts_match_loop_reference():
+    for p in _primes(5, 101):
+        for r in (2, 3, 4, 5):
+            if r >= p:
+                continue
+            part = an.default_partition(p, r)
+            assert (an.exact_union_bandwidth(p, r)
+                    == _ref_exact_union_bandwidth(p, r, part)), (p, r)
+            assert (an.covered_imaginary_cells(p, r)
+                    == _ref_covered_imaginary_cells(p, r, part)), (p, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_union_counts_match_loop_reference_on_any_partition(data):
+    p, r, part = _any_partition(data, [5, 7, 11, 13, 31, 53])
+    assert (an.exact_union_bandwidth(p, r, part)
+            == _ref_exact_union_bandwidth(p, r, part)), (p, part)
+    assert (an.covered_imaginary_cells(p, r, part)
+            == _ref_covered_imaginary_cells(p, r, part)), (p, part)
+
+
 def test_transfer_inequality():
-    for p in (13, 17, 19, 23, 29, 31):
-        assert an.transfer_inequality_holds(p)
+    """The docstring's claim, at every prime from 13 to 101."""
+    for p in _primes(13, 101):
+        assert an.transfer_inequality_holds(p), p
 
 
 # -- brute force -------------------------------------------------------------
 
 def test_brute_force_agrees_with_closed_form():
-    for p in (3, 5, 7):
+    for p in _primes(3, 23):
         minimum, best_x = an.brute_force_min_single(p)
-        assert minimum == an.evenodd_min_bandwidth(p)
-        assert best_x == an.evenodd_optimal_x(p)
+        assert minimum == an.evenodd_min_bandwidth(p), p
+        assert best_x == an.evenodd_optimal_x(p), p
+
+
+def test_brute_force_matches_loop_reference():
+    """Minimum and argmin set, against the bitset loop over every assignment."""
+    for p in _primes(3, 17):
+        assert an.brute_force_min_single(p) == _ref_brute_force_min_single(p), p
+
+
+def test_brute_force_memory_is_bounded():
+    """The two half tables are combined a block at a time: at p=23 the
+    2^22 assignments would take about 34 MB as one int64 table."""
+    tracemalloc.start()
+    try:
+        an.brute_force_min_single(23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_brute_force_rejects_composite():
     with pytest.raises(ParameterError):
         an.brute_force_min_single(9)
+    with pytest.raises(ParameterError):
+        an.brute_force_min_single(2)
 
 
 # -- reports -----------------------------------------------------------------

@@ -217,6 +217,34 @@ def test_oracle_modes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+ORACLE_OUTPUT = {  # (mode, p, r): stdout, at every size the benchmark and the tests run
+    ("evenodd-min", 3, 3): "PASS evenodd-min p=3: min=6 optimal_x=[0, 1]",
+    ("evenodd-min", 5, 3): "PASS evenodd-min p=5: min=16 optimal_x=[1, 2]",
+    ("evenodd-min", 7, 3): "PASS evenodd-min p=7: min=32 optimal_x=[2, 3]",
+    ("evenodd-min", 11, 3): "PASS evenodd-min p=11: min=82 optimal_x=[4, 5]",
+    ("evenodd-min", 17, 3): "PASS evenodd-min p=17: min=202 optimal_x=[7, 8]",
+    ("f-check", 7, 3): "PASS f-check p=7 r=3: 4 class subsets agree",
+    ("f-check", 13, 3): "PASS f-check p=13 r=3: 4 class subsets agree",
+    ("f-check", 53, 5): "PASS f-check p=53 r=5: 26 class subsets agree",
+    ("star-validate", 7, 3): "PASS star-validate p=7: schedule solvable for all x, savings=4",
+    ("star-validate", 13, 3): "PASS star-validate p=13: schedule solvable for all x, savings=18",
+    ("star-validate", 31, 3): "PASS star-validate p=31: schedule solvable for all x, savings=112",
+}
+
+
+@pytest.mark.parametrize("mode,p,r", list(ORACLE_OUTPUT))
+def test_oracle_output_pinned(mode, p, r, capsys):
+    assert run("oracle", "--mode", mode, "--p", str(p), "--r", str(r)) == 0
+    assert capsys.readouterr().out == ORACLE_OUTPUT[mode, p, r] + "\n"
+
+
+def test_oracle_refuses_p2(capsys):
+    assert run("oracle", "--mode", "evenodd-min", "--p", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "odd prime" in captured.err
+
+
 def test_oracle_mismatch_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(analysis, "evenodd_min_bandwidth", lambda p: 999)
     assert run("oracle", "--mode", "evenodd-min", "--p", "5") == 5

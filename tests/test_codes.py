@@ -487,6 +487,31 @@ def test_decode_rejects_excess_erasures():
             mds_decode(code, grid, bad)
 
 
+def test_decode_recipe_rejects_column_past_n():
+    with pytest.raises(ParameterError, match="out of range"):
+        codes.decode_recipe(Code.make("evenodd", 5), (1, 99))
+
+
+def test_decode_recipe_rejects_column_zero():
+    with pytest.raises(ParameterError, match="out of range"):
+        codes.decode_recipe(Code.make("evenodd", 5), (0, 1))
+
+
+def test_decode_recipe_refuses_excess_erasures_before_solving():
+    code = Code.make("evenodd", 5)
+    misses = codes._solve_schedule.cache_info().misses
+    with pytest.raises(UnrecoverableError, match="3 erasures exceed the 2 parity columns"):
+        codes.decode_recipe(code, (1, 2, 3))
+    assert codes._solve_schedule.cache_info().misses == misses
+
+
+def test_decode_rejects_empty_wanted():
+    code = Code.make("evenodd", 5)
+    grid = encode(code, random_info(code, 2, np.random.default_rng(5)))
+    with pytest.raises(ParameterError, match="wanted"):
+        mds_decode(code, grid, (1, 2), wanted=[])
+
+
 def test_extended_unchecked_beyond_three():
     """Four erasures of r = 4, past the proven tolerance: the solver's rank
     decides, and this pattern decodes."""
