@@ -74,10 +74,6 @@ def _add_oracle(sub) -> None:
     orc.add_argument("--r", type=int, default=3)
 
 
-_SUBPARSERS = {"encode": _add_encode, "extract": _add_extract, "repair": _add_repair,
-               "analyze": _add_analyze, "oracle": _add_oracle}
-
-
 def _parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for ``argv``: with only the subcommand ``argv[0]`` names,
     or every subcommand when it names none (``--help``, no arguments, an
@@ -86,8 +82,8 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
                                  description="Binary MDS array codes with "
                                              "bandwidth-efficient repair")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    named = argv[0] if argv and argv[0] in _SUBPARSERS else None
-    for name, add in _SUBPARSERS.items():
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (add, _) in _COMMANDS.items():
         if named in (None, name):
             add(sub)
     return ap
@@ -96,11 +92,8 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser(argv).parse_args(argv)
-    handler = {"encode": _cmd_encode, "extract": _cmd_extract,
-               "repair": _cmd_repair, "analyze": _cmd_analyze,
-               "oracle": _cmd_oracle}[args.cmd]
     try:
-        return handler(args)
+        return _COMMANDS[args.cmd][1](args)
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 5
@@ -250,6 +243,12 @@ def _cmd_oracle(args) -> int:
                 f"expected {3 * (p - 1) // 2}")
     print(f"PASS star-validate p={p}: schedule solvable for all x, savings={want}")
     return 0
+
+
+# each command's parser builder and handler, in the order help lists them
+_COMMANDS = {"encode": (_add_encode, _cmd_encode), "extract": (_add_extract, _cmd_extract),
+             "repair": (_add_repair, _cmd_repair), "analyze": (_add_analyze, _cmd_analyze),
+             "oracle": (_add_oracle, _cmd_oracle)}
 
 
 if __name__ == "__main__":

@@ -321,9 +321,12 @@ class FamilySpec:
         return max(self.min_p, r + 1) if self.r_range else self.min_p
 
     def plan(self, code: Code, erased: tuple[int, ...]):
-        """The repair plan for the first of the ``erased`` data columns, or
-        None when the family has no planner for that many erasures."""
+        """The repair plan for the first of the ``erased`` columns, or None
+        when one of them holds parity or the family has no planner for that
+        many erasures: the one rule for whether a paper plan applies."""
         from . import planner
+        if any(code.info_cols < c <= code.n for c in erased):
+            return None
         if len(erased) == 1:
             return getattr(planner, self.plan_single)(code, erased[0])
         if len(erased) == 2 and self.plan_double is not None:
@@ -559,11 +562,11 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     peeling stalls (three-erasure patterns of some families, and r > 3) are
     solved by elimination. The checks no peel step used become the
     schedule's verification checks, none when n - k columns are erased (see
-    :func:`mds_decode`). Steps neither a ``wanted`` cell nor a check depends
-    on are dropped; a schedule for fewer columns than ``erased`` is pruned
-    from the cached one for all of them. Cells are work-buffer rows.
-    Returns None, cached like a schedule, when the pattern's checks are
-    rank-deficient.
+    :func:`mds_decode`). With every erased column wanted the schedule is
+    returned as solved; only a schedule for a subset of the columns is
+    pruned, from the cached one for all of them, to the steps its cells
+    and the checks depend on. Cells are work-buffer rows. Returns None,
+    cached like a schedule, when the pattern's checks are rank-deficient.
     """
     if wanted != erased:
         whole = _solve_schedule(code, erased, erased)
@@ -615,7 +618,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     checks = () if len(erased) == code.n - code.k else \
         [eq for e, eq in enumerate(eqs) if e not in used]
     steps = (*recipe.items(), *((virtual.stop + i, eq) for i, eq in enumerate(checks)))
-    return XorSchedule(code, steps, len(recipe), tuple(eliminated)).pruned(lost)
+    return XorSchedule(code, steps, len(recipe), tuple(eliminated))
 
 
 def _eliminate(eqs, unknowns: list[int]) -> dict[int, np.ndarray] | None:

@@ -16,6 +16,10 @@ Grids in memory use the same layout (:func:`codes.cell_view`), so
 :func:`read_container` reads the body straight into the grid's buffer.
 Information blocks are filled column-major from the payload, zero-padded
 up to ``k * rows * block_size``.
+
+:func:`write_container` is the one writer of this format and
+:func:`read_container` the one reader: a file is the only form a
+container takes, and nothing else packs or parses a header.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ __all__ = [
     "MAGIC",
     "FAMILY_TAGS",
     "ContainerError",
-    "pack_grid",
-    "unpack_grid",
     "write_container",
     "read_container",
     "encode_payload",
@@ -78,69 +80,47 @@ def encode_payload(code: Code, payload: bytes, block_size: int) -> CodeGrid:
 
 
 def extract_payload(grid: CodeGrid, payload_length: int) -> bytes:
-    rows, cols = grid.code.info_shape
-    info = grid.info()
-    flat = info.transpose(1, 0, 2).reshape(-1)
+    flat = grid.info().transpose(1, 0, 2).reshape(-1)
     if payload_length > flat.size:
         raise ContainerError("payload length exceeds container capacity")
     return flat[:payload_length].tobytes()
 
 
-def _pack_header(grid: CodeGrid, payload_length: int) -> bytes:
-    code = grid.code
-    return _HEADER.pack(MAGIC, FAMILY_TAGS[code.family], code.p, code.r,
-                        grid.block_size, payload_length)
-
-
-def pack_grid(grid: CodeGrid, payload_length: int) -> bytes:
-    return _pack_header(grid, payload_length) + grid.cells.transpose(1, 0, 2).tobytes()
-
-
-def _parse_header(header: bytes, size: int) -> tuple[Code, int, int]:
-    """Code, block size and payload length of a container of ``size`` bytes
-    whose first bytes are ``header``; raises :class:`ContainerError` unless
-    the body is exactly as large as the header implies."""
-    if len(header) < _HEADER.size:
-        raise ContainerError("truncated header")
-    magic, tag, p, r, block_size, payload_length = _HEADER.unpack_from(header)
-    if magic != MAGIC:
-        raise ContainerError(f"bad magic {magic!r}")
-    if tag not in _TAG_FAMILIES:
-        raise ContainerError(f"unknown family tag {tag}")
-    try:  # the constructor, unlike Code.make, refuses an r the family does not have
-        code = Code(_TAG_FAMILIES[tag], p, r)
-    except ParameterError as exc:
-        raise ContainerError(f"bad code parameters: {exc}") from None
-    expected = code.rows * code.n * block_size
-    body = size - _HEADER.size
-    if body != expected:
-        raise ContainerError(
-            f"body holds {body} bytes, header implies {expected}")
-    if payload_length > capacity(code, block_size):
-        raise ContainerError("payload length exceeds container capacity")
-    return code, block_size, payload_length
-
-
-def unpack_grid(data: bytes) -> tuple[CodeGrid, int]:
-    code, block_size, payload_length = _parse_header(data, len(data))
-    buf = (np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
-           .reshape(code.rows * code.n, block_size).copy())
-    return CodeGrid(code, cell_view(code, buf)), payload_length
-
-
 def write_container(path, grid: CodeGrid, payload_length: int) -> None:
     # header, then one column at a time: no copy of the whole body is built
+    code = grid.code
     with open(path, "wb") as fh:
-        fh.write(_pack_header(grid, payload_length))
-        for col in range(1, grid.code.n + 1):
+        fh.write(_HEADER.pack(MAGIC, FAMILY_TAGS[code.family], code.p, code.r,
+                              grid.block_size, payload_length))
+        for col in range(1, code.n + 1):
             fh.write(np.ascontiguousarray(grid.column(col)))
 
 
 def read_container(path) -> tuple[CodeGrid, int]:
-    # the body is read once, into the buffer the grid views
+    """The grid and payload length of the container at ``path``; raises
+    :class:`ContainerError` unless the header is valid and the body exactly
+    as large as it implies. The body is read once, into the buffer the grid
+    views."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        code, block_size, payload_length = _parse_header(fh.read(_HEADER.size), size)
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ContainerError("truncated header")
+        magic, tag, p, r, block_size, payload_length = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ContainerError(f"bad magic {magic!r}")
+        if tag not in _TAG_FAMILIES:
+            raise ContainerError(f"unknown family tag {tag}")
+        try:  # the constructor, unlike Code.make, refuses an r the family does not have
+            code = Code(_TAG_FAMILIES[tag], p, r)
+        except ParameterError as exc:
+            raise ContainerError(f"bad code parameters: {exc}") from None
+        expected = code.rows * code.n * block_size
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body != expected:
+            raise ContainerError(
+                f"body holds {body} bytes, header implies {expected}")
+        if payload_length > capacity(code, block_size):
+            raise ContainerError("payload length exceeds container capacity")
         buf = np.empty((code.rows * code.n, block_size), dtype=np.uint8)
         got = fh.readinto(buf)
         if got != buf.nbytes or fh.read(1):

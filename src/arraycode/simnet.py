@@ -4,9 +4,9 @@ One node stores one column: node c is the cluster's column c, or nothing
 while the node is down. A repair session picks a strategy:
 
 * ``paper``  run the family's parity-group planner and ship exactly its
-  transmission list; falls back to naive when no planner applies (parity
-  column target, more simultaneous failures than the planners cover), and
-  the result records which strategy actually ran.
+  transmission list; falls back to naive when ``FamilySpec.plan`` has no
+  plan (a down node holds parity, or more nodes are down than the planners
+  cover), and the result records which strategy actually ran.
 * ``naive``  fetch k whole live columns, the first k in column order that
   decode the target, and decode the target column alone from them: the
   decoder reads those columns in place from their nodes, chunk by chunk,
@@ -133,23 +133,15 @@ class RepairResult:
     column: np.ndarray
 
 
-def _paper_plan(cluster: Cluster, target: int) -> RepairPlan | None:
-    """The family's plan for ``target`` when every dead node holds data."""
-    code = cluster.code
-    dead = cluster.dead_ids()
-    data_cols = set(code.systematic_cols())
-    if target not in data_cols or not set(dead) <= data_cols:
-        return None
-    return code.spec.plan(code, (target, *(d for d in dead if d != target)))
-
-
 def run_repair(cluster: Cluster, target: int, strategy: str = "paper") -> RepairResult:
     if strategy not in ("paper", "naive"):
         raise ParameterError(f"unknown strategy {strategy!r}")
-    if target not in cluster.dead_ids():
+    if target not in (dead := cluster.dead_ids()):
         raise ParameterError(f"node {target} is not down; nothing to repair")
     ledger = TransferLedger(cluster.next_session(), cluster.block_size)
-    plan = _paper_plan(cluster, target) if strategy == "paper" else None
+    code = cluster.code
+    plan = code.spec.plan(code, (target, *(d for d in dead if d != target))) \
+        if strategy == "paper" else None
     if plan is not None:
         used = "paper"
         served = np.bincount(plan.sources)

@@ -1,3 +1,5 @@
+import hashlib
+import struct
 import tempfile
 from pathlib import Path
 
@@ -8,34 +10,57 @@ from hypothesis import strategies as st
 
 from arraycode import Code, encode
 from arraycode import container as ct
+from arraycode.cli import main
 from arraycode.codes import FAMILIES
 
+HEADER = "<5sBIIIQ"  # magic, family tag, p, r, block size, payload length
+TAG_FAMILIES = {tag: family for family, tag in ct.FAMILY_TAGS.items()}
 
-def test_header_layout():
+
+def _file_bytes(grid, payload_length) -> bytes:
+    """The container of ``grid`` as the format lays it out: the header, then
+    the cells column by column."""
+    code = grid.code
+    header = struct.pack(HEADER, b"AERC1", ct.FAMILY_TAGS[code.family], code.p, code.r,
+                         grid.block_size, payload_length)
+    return header + grid.cells.transpose(1, 0, 2).tobytes()
+
+
+def _read(path: Path, blob: bytes):
+    path.write_bytes(blob)
+    return ct.read_container(path)
+
+
+def test_header_layout(tmp_path):
     code = Code.make("star", 5)
     grid = ct.encode_payload(code, b"hello", 4)
-    blob = ct.pack_grid(grid, 5)
+    path = tmp_path / "s.aerc"
+    ct.write_container(path, grid, 5)
+    blob = path.read_bytes()
     assert blob[:5] == b"AERC1"
     assert blob[5] == ct.FAMILY_TAGS["star"]
     assert len(blob) == 26 + 4 * 8 * 4
+    assert blob[:26] == struct.pack(HEADER, b"AERC1", ct.FAMILY_TAGS["star"], 5, code.r, 4, 5)
 
 
-def test_roundtrip_exact():
+def test_roundtrip_exact(tmp_path):
     code = Code.make("evenodd", 5)
     payload = bytes(range(100))
     grid = ct.encode_payload(code, payload, 16)
-    restored, length = ct.unpack_grid(ct.pack_grid(grid, len(payload)))
+    restored, length = _read(tmp_path / "e.aerc", _file_bytes(grid, len(payload)))
     assert length == 100
     assert restored.code == code
     assert np.array_equal(restored.cells, grid.cells)
     assert ct.extract_payload(restored, length) == payload
 
 
-def test_empty_payload():
+def test_empty_payload(tmp_path):
     code = Code.make("rdp", 5)
     grid = ct.encode_payload(code, b"", 8)
     assert not grid.cells[:, :4].any()
-    restored, length = ct.unpack_grid(ct.pack_grid(grid, 0))
+    path = tmp_path / "r.aerc"
+    ct.write_container(path, grid, 0)
+    restored, length = ct.read_container(path)
     assert ct.extract_payload(restored, length) == b""
 
 
@@ -66,12 +91,14 @@ def test_payload_fills_information_cells_column_major(family):
             assert np.array_equal(grid.cells, encode(code, info).cells), (p, size)
 
 
-def test_column_major_body():
+def test_column_major_body(tmp_path):
     """Node c's bytes are one contiguous run in the body."""
     code = Code.make("evenodd", 5)
     payload = bytes(range(80))
     grid = ct.encode_payload(code, payload, 4)
-    body = ct.pack_grid(grid, 80)[26:]
+    path = tmp_path / "e.aerc"
+    ct.write_container(path, grid, 80)
+    body = path.read_bytes()[26:]
     stride = 4 * 4  # rows * block_size
     col1 = np.frombuffer(body[:stride], dtype=np.uint8).reshape(4, 4)
     assert np.array_equal(col1, grid.cells[:, 0])
@@ -79,19 +106,20 @@ def test_column_major_body():
     assert body[:16] == payload[:16]
 
 
-def test_bad_inputs():
+def test_bad_inputs(tmp_path):
+    path = tmp_path / "bad.aerc"
     with pytest.raises(ct.ContainerError):
-        ct.unpack_grid(b"AERC")
+        _read(path, b"AERC")
     with pytest.raises(ct.ContainerError):
-        ct.unpack_grid(b"XXXXX" + bytes(21))
+        _read(path, b"XXXXX" + bytes(21))
     code = Code.make("evenodd", 5)
-    blob = ct.pack_grid(ct.encode_payload(code, b"x", 4), 1)
+    blob = _file_bytes(ct.encode_payload(code, b"x", 4), 1)
     with pytest.raises(ct.ContainerError):
-        ct.unpack_grid(blob[:-3])
+        _read(path, blob[:-3])
     bad_tag = bytearray(blob)
     bad_tag[5] = 99
     with pytest.raises(ct.ContainerError):
-        ct.unpack_grid(bytes(bad_tag))
+        _read(path, bytes(bad_tag))
 
 
 @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.r_range is None])
@@ -99,14 +127,10 @@ def test_header_r_must_match_family(tmp_path, family):
     """A fixed-r family's header with another r is refused, not read as the
     family's own r."""
     code = Code.make(family, 5)
-    blob = bytearray(ct.pack_grid(ct.encode_payload(code, b"x", 4), 1))
+    blob = bytearray(_file_bytes(ct.encode_payload(code, b"x", 4), 1))
     blob[10:14] = (code.r + 5).to_bytes(4, "little")
     with pytest.raises(ct.ContainerError, match="r="):
-        ct.unpack_grid(bytes(blob))
-    path = tmp_path / "r.aerc"
-    path.write_bytes(blob)
-    with pytest.raises(ct.ContainerError, match="r="):
-        ct.read_container(path)
+        _read(tmp_path / "r.aerc", bytes(blob))
 
 
 def test_file_io(tmp_path):
@@ -119,13 +143,64 @@ def test_file_io(tmp_path):
     assert ct.extract_payload(restored, length) == payload
 
 
-def test_written_file_matches_pack_grid(tmp_path):
+def test_written_file_matches_struct_layout(tmp_path):
     code = Code.make("star", 5)
     payload = bytes(range(150))
     grid = ct.encode_payload(code, payload, 8)
     path = tmp_path / "s.aerc"
     ct.write_container(path, grid, len(payload))
-    assert path.read_bytes() == ct.pack_grid(grid, len(payload))
+    assert path.read_bytes() == _file_bytes(grid, len(payload))
+
+
+# per family, the sha256 of the file ``arraycode encode`` writes at
+# (p, block size) = (5, 1), (5, 16), (7, 1), (7, 16)
+ENCODED_GOLDEN = {
+    "evenodd": [
+        "4c5686277a41a71a592ec148969954f0fa120aeba8c17cab2d8c29a87503ce8a",
+        "f6ab5559e0b34516157a480ff32fbbf0b287cc6689db94e2a620e94b43f308ea",
+        "1ebcb89f81a3de3086ce217a6228e480ede5814eceb6072c1ad375f0e252e8f7",
+        "54593a1a3bce1c5eadbb4329e6d296edbafacff085d0142c151d08bdd969aeb6"],
+    "evenodd-ext": [
+        "611a14331b854cab802035a865bf6954cf284fa23b6a53dc43b1294cd755da65",
+        "48be90c63223dd640f53c7702307fecea13d6ca4f81abf211d49ccf1636b4fa6",
+        "f2bf0a5e644b09e16e7b4f5f8174da18e8b0edc0fcc44611d4d3c9f3f0a67985",
+        "410aeebccd705f0e9afba4123aca1cdd19ccea3c045223a7418796a01d93d96b"],
+    "rdp": [
+        "61b53f3c4ea589512cf0f04ee1ee46910370fe614149abb310359dc4de91e21f",
+        "53673bbd3006c70400ff66d13ea12f750ab257413d8961297167c04b359b693b",
+        "24084099d81a9fe132510b4a4385e4f9a995b95ef0cb86f93762b361218c6af5",
+        "e3c48015e985cfa4f2c84f06d3423804655f9687490284620040511e49657e20"],
+    "xcode": [
+        "7122ec64c746e7488f17c2c501a50155b3f22f52fe555d5c7d168418c3d8dffd",
+        "6ca2d160fc0209a4d25b787b0e8deab20f22ef9cca6b16103bbb0d422c1786e2",
+        "04672a73684a26739c34e50718b2a8eee9dbd25fcecbaf9ab3d68254e24cc4d7",
+        "596f089ec40215d757b49b9f595bd6ca764b8db38b2fb02e1417bc6b3f6a407c"],
+    "star": [
+        "714ebf6f6eec729d88dae99648d4a5f7f5c355a202ac4ee53f45949a8f5f8e4e",
+        "e0525c5d05dec8d132b485eb5b23843bf3bc81bd1b3881cbcdde2e2698ec3024",
+        "522e9a73bff991b3153a8e6c2dcecf3b20249076f3e699c9f8e8549f1f45143e",
+        "a0224066f1684140bf7dd67b9fd559084e96343612d163271561b9cd30c4e3c3"],
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_encoded_file_digest(family, tmp_path, capsys):
+    """``arraycode encode`` writes the same bytes for a payload that stops
+    7 bytes short of capacity (mid-block at 16-byte blocks), and
+    ``extract`` gives the payload back."""
+    src, box, out = tmp_path / "in.bin", tmp_path / "c.aerc", tmp_path / "out.bin"
+    digests = []
+    for p in (5, 7):
+        for block in (1, 16):
+            size = ct.capacity(Code.make(family, p), block) - 7
+            payload = np.random.default_rng(17).integers(0, 256, size, dtype=np.uint8).tobytes()
+            src.write_bytes(payload)
+            assert main(["encode", str(src), str(box), "--family", family, "--p", str(p),
+                         "--block-size", str(block)]) == 0
+            digests.append(hashlib.sha256(box.read_bytes()).hexdigest())
+            assert main(["extract", str(box), str(out)]) == 0
+            assert out.read_bytes() == payload, (p, block)
+    assert digests == ENCODED_GOLDEN[family]
 
 
 def _assert_column_major(grid):
@@ -170,24 +245,25 @@ def _damaged(blob, kind, at, mask):
 def test_damaged_file_raises_container_error(family, p, block, kind, at, mask):
     """A file cut short or with bytes appended is refused; a flipped header
     byte is refused or, where the field allows another valid value (the
-    payload length, say), read the same way as ``unpack_grid`` reads it.
-    Nothing but :class:`ContainerError` is ever raised."""
+    payload length, say), read as the damaged header says: the code, block
+    size and payload length its fields hold, over the same body. Nothing
+    but :class:`ContainerError` is ever raised."""
     code = Code.make(family, p)
     payload = bytes(range(256))[:ct.capacity(code, block) - 1]
-    blob = ct.pack_grid(ct.encode_payload(code, payload, block), len(payload))
-    bad = _damaged(blob, kind, at, mask)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bad.aerc"
-        path.write_bytes(bad)
+        ct.write_container(path, ct.encode_payload(code, payload, block), len(payload))
+        bad = _damaged(path.read_bytes(), kind, at, mask)
         # a flip in the magic or the block size can never leave a valid file
         must_fail = kind != "flip" or at % 26 < 5 or 14 <= at % 26 < 18
         try:
-            grid, length = ct.read_container(path)
+            grid, length = _read(path, bad)
         except ct.ContainerError:
-            with pytest.raises(ct.ContainerError):
-                ct.unpack_grid(bad)
             return
     assert not must_fail
-    same, same_length = ct.unpack_grid(bad)
-    assert (grid.code, length) == (same.code, same_length)
-    assert np.array_equal(grid.cells, same.cells)
+    magic, tag, p_, r_, block_, length_ = struct.unpack_from(HEADER, bad)
+    same = Code(TAG_FAMILIES[tag], p_, r_)
+    assert magic == b"AERC1"
+    assert (grid.code, grid.block_size, length) == (same, block_, length_)
+    body = np.frombuffer(bad, dtype=np.uint8, offset=26).reshape(same.n, same.rows, block_)
+    assert np.array_equal(grid.cells, body.transpose(1, 0, 2))

@@ -1,9 +1,10 @@
 """Rules checked over the source of every ``src/arraycode`` module: no
-import goes unread, a function imports a package module only to break an
-import cycle, and no line outside the ``codes.FAMILIES`` table branches on
-a family name."""
+import goes unread, every name in ``__all__`` exists, a function imports a
+package module only to break an import cycle, and no line outside the
+``codes.FAMILIES`` table branches on a family name."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,15 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_exists(path):
+    """Each name a module's ``__all__`` lists is defined, so a deletion
+    cannot leave a stale export."""
+    name = "arraycode" if path.stem == "__init__" else f"arraycode.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def test_unused_import_check_sees_a_leftover():

@@ -459,3 +459,20 @@ def test_sweeps_and_sessions_build_no_plan_objects(monkeypatch, tmp_path):
         assert main(["repair", str(box), "--fail", fail, "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert doc["verified"] and {r["strategy_used"] for r in doc["repairs"]} == {"paper"}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_no_paper_plan_once_a_parity_column_is_erased(family):
+    """``FamilySpec.plan`` is None for every erased set of up to n - k
+    columns that includes a parity column, whichever column comes first;
+    the planner called directly still refuses a parity column."""
+    for p in (5, 7):
+        code = Code.make(family, p)
+        parity = set(range(code.info_cols + 1, code.n + 1))
+        for size in range(1, code.n - code.k + 1):
+            for erased in itertools.permutations(range(1, code.n + 1), size):
+                if parity & set(erased):
+                    assert code.spec.plan(code, erased) is None, erased
+        for col in parity:
+            with pytest.raises(ParameterError, match="not a data column"):
+                getattr(planner, code.spec.plan_single)(code, col)
