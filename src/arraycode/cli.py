@@ -112,24 +112,22 @@ def _cmd_encode(args) -> int:
     code = Code.make(args.family, args.p, args.r)
     if args.block_size < 1:
         raise ParameterError(f"block size must be positive, got {args.block_size}")
-    with open(args.input, "rb") as fh:
-        payload = fh.read()
-    grid = container.encode_payload(code, payload, args.block_size)
-    container.write_container(args.output, grid, len(payload))
+    with open(args.input, "rb") as fh:  # closed before the output opens: they may be one file
+        grid, length = container.encode_payload(code, fh, args.block_size)
+    container.write_container(args.output, grid, length)
     m = code.total_info_blocks
     print(f"family={code.family} p={code.p} r={code.r} "
           f"n={code.n} k={code.k} M={m} blocks "
           f"overhead={code.n / code.k:.3f}")
-    print(f"wrote {args.output}: {len(payload)} payload bytes in "
+    print(f"wrote {args.output}: {length} payload bytes in "
           f"{m * args.block_size} data bytes")
     return 0
 
 
 def _cmd_extract(args) -> int:
     grid, payload_length = container.read_container(args.input)
-    payload = container.extract_payload(grid, payload_length)
     with open(args.output, "wb") as fh:
-        fh.write(payload)
+        container.extract_payload(grid, payload_length, fh)
     print(f"extracted {payload_length} bytes to {args.output}")
     return 0
 

@@ -191,10 +191,6 @@ class CodeGrid:
     def copy(self) -> "CodeGrid":
         return CodeGrid(self.code, self.cells.copy(order="K"))
 
-    def info(self) -> np.ndarray:
-        rows, cols = self.code.info_shape
-        return self.cells[:rows, :cols]
-
 
 def cell_view(code: Code, buf: np.ndarray) -> np.ndarray:
     """The ``(rows, n, block)`` cells over the first ``rows * n`` rows of a

@@ -15,7 +15,10 @@ of ``rows * block_size`` bytes, so byte ranges map one-to-one onto nodes.
 Grids in memory use the same layout (:func:`codes.cell_view`), so
 :func:`read_container` reads the body straight into the grid's buffer.
 Information blocks are filled column-major from the payload, zero-padded
-up to ``k * rows * block_size``.
+up to ``k * rows * block_size``. :func:`encode_payload` reads the payload
+straight into the encode buffer and :func:`extract_payload` writes it
+straight from the grid's buffer, in one run, or one run per column for
+X-code, whose parity rows sit under each column's information rows.
 
 :func:`write_container` is the one writer of this format and
 :func:`read_container` the one reader: a file is the only form a
@@ -57,33 +60,47 @@ def capacity(code: Code, block_size: int) -> int:
     return code.total_info_blocks * block_size
 
 
-def encode_payload(code: Code, payload: bytes, block_size: int) -> CodeGrid:
-    cap = capacity(code, block_size)
-    if len(payload) > cap:
-        raise ContainerError(
-            f"payload of {len(payload)} bytes exceeds capacity {cap}")
+def _info_runs(code: Code, cells: np.ndarray) -> list[np.ndarray]:
+    """The information cells of ``(rows, n, block)`` cells in payload order,
+    column 1 first: one run when they lie back to back, else one per column."""
     rows, cols = code.info_shape
+    info = cells[:rows, :cols].transpose(1, 0, 2)
+    return [info] if info.flags.c_contiguous else list(info)
+
+
+def encode_payload(code: Code, fh, block_size: int) -> tuple[CodeGrid, int]:
+    """Encode the payload in the binary file object ``fh``; returns the grid
+    and the payload length. ``fh.readinto`` fills each information run of
+    the encode buffer until the run is full or a read returns 0, so short
+    reads (a raw or pipe reader) are fine; the rest is zero-padded. A byte
+    left after the last run raises :class:`ContainerError`."""
     buf = _encode_buffer(code, block_size)
-    # column-major fill: payload bytes run down column 1 first. A column's
-    # information cells are one run of the buffer; runs are back to back
-    # unless parity rows sit below the information rows (X-code).
-    width = rows * block_size
-    info = buf[:code.rows * cols].reshape(cols, -1)[:, :width]
-    data = np.frombuffer(payload, dtype=np.uint8)
-    full, part = divmod(data.size, width)
-    info[:full] = data[:full * width].reshape(full, width)
-    if full < cols:  # zero-pad the last payload column and the columns after it
-        info[full, :part] = data[full * width:]
-        info[full, part:] = 0
-        info[full + 1:] = 0
-    return _encode_in_place(code, buf)
+    length, at_end = 0, False
+    for run in _info_runs(code, cell_view(code, buf)):
+        view = memoryview(run).cast("B")  # the encode buffer's runs are contiguous
+        got = 0
+        while not at_end and got < len(view):
+            n = fh.readinto(view[got:])
+            got, at_end = got + n, n == 0
+        if got < len(view):
+            run.reshape(-1)[got:] = 0
+        length += got
+    if not at_end and fh.read(1):
+        raise ContainerError(f"payload exceeds capacity {length} bytes")
+    return _encode_in_place(code, buf), length
 
 
-def extract_payload(grid: CodeGrid, payload_length: int) -> bytes:
-    flat = grid.info().transpose(1, 0, 2).reshape(-1)
-    if payload_length > flat.size:
+def extract_payload(grid: CodeGrid, payload_length: int, fh) -> None:
+    """Write the first ``payload_length`` information bytes of ``grid`` to
+    the binary file object ``fh``, one ``fh.write`` per information run,
+    straight from the grid's buffer where the run is contiguous."""
+    if payload_length > capacity(grid.code, grid.block_size):
         raise ContainerError("payload length exceeds container capacity")
-    return flat[:payload_length].tobytes()
+    left = payload_length
+    for run in _info_runs(grid.code, grid.cells):
+        part = run.reshape(-1)[:left]
+        fh.write(np.ascontiguousarray(part))
+        left -= part.size
 
 
 def write_container(path, grid: CodeGrid, payload_length: int) -> None:

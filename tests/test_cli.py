@@ -69,6 +69,17 @@ def test_roundtrip_every_family(tmp_path, family, p, extra):
     assert out.read_bytes() == data
 
 
+def test_encode_in_place_roundtrips(sample):
+    """``encode`` may write its container over its own input: the input is
+    read and closed before the output is opened."""
+    tmp, src, data = sample
+    out = tmp / "out.bin"
+    assert run("encode", str(src), str(src), "--family", "xcode", "--p", "5",
+               "--block-size", "8") == 0
+    assert run("extract", str(src), str(out)) == 0
+    assert out.read_bytes() == data
+
+
 def test_naive_strategy_report(sample, tmp_path):
     tmp, src, _ = sample
     box = tmp / "c.aerc"
@@ -91,6 +102,7 @@ def test_exit_code_bad_parameters(sample):
         assert run("analyze", "--family", "evenodd", "--p-range", bad) == 2, bad
     assert run("encode", str(src), str(tmp / "o"), "--family", "evenodd",
                "--p", "3", "--block-size", "1") == 2  # capacity too small
+    assert not (tmp / "o").exists()  # refused before the output is opened
     assert run("encode", str(src), str(tmp / "o"), "--family", "evenodd",
                "--p", "5", "--block-size", "0") == 2
     assert run("analyze", "--family", "xcode", "--p-range", "3") == 2  # xcode needs p >= 5

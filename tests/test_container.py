@@ -1,4 +1,6 @@
 import hashlib
+import io
+import itertools
 import struct
 import tempfile
 from pathlib import Path
@@ -11,10 +13,22 @@ from hypothesis import strategies as st
 from arraycode import Code, encode
 from arraycode import container as ct
 from arraycode.cli import main
-from arraycode.codes import FAMILIES
+from arraycode.codes import FAMILIES, CodeGrid
 
 HEADER = "<5sBIIIQ"  # magic, family tag, p, r, block size, payload length
 TAG_FAMILIES = {tag: family for family, tag in ct.FAMILY_TAGS.items()}
+
+
+def _encode(code, payload: bytes, block_size: int):
+    grid, length = ct.encode_payload(code, io.BytesIO(payload), block_size)
+    assert length == len(payload)
+    return grid
+
+
+def _extract(grid, payload_length) -> bytes:
+    out = io.BytesIO()
+    ct.extract_payload(grid, payload_length, out)
+    return out.getvalue()
 
 
 def _file_bytes(grid, payload_length) -> bytes:
@@ -33,7 +47,7 @@ def _read(path: Path, blob: bytes):
 
 def test_header_layout(tmp_path):
     code = Code.make("star", 5)
-    grid = ct.encode_payload(code, b"hello", 4)
+    grid = _encode(code, b"hello", 4)
     path = tmp_path / "s.aerc"
     ct.write_container(path, grid, 5)
     blob = path.read_bytes()
@@ -46,39 +60,39 @@ def test_header_layout(tmp_path):
 def test_roundtrip_exact(tmp_path):
     code = Code.make("evenodd", 5)
     payload = bytes(range(100))
-    grid = ct.encode_payload(code, payload, 16)
+    grid = _encode(code, payload, 16)
     restored, length = _read(tmp_path / "e.aerc", _file_bytes(grid, len(payload)))
     assert length == 100
     assert restored.code == code
     assert np.array_equal(restored.cells, grid.cells)
-    assert ct.extract_payload(restored, length) == payload
+    assert _extract(restored, length) == payload
 
 
 def test_empty_payload(tmp_path):
     code = Code.make("rdp", 5)
-    grid = ct.encode_payload(code, b"", 8)
+    grid = _encode(code, b"", 8)
     assert not grid.cells[:, :4].any()
     path = tmp_path / "r.aerc"
     ct.write_container(path, grid, 0)
     restored, length = ct.read_container(path)
-    assert ct.extract_payload(restored, length) == b""
+    assert _extract(restored, length) == b""
 
 
 def test_capacity_enforced():
     code = Code.make("evenodd", 5)
     with pytest.raises(ct.ContainerError):
-        ct.encode_payload(code, bytes(321), 16)
-    grid = ct.encode_payload(code, bytes(320), 16)
+        ct.encode_payload(code, io.BytesIO(bytes(321)), 16)
+    grid = _encode(code, bytes(320), 16)
     with pytest.raises(ct.ContainerError):
-        ct.extract_payload(grid, 321)
+        ct.extract_payload(grid, 321, io.BytesIO())
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_payload_fills_information_cells_column_major(family):
     """The payload lands in the information cells column by column and is
-    zero-padded, whether it ends mid-block, on a column edge or at capacity."""
-    block = 3
-    for p in (5, 7):
+    zero-padded, whether it ends mid-block, on a column edge or at capacity,
+    and extracting the grid gives it back."""
+    for p, block in itertools.product((5, 7), (3, 16)):
         code = Code.make(family, p)
         rows, cols = code.info_shape
         cap = ct.capacity(code, block)
@@ -87,15 +101,60 @@ def test_payload_fills_information_cells_column_major(family):
             padded = np.zeros(cap, dtype=np.uint8)
             padded[:size] = np.frombuffer(payload, dtype=np.uint8)
             info = padded.reshape(cols, rows, block).transpose(1, 0, 2)
-            grid = ct.encode_payload(code, payload, block)
-            assert np.array_equal(grid.cells, encode(code, info).cells), (p, size)
+            grid = _encode(code, payload, block)
+            assert np.array_equal(grid.cells, encode(code, info).cells), (p, block, size)
+            assert _extract(grid, size) == payload, (p, block, size)
+
+
+class _ShortReads(io.RawIOBase):
+    """A raw reader that returns at most 7 bytes per ``readinto`` call."""
+
+    def __init__(self, data: bytes):
+        self._src = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        chunk = self._src.read(min(7, len(b)))
+        b[:len(chunk)] = chunk
+        return len(chunk)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_short_reads_fill_the_same_grid(family):
+    """Each information run is read until it is full, not until the first
+    short read; a payload one byte past capacity is still refused."""
+    code, block = Code.make(family, 5), 4
+    cap = ct.capacity(code, block)
+    for size in (0, 5, 3 * block + 1, cap - 1, cap):
+        payload = bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8))
+        grid, length = ct.encode_payload(code, _ShortReads(payload), block)
+        assert length == size
+        assert np.array_equal(grid.cells, _encode(code, payload, block).cells), size
+    with pytest.raises(ct.ContainerError):
+        ct.encode_payload(code, _ShortReads(bytes(cap + 1)), block)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_extract_from_c_ordered_cells(family):
+    """A grid over a C-ordered ``(rows, n, block)`` array, whose information
+    runs are not contiguous, extracts the same bytes."""
+    for block in (1, 3):
+        code = Code.make(family, 5)
+        size = ct.capacity(code, block) - 2
+        payload = bytes(np.random.default_rng(block).integers(0, 256, size, dtype=np.uint8))
+        grid = _encode(code, payload, block)
+        c_grid = CodeGrid(code, grid.cells.copy(order="C"))
+        assert c_grid.cells.flags.c_contiguous
+        assert _extract(c_grid, size) == payload, block
 
 
 def test_column_major_body(tmp_path):
     """Node c's bytes are one contiguous run in the body."""
     code = Code.make("evenodd", 5)
     payload = bytes(range(80))
-    grid = ct.encode_payload(code, payload, 4)
+    grid = _encode(code, payload, 4)
     path = tmp_path / "e.aerc"
     ct.write_container(path, grid, 80)
     body = path.read_bytes()[26:]
@@ -113,7 +172,7 @@ def test_bad_inputs(tmp_path):
     with pytest.raises(ct.ContainerError):
         _read(path, b"XXXXX" + bytes(21))
     code = Code.make("evenodd", 5)
-    blob = _file_bytes(ct.encode_payload(code, b"x", 4), 1)
+    blob = _file_bytes(_encode(code, b"x", 4), 1)
     with pytest.raises(ct.ContainerError):
         _read(path, blob[:-3])
     bad_tag = bytearray(blob)
@@ -127,7 +186,7 @@ def test_header_r_must_match_family(tmp_path, family):
     """A fixed-r family's header with another r is refused, not read as the
     family's own r."""
     code = Code.make(family, 5)
-    blob = bytearray(_file_bytes(ct.encode_payload(code, b"x", 4), 1))
+    blob = bytearray(_file_bytes(_encode(code, b"x", 4), 1))
     blob[10:14] = (code.r + 5).to_bytes(4, "little")
     with pytest.raises(ct.ContainerError, match="r="):
         _read(tmp_path / "r.aerc", bytes(blob))
@@ -136,17 +195,17 @@ def test_header_r_must_match_family(tmp_path, family):
 def test_file_io(tmp_path):
     code = Code.make("xcode", 7)
     payload = b"xcode stores data in rows, not columns"
-    grid = ct.encode_payload(code, payload, 2)
+    grid = _encode(code, payload, 2)
     path = tmp_path / "x.aerc"
     ct.write_container(path, grid, len(payload))
     restored, length = ct.read_container(path)
-    assert ct.extract_payload(restored, length) == payload
+    assert _extract(restored, length) == payload
 
 
 def test_written_file_matches_struct_layout(tmp_path):
     code = Code.make("star", 5)
     payload = bytes(range(150))
-    grid = ct.encode_payload(code, payload, 8)
+    grid = _encode(code, payload, 8)
     path = tmp_path / "s.aerc"
     ct.write_container(path, grid, len(payload))
     assert path.read_bytes() == _file_bytes(grid, len(payload))
@@ -217,7 +276,7 @@ def _assert_column_major(grid):
 
 def test_grids_share_the_file_layout(tmp_path):
     code = Code.make("xcode", 7)
-    grid = ct.encode_payload(code, bytes(range(100)), 3)
+    grid = _encode(code, bytes(range(100)), 3)
     _assert_column_major(grid)
     path = tmp_path / "x.aerc"
     ct.write_container(path, grid, 100)
@@ -252,7 +311,7 @@ def test_damaged_file_raises_container_error(family, p, block, kind, at, mask):
     payload = bytes(range(256))[:ct.capacity(code, block) - 1]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bad.aerc"
-        ct.write_container(path, ct.encode_payload(code, payload, block), len(payload))
+        ct.write_container(path, _encode(code, payload, block), len(payload))
         bad = _damaged(path.read_bytes(), kind, at, mask)
         # a flip in the magic or the block size can never leave a valid file
         must_fail = kind != "flip" or at % 26 < 5 or 14 <= at % 26 < 18

@@ -1,3 +1,4 @@
+import io
 import itertools
 from collections import Counter
 
@@ -253,7 +254,7 @@ def test_extended_wide_failure_naive():
 
 def test_payload_backed_cluster():
     data = bytes(range(160))
-    grid = container.encode_payload(Code.make("rdp", 5), data, 16)
+    grid, _ = container.encode_payload(Code.make("rdp", 5), io.BytesIO(data), 16)
     cluster = simnet.cluster_from_grid(grid)
     simnet.fail_nodes(cluster, [1])
     assert simnet.run_repair(cluster, 1).verified
