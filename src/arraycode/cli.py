@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from itertools import combinations
 
@@ -113,6 +115,9 @@ def _cmd_encode(args) -> int:
     if args.block_size < 1:
         raise ParameterError(f"block size must be positive, got {args.block_size}")
     with open(args.input, "rb") as fh:  # closed before the output opens: they may be one file
+        st, cap = os.fstat(fh.fileno()), container.capacity(code, args.block_size)
+        if stat.S_ISREG(st.st_mode) and st.st_size > cap:  # a pipe's excess shows in the read
+            raise container.ContainerError(f"payload exceeds capacity {cap} bytes")
         grid, length = container.encode_payload(code, fh, args.block_size)
     container.write_container(args.output, grid, length)
     m = code.total_info_blocks
@@ -126,6 +131,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_extract(args) -> int:
     grid, payload_length = container.read_container(args.input)
+    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        grid = grid.copy()  # opening the output truncates the pages the grid maps
     with open(args.output, "wb") as fh:
         container.extract_payload(grid, payload_length, fh)
     print(f"extracted {payload_length} bytes to {args.output}")
@@ -150,13 +157,13 @@ def _cmd_repair(args) -> int:
     report = simnet.session_report(cluster, failed, args.strategy, results)
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
+            fh.write(json.dumps(report, indent=2))
     if args.plan:
         planned = next((r for r in results if r.plan is not None), None)
         doc = (plan_to_json(planned.plan) if planned
                else {"note": "no parity-group plan; every repair ran naive"})
         with open(args.plan, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(json.dumps(doc, indent=2))
     for res in results:
         print(f"node {res.target}: {res.strategy_used} strategy, "
               f"{res.ledger.total_blocks} blocks, "

@@ -13,7 +13,11 @@ Layout: a fixed 26-byte little-endian header followed by the grid body.
 The body stores all n columns column-major, each column a contiguous run
 of ``rows * block_size`` bytes, so byte ranges map one-to-one onto nodes.
 Grids in memory use the same layout (:func:`codes.cell_view`), so
-:func:`read_container` reads the body straight into the grid's buffer.
+:func:`read_container` maps the file and the grid views the body in place;
+a command reads only the cells it touches, from the page cache. The mapping
+is private: a write into the grid never reaches the file. A container must
+not be truncated while a command reads it (a mapped page past the end of
+the file ends the process with SIGBUS).
 Information blocks are filled column-major from the payload, zero-padded
 up to ``k * rows * block_size``. :func:`encode_payload` reads the payload
 straight into the encode buffer and :func:`extract_payload` writes it
@@ -27,6 +31,7 @@ container takes, and nothing else packs or parses a header.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 
@@ -116,8 +121,9 @@ def write_container(path, grid: CodeGrid, payload_length: int) -> None:
 def read_container(path) -> tuple[CodeGrid, int]:
     """The grid and payload length of the container at ``path``; raises
     :class:`ContainerError` unless the header is valid and the body exactly
-    as large as it implies. The body is read once, into the buffer the grid
-    views."""
+    as large as it implies. The body is not read: the grid views a private
+    copy-on-write mapping of the file, so a command pages in only the cells
+    it touches, and a write into the grid never reaches the file."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -138,9 +144,11 @@ def read_container(path) -> tuple[CodeGrid, int]:
                 f"body holds {body} bytes, header implies {expected}")
         if payload_length > capacity(code, block_size):
             raise ContainerError("payload length exceeds container capacity")
-        buf = np.empty((code.rows * code.n, block_size), dtype=np.uint8)
-        got = fh.readinto(buf)
-        if got != buf.nbytes or fh.read(1):
-            raise ContainerError(f"body changed while reading: {got} bytes read, "
-                                 f"{buf.nbytes} expected")
+        try:
+            mapping = mmap.mmap(fh.fileno(), _HEADER.size + expected, access=mmap.ACCESS_COPY)
+        except ValueError:  # the file shrank since the fstat
+            raise ContainerError(f"body changed while reading: {expected} bytes "
+                                 f"expected") from None
+    buf = np.frombuffer(mapping, np.uint8, expected, _HEADER.size)
+    buf = buf.reshape(code.rows * code.n, block_size)
     return CodeGrid(code, cell_view(code, buf)), payload_length

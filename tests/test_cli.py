@@ -80,6 +80,17 @@ def test_encode_in_place_roundtrips(sample):
     assert out.read_bytes() == data
 
 
+def test_extract_in_place_roundtrips(sample):
+    """``extract`` may write the payload over its own input: the output is
+    not written from pages of the file it truncates."""
+    tmp, src, data = sample
+    box = tmp / "c.aerc"
+    assert run("encode", str(src), str(box), "--family", "evenodd", "--p", "5",
+               "--block-size", "8") == 0
+    assert run("extract", str(box), str(box)) == 0
+    assert box.read_bytes() == data
+
+
 def test_naive_strategy_report(sample, tmp_path):
     tmp, src, _ = sample
     box = tmp / "c.aerc"
@@ -109,6 +120,20 @@ def test_exit_code_bad_parameters(sample):
     box = tmp / "c.aerc"
     run("encode", str(src), str(box), "--family", "evenodd", "--p", "5")
     assert run("repair", str(box), "--fail", "x") == 2
+
+
+def test_oversize_file_refused_before_reading(sample, monkeypatch):
+    """A regular file larger than the capacity is refused from its size,
+    before ``encode_payload`` reads a byte of it."""
+    tmp, src, _ = sample
+
+    def unread(*args):
+        raise AssertionError("encode_payload ran")
+
+    monkeypatch.setattr(cli.container, "encode_payload", unread)
+    assert run("encode", str(src), str(tmp / "o"), "--family", "evenodd",
+               "--p", "3", "--block-size", "1") == 2  # 100 bytes, capacity 4
+    assert not (tmp / "o").exists()
 
 
 COMMANDS = ["encode", "extract", "repair", "analyze", "oracle"]

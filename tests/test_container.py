@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -284,6 +285,38 @@ def test_grids_share_the_file_layout(tmp_path):
     _assert_column_major(restored)
     assert restored.cells.flags.writeable
     assert np.array_equal(restored.cells, grid.cells)
+
+
+def test_grid_writes_never_reach_the_file(tmp_path):
+    """The grid views a private mapping: writing into it leaves the file as
+    it was."""
+    code = Code.make("evenodd", 5)
+    path = tmp_path / "e.aerc"
+    ct.write_container(path, _encode(code, bytes(range(200)), 16), 200)
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    grid, _ = ct.read_container(path)
+    grid.cells[...] ^= 0xA5
+    grid.column(3)[:] = 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+
+def test_body_shorter_than_its_size_check_raises_container_error(tmp_path, monkeypatch):
+    """A file that shrinks between the size check and the mapping is refused
+    with :class:`ContainerError`, not the mapping's ``ValueError``."""
+    code = Code.make("rdp", 5)
+    path = tmp_path / "r.aerc"
+    ct.write_container(path, _encode(code, bytes(range(60)), 4), 60)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-5])
+    real = os.fstat
+
+    def stale(fd):  # the size the file had before it shrank
+        st = real(fd)
+        return os.stat_result((*st[:6], full, *st[7:]))
+
+    monkeypatch.setattr(os, "fstat", stale)
+    with pytest.raises(ct.ContainerError, match="body changed while reading"):
+        ct.read_container(path)
 
 
 def _damaged(blob, kind, at, mask):
