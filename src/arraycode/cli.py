@@ -112,8 +112,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_encode(args) -> int:
     code = Code.make(args.family, args.p, args.r)
-    if args.block_size < 1:
-        raise ParameterError(f"block size must be positive, got {args.block_size}")
+    if not 1 <= args.block_size < 1 << 32:  # the header stores it as a u32
+        raise ParameterError(f"block size must be in 1..{(1 << 32) - 1}, got {args.block_size}")
     with open(args.input, "rb") as fh:  # closed before the output opens: they may be one file
         st, cap = os.fstat(fh.fileno()), container.capacity(code, args.block_size)
         if stat.S_ISREG(st.st_mode) and st.st_size > cap:  # a pipe's excess shows in the read

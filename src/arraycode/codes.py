@@ -34,17 +34,21 @@ planner peel, plan and compile over them.
 :class:`Coord` s are made only at the public edge, by :func:`_coords`.
 
 Encoding, decoding and plan execution share one executor: each step of an
-ordered ``(target, sources)`` XOR schedule over the work buffer XORs its
-source rows into its target, in fixed-size byte chunks. The steps run level
-by level, each level's steps of one width in one gather and one reduction
+ordered ``(target, sources)`` XOR schedule over work-buffer rows XORs its
+source rows into its target. The block size alone picks one of two paths.
+Blocks of ``_GATHER`` bytes or more run in place: each step XORs its source
+blocks one at a time into its target, where they lie, one NumPy call per
+source and no copy. Smaller blocks run in fixed-size byte chunks, level by
+level, each level's steps of one width in one gather and one reduction
 (:attr:`XorSchedule.groups`), so a schedule of small blocks costs a few
 NumPy calls per level rather than one per step.
 
-* :func:`encode` runs one schedule per code in place: each adjuster from
-  its line, then every parity cell from its check.
-* Decoding and plan execution read data only through :func:`_execute`:
-  per chunk it gathers the cells a schedule reads from the live columns of
-  a grid or a simulated cluster, runs the steps and copies out the result.
+* :func:`encode` runs one schedule per code on its own buffer: each
+  adjuster from its line, then every parity cell from its check.
+* Decoding and plan execution read data only through :func:`_execute`,
+  from the live columns of a grid or a simulated cluster: large blocks are
+  read as views of those columns and solved straight into the caller's
+  columns; small ones are gathered per chunk, run, and copied out.
 * :func:`mds_decode` runs a schedule compiled once per erasure pattern. It
   peels the parity checks: a check with one unknown cell left solves that
   cell, from survivors and cells solved before it. Adjusters are also
@@ -53,9 +57,9 @@ NumPy calls per level rather than one per step.
   elimination. A caller that wants fewer columns than are erased gets the
   cached schedule pruned to the steps those columns depend on.
 * Verification reuses the executor: each parity check no peel step used is
-  XORed into a scratch row that must come out zero in every chunk. With
-  n - k columns erased there are none, since every set of survivors then
-  decodes to a codeword and no check can fail.
+  XORed into a scratch row that must come out zero. With n - k columns
+  erased there are none, since every set of survivors then decodes to a
+  codeword and no check can fail.
 """
 
 from __future__ import annotations
@@ -377,14 +381,21 @@ def family_spec(family: str) -> FamilySpec:
 # XOR schedules: parity generation and erasure decoding
 # ---------------------------------------------------------------------------
 
-# bytes of each block one gather reads: a step's sources stay in cache, and a
-# gather of whole 64 KiB blocks was measured slower than this
+# bytes of each block one gather of the chunked path reads, so a step's
+# sources stay in cache; blocks of ``_GATHER`` bytes or more are not gathered
 _CHUNK = 8192
-# bytes one batched gather of :func:`_run_steps` may read. Batching saves
-# NumPy calls, which is what small blocks cost; once a step gathers a few KiB
-# its bytes cost more, and larger temporaries only disturb the allocator (at
-# p=7 with 4 KiB blocks, batches under a 64 KiB budget made CLI repairs 3-4%
-# slower, and a 256 KiB budget made encodes about 2x slower)
+# bytes one batched gather of :func:`_run_steps` may read, and the block size
+# from which schedules run in place instead. Batching saves NumPy calls, which
+# is what small blocks cost; once a step gathers a few KiB its bytes cost
+# more, and larger temporaries only disturb the allocator (at p=7 with 4 KiB
+# blocks, batches under a 64 KiB budget made CLI repairs 3-4% slower, and a
+# 256 KiB budget made encodes about 2x slower). In place, a step costs one
+# NumPy call per source but copies nothing. Timed in-process (encode, a plan
+# and a one-column naive decode of EVENODD, RDP and STAR), in place ran at
+# 0.6-1.3x the gathered speed with 4 KiB blocks at p=31 (encodes and STAR
+# decodes slower), 0.80-1.75x at 16 KiB (STAR slower at p=53), 0.97-2.5x at
+# 32 KiB and 1.0-2.5x at 64 KiB (p=31 and p=53), and 1.2-2.6x with 1 MiB
+# blocks at p=13, so whole blocks are never cut into chunks
 _GATHER = 32 * 1024
 # compiled schedules kept; each holds about 0.1 MB at p=53
 _CACHE_SIZE = 128
@@ -476,8 +487,8 @@ class XorSchedule(UserDict):
     @cached_property
     def reads(self) -> tuple:
         """``(column, buffer rows, column rows)`` of each column's stored
-        cells the steps read and never write: the gather :func:`_execute`
-        makes, worked out once per schedule."""
+        cells the steps read and never write: what :func:`_execute` views
+        or gathers, worked out once per schedule."""
         rows, n = self.code.rows, self.code.n
         read = np.zeros(rows * n + self.slots, dtype=bool)
         read[np.concatenate([s for _, s in self.steps])] = True
@@ -690,18 +701,22 @@ def _run_steps(buf: np.ndarray, schedule: XorSchedule) -> None:
     """Run the steps of ``schedule`` on the rows of ``buf``: XOR each step's
     source rows into its target row.
 
-    Runs chunk by chunk over the block bytes, since a step reads only bytes
-    of its own chunk, and in each chunk level by level
-    (:attr:`XorSchedule.groups`): the steps of a group run as batches of one
-    gather each, ``buf[sources[:, a:b]]`` of shape ``(width, steps, chunk)``
-    reduced over axis 0 (about 2x faster at 16-byte blocks than reducing a
-    ``(steps, width)`` gather over axis 1), so a batch costs a few NumPy
-    calls whatever its size. A batch is cut so its gather stays within
-    ``_GATHER`` bytes; a batch of one step reduces straight into its target
-    row. When no two steps fit in one gather (at 64 KiB blocks, or at p=7
-    with 4 KiB blocks) nothing can batch, and the steps run in schedule
+    Blocks of ``_GATHER`` bytes or more run in place, over whole rows
+    (:func:`_xor_rows`). Smaller blocks run chunk by chunk over the block
+    bytes, since a step reads only bytes of its own chunk, and in each chunk
+    level by level (:attr:`XorSchedule.groups`): the steps of a group run as
+    batches of one gather each, ``buf[sources[:, a:b]]`` of shape
+    ``(width, steps, chunk)`` reduced over axis 0 (about 2x faster at 16-byte
+    blocks than reducing a ``(steps, width)`` gather over axis 1), so a batch
+    costs a few NumPy calls whatever its size. A batch is cut so its gather
+    stays within ``_GATHER`` bytes; a batch of one step reduces straight into
+    its target row. When no two steps fit in one gather (chunks of 8 KiB, or
+    4 KiB blocks at p=7) nothing can batch, and the steps run in schedule
     order, each a group of one, without working out levels.
     """
+    if buf.shape[1] >= _GATHER:
+        _xor_rows(list(buf), schedule.steps)
+        return
     chunk = min(buf.shape[1], _CHUNK)
     groups = schedule.groups if 2 * chunk * schedule.narrowest <= _GATHER else schedule.steps
     for lo in range(0, buf.shape[1], _CHUNK):
@@ -722,22 +737,61 @@ def _run_steps(buf: np.ndarray, schedule: XorSchedule) -> None:
                         buf[sources[:, a:b], lo:hi], axis=0)
 
 
+def _xor_rows(blocks: list, steps) -> None:
+    """Run ``steps`` in order on whole blocks where they lie: ``blocks[row]``
+    is the block of a work-buffer row, a view of wherever it is kept. Each
+    step XORs its first two sources into its target (a check has at least
+    three cells), then each further source onto it: one NumPy call per
+    source, and no copy."""
+    for target, sources in steps:
+        out, (a, b, *rest) = blocks[target], sources.tolist()
+        np.bitwise_xor(blocks[a], blocks[b], out=out)
+        for row in rest:
+            out ^= blocks[row]
+
+
 def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
     """Run ``schedule`` on the columns ``source.column(c)`` it reads, and
-    copy each column of ``out`` (column -> ``(rows, block)`` array) out.
+    leave the solved cells of each column of ``out`` (column ->
+    ``(rows, block)`` array) in that array.
 
-    Per chunk of every block: gather the cells the schedule reads, one index
-    per column, so they stay in cache for the steps; run the steps; raise
-    :class:`CorruptionError` if a check row is non-zero; copy out.
+    Every column read is asked for before any byte is XORed, so a source
+    that refuses one (a failed cluster node) raises first. Blocks of
+    ``_GATHER`` bytes or more run in place (:func:`_xor_rows`): a source
+    cell is a view of its column, a target in an ``out`` column is written
+    into it, and the other targets (virtual cells, cells of columns not in
+    ``out``, check rows) into one scratch array. Smaller blocks run per
+    chunk of every block: gather the cells the schedule reads, one index per
+    column, so they stay in cache for the steps; run the steps; copy out.
+    Either way a non-zero check row raises :class:`CorruptionError`.
     """
     code, block = schedule.code, source.block_size
-    gathers = [(source.column(c), rows, col_rows) for c, rows, col_rows in schedule.reads]
-    buf = np.empty((code.rows * code.n + schedule.slots, min(block, _CHUNK)), dtype=np.uint8)
+    columns = [source.column(c) for c, _, _ in schedule.reads]
     checks = len(schedule.steps) - schedule.solves
+    if block >= _GATHER:
+        blocks: list = [None] * (code.rows * code.n + schedule.slots)
+        for (c, _, col_rows), column in zip(schedule.reads, columns):
+            for r in np.arange(code.rows)[col_rows].tolist():
+                blocks[(c - 1) * code.rows + r] = column[r]
+        spill = []
+        for t, _ in schedule.steps:
+            c, r = divmod(t, code.rows)
+            if c + 1 in out:
+                blocks[t] = out[c + 1][r]
+            else:
+                spill.append(t)
+        scratch = np.empty((len(spill), block), dtype=np.uint8)
+        for t, row in zip(spill, scratch):
+            blocks[t] = row
+        _xor_rows(blocks, schedule.steps)
+        if checks and scratch[-checks:].any():  # the check steps come last
+            raise CorruptionError("surviving columns are inconsistent: a parity check fails")
+        return
+    buf = np.empty((code.rows * code.n + schedule.slots, min(block, _CHUNK)), dtype=np.uint8)
     for lo in range(0, block, _CHUNK):
         chunk = buf[:, :min(block - lo, _CHUNK)]
         hi = lo + chunk.shape[1]
-        for column, rows, col_rows in gathers:
+        for (_, rows, col_rows), column in zip(schedule.reads, columns):
             chunk[rows] = column[col_rows, lo:hi]
         _run_steps(chunk, schedule)
         if checks and chunk[-checks:].any():
@@ -785,8 +839,9 @@ def mds_decode(code: Code, source, erased: list[int] | tuple[int, ...],
     ``source`` supplies the surviving columns: a :class:`CodeGrid`, or
     anything else with ``column(c)`` and ``block_size``, such as a simulated
     cluster; erased columns are never asked for. The peel-order schedule of
-    :func:`decode_recipe` runs on :func:`_execute`, which reads the
-    survivors it needs in place, chunk by chunk. Each parity check no peel
+    :func:`decode_recipe` runs on :func:`_execute`, which reads only the
+    survivor cells it needs, large blocks where they lie and small ones
+    gathered chunk by chunk. Each parity check no peel
     step used is XORed into a scratch row; any row left non-zero raises
     :class:`CorruptionError`. With n - k columns erased there are no such
     checks: every set of survivors then decodes to a codeword.

@@ -136,6 +136,22 @@ def test_oversize_file_refused_before_reading(sample, monkeypatch):
     assert not (tmp / "o").exists()
 
 
+def test_block_size_past_the_header_refused_before_allocating(sample, monkeypatch):
+    """The header stores the block size as a u32: a larger one is refused
+    before the encode buffer (about 44 GiB here) is allocated."""
+    tmp, src, _ = sample
+
+    def unallocated(*args):
+        raise AssertionError("encode_payload ran")
+
+    monkeypatch.setattr(cli.container, "encode_payload", unallocated)
+    args = ["encode", str(src), str(tmp / "o"), "--family", "evenodd", "--p", "3"]
+    assert run(*args, "--block-size", str(1 << 32)) == 2
+    assert not (tmp / "o").exists()
+    with pytest.raises(AssertionError, match="encode_payload ran"):
+        run(*args, "--block-size", str((1 << 32) - 1))  # the largest the header stores
+
+
 COMMANDS = ["encode", "extract", "repair", "analyze", "oracle"]
 
 

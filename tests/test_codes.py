@@ -319,12 +319,21 @@ def test_encode_matches_reference(case):
     assert np.array_equal(encode(code, info).cells, _reference_encode(code, info))
 
 
-@pytest.mark.parametrize("family", ["evenodd", "evenodd-ext", "rdp", "xcode", "star"])
-def test_blocks_over_one_executor_chunk(family):
-    """Blocks of two chunks and a tail: encode, a two-column decode and
-    every single-column repair plan run the executor's chunk loop."""
+# every family at a block of two executor chunks and a tail, which runs
+# gathered chunk by chunk, and at a block just over ``_GATHER``, which runs in
+# place
+_EXECUTOR_BLOCKS = [
+    pytest.param(family, block, id=family + suffix)
+    for block, suffix in ((2 * codes._CHUNK + 5, ""), (codes._GATHER + 5, "-in-place"))
+    for family in ["evenodd", "evenodd-ext", "rdp", "xcode", "star"]]
+
+
+@pytest.mark.parametrize("family, block", _EXECUTOR_BLOCKS)
+def test_blocks_over_one_executor_chunk(family, block):
+    """Encode, a two-column decode and every single-column repair plan come
+    out bit-exact on both executor paths: the chunk loop with its short last
+    chunk, and the in-place run."""
     code = Code.make(family, 5)
-    block = 2 * codes._CHUNK + 5
     info = random_info(code, block, np.random.default_rng(7))
     grid = encode(code, info)
     assert np.array_equal(grid.cells, _reference_encode(code, info))
@@ -339,12 +348,12 @@ def test_blocks_over_one_executor_chunk(family):
         assert np.array_equal(result.column, grid.column(col)), col
 
 
-@pytest.mark.parametrize("family", ["evenodd", "evenodd-ext", "rdp", "xcode", "star"])
-def test_corruption_in_the_last_partial_chunk(family):
-    """The executor checks every chunk: a byte flipped in the short last
-    chunk of a surviving column is caught when redundancy is left."""
+@pytest.mark.parametrize("family, block", _EXECUTOR_BLOCKS)
+def test_corruption_in_the_last_partial_chunk(family, block):
+    """A byte flipped near the end of a surviving block is caught when
+    redundancy is left: in the short last chunk of the gathered run, and
+    in the check rows of the in-place run."""
     code = Code.make(family, 5)
-    block = 2 * codes._CHUNK + 5
     grid = encode(code, random_info(code, block, np.random.default_rng(8)))
     erased = list(range(2, code.erasure_tolerance + 1))  # fewer than the tolerance
     broken = grid.copy()
@@ -427,8 +436,9 @@ def _schedule_runs(draw):
 @settings(max_examples=40, deadline=None)
 @given(_schedule_runs())
 def test_levelled_run_matches_step_by_step(case):
-    """The executor's level-by-level batched run writes what running the
-    steps one by one writes, at every block size its batching sees."""
+    """The executor writes what running the steps one by one writes, at
+    every block size its batching sees, and at 65536 bytes, which run in
+    place."""
     code, erased, block, seed = case
     rng = np.random.default_rng(seed)
     for schedule in _schedules(code, erased):

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arraycode import Code, codes, encode, planner, random_info, simnet
@@ -351,15 +351,17 @@ def test_transmission_sources_never_erased():
 
 
 def test_execute_on_cluster_refuses_dead_node():
-    """A plan read through a cluster cannot read a failed node's column."""
-    cluster = simnet.create_cluster("evenodd", 5, block_size=4, seed=3)
-    simnet.fail_nodes(cluster, [1, 3])
+    """A plan read through a cluster cannot read a failed node's column,
+    gathered (4-byte blocks) or in place (a block over ``_GATHER``)."""
     plan = plan_evenodd_single(Code.make("evenodd", 5), 1)
     assert 3 in {t.source for t in plan.transmissions}
-    with pytest.raises(PlanError):
-        cluster.column(3)
-    with pytest.raises(PlanError):
-        execute_plan(plan, cluster)
+    for block in (4, codes._GATHER + 5):
+        cluster = simnet.create_cluster("evenodd", 5, block_size=block, seed=3)
+        simnet.fail_nodes(cluster, [1, 3])
+        with pytest.raises(PlanError):
+            cluster.column(3)
+        with pytest.raises(PlanError):
+            execute_plan(plan, cluster)
 
 
 def _reference_execute(plan, grid):
@@ -392,6 +394,7 @@ def _single_plans(code):
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 @settings(max_examples=4, deadline=None)
 @given(block=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+@example(block=codes._GATHER + 5, seed=0)  # runs in place
 def test_execute_matches_reference_fold(p, block, seed):
     rng = np.random.default_rng(seed)
     star = Code.make("star", p)
