@@ -36,10 +36,10 @@ planner peel, plan and compile over them.
 Encoding, decoding and plan execution share one executor: each step of an
 ordered ``(target, sources)`` XOR schedule over work-buffer rows XORs its
 source rows into its target. The block size alone picks one of two paths.
-Blocks of ``_GATHER`` bytes or more run in place: each step XORs its source
-blocks one at a time into its target, where they lie, one NumPy call per
-source and no copy. Smaller blocks run in fixed-size byte chunks, level by
-level, each level's steps of one width in one gather and one reduction
+Blocks of more than ``_IN_PLACE`` (8 KiB) bytes run in place: each step XORs
+its source blocks one at a time into its target, where they lie, one NumPy
+call per source and no copy. Smaller blocks are gathered whole and run level
+by level, each level's steps of one width in one gather and one reduction
 (:attr:`XorSchedule.groups`), so a schedule of small blocks costs a few
 NumPy calls per level rather than one per step.
 
@@ -48,7 +48,7 @@ NumPy calls per level rather than one per step.
 * Decoding and plan execution read data only through :func:`_execute`,
   from the live columns of a grid or a simulated cluster: large blocks are
   read as views of those columns and solved straight into the caller's
-  columns; small ones are gathered per chunk, run, and copied out.
+  columns; small ones are gathered into one buffer, run, and copied out.
 * :func:`mds_decode` runs a schedule compiled once per erasure pattern. It
   peels the parity checks: a check with one unknown cell left solves that
   cell, from survivors and cells solved before it. Adjusters are also
@@ -381,21 +381,23 @@ def family_spec(family: str) -> FamilySpec:
 # XOR schedules: parity generation and erasure decoding
 # ---------------------------------------------------------------------------
 
-# bytes of each block one gather of the chunked path reads, so a step's
-# sources stay in cache; blocks of ``_GATHER`` bytes or more are not gathered
-_CHUNK = 8192
-# bytes one batched gather of :func:`_run_steps` may read, and the block size
-# from which schedules run in place instead. Batching saves NumPy calls, which
-# is what small blocks cost; once a step gathers a few KiB its bytes cost
-# more, and larger temporaries only disturb the allocator (at p=7 with 4 KiB
-# blocks, batches under a 64 KiB budget made CLI repairs 3-4% slower, and a
-# 256 KiB budget made encodes about 2x slower). In place, a step costs one
-# NumPy call per source but copies nothing. Timed in-process (encode, a plan
-# and a one-column naive decode of EVENODD, RDP and STAR), in place ran at
-# 0.6-1.3x the gathered speed with 4 KiB blocks at p=31 (encodes and STAR
-# decodes slower), 0.80-1.75x at 16 KiB (STAR slower at p=53), 0.97-2.5x at
-# 32 KiB and 1.0-2.5x at 64 KiB (p=31 and p=53), and 1.2-2.6x with 1 MiB
-# blocks at p=13, so whole blocks are never cut into chunks
+# blocks of more than ``_IN_PLACE`` bytes run in place, smaller ones are
+# gathered whole. In place, a step costs one NumPy call per source and copies
+# nothing; gathered, a few calls and one more copy of each source. Timed
+# in-process against gathering 8 KiB byte ranges of each block in turn
+# (EVENODD, RDP, X-code and STAR at p=31 and p=53), in place ran plans at
+# 1.4-2.7x and decodes at 0.88-2.5x from 8 KiB + 5 to 31 KiB, encodes at
+# 0.92-1.3x at p=31, and at p=53, whose encode steps read about 53 sources,
+# 0.84-1.1x up to 14 KiB and 0.93-1.1x from 16 KiB. Gathering 10-16 KiB
+# blocks whole ran decodes and plans as slow as 0.49x, so nothing over 8 KiB
+# is gathered. With 1 MiB blocks at p=13 in place ran 1.2-2.6x, so blocks
+# are never cut into byte ranges
+_IN_PLACE = 8192
+# bytes one batched gather of :func:`_run_steps` may read. Batching saves
+# NumPy calls, which is what small blocks cost; once a step gathers a few KiB
+# its bytes cost more, and larger temporaries only disturb the allocator (at
+# p=7 with 4 KiB blocks, batches under a 64 KiB budget made CLI repairs 3-4%
+# slower, and a 256 KiB budget made encodes about 2x slower)
 _GATHER = 32 * 1024
 # compiled schedules kept; each holds about 0.1 MB at p=53
 _CACHE_SIZE = 128
@@ -701,40 +703,35 @@ def _run_steps(buf: np.ndarray, schedule: XorSchedule) -> None:
     """Run the steps of ``schedule`` on the rows of ``buf``: XOR each step's
     source rows into its target row.
 
-    Blocks of ``_GATHER`` bytes or more run in place, over whole rows
-    (:func:`_xor_rows`). Smaller blocks run chunk by chunk over the block
-    bytes, since a step reads only bytes of its own chunk, and in each chunk
-    level by level (:attr:`XorSchedule.groups`): the steps of a group run as
-    batches of one gather each, ``buf[sources[:, a:b]]`` of shape
-    ``(width, steps, chunk)`` reduced over axis 0 (about 2x faster at 16-byte
-    blocks than reducing a ``(steps, width)`` gather over axis 1), so a batch
-    costs a few NumPy calls whatever its size. A batch is cut so its gather
-    stays within ``_GATHER`` bytes; a batch of one step reduces straight into
-    its target row. When no two steps fit in one gather (chunks of 8 KiB, or
-    4 KiB blocks at p=7) nothing can batch, and the steps run in schedule
-    order, each a group of one, without working out levels.
+    Blocks of more than ``_IN_PLACE`` bytes run in place, over whole rows
+    (:func:`_xor_rows`). Smaller blocks run level by level
+    (:attr:`XorSchedule.groups`): the steps of a group run as batches of one
+    gather each, ``buf[sources[:, a:b]]`` of shape ``(width, steps, block)``
+    reduced over axis 0 (about 2x faster at 16-byte blocks than reducing a
+    ``(steps, width)`` gather over axis 1), so a batch costs a few NumPy
+    calls whatever its size. A batch is cut so its gather stays within
+    ``_GATHER`` bytes; a batch of one step reduces straight into its target
+    row. When no two steps fit in one gather (4 KiB blocks at p=7) nothing
+    can batch, and the steps run in schedule order, each a group of one,
+    without working out levels.
     """
-    if buf.shape[1] >= _GATHER:
+    block = buf.shape[1]
+    if block > _IN_PLACE:
         _xor_rows(list(buf), schedule.steps)
         return
-    chunk = min(buf.shape[1], _CHUNK)
-    groups = schedule.groups if 2 * chunk * schedule.narrowest <= _GATHER else schedule.steps
-    for lo in range(0, buf.shape[1], _CHUNK):
-        hi = min(lo + _CHUNK, buf.shape[1])
-        for targets, sources in groups:
-            if sources.ndim == 1:  # a group of one step
-                np.bitwise_xor.reduce(buf[sources, lo:hi], axis=0, out=buf[targets, lo:hi])
-                continue
-            width, count = sources.shape
-            batch = _GATHER // (width * (hi - lo))
-            for a in range(0, count, max(batch, 1)):
-                if batch < 2 or a + 1 == count:
-                    np.bitwise_xor.reduce(buf[sources[:, a], lo:hi], axis=0,
-                                          out=buf[targets[a], lo:hi])
-                else:
-                    b = a + batch
-                    buf[targets[a:b], lo:hi] = np.bitwise_xor.reduce(
-                        buf[sources[:, a:b], lo:hi], axis=0)
+    groups = schedule.groups if 2 * block * schedule.narrowest <= _GATHER else schedule.steps
+    for targets, sources in groups:
+        if sources.ndim == 1:  # a group of one step
+            np.bitwise_xor.reduce(buf[sources], axis=0, out=buf[targets])
+            continue
+        width, count = sources.shape
+        batch = _GATHER // max(width * block, 1)
+        for a in range(0, count, max(batch, 1)):
+            if batch < 2 or a + 1 == count:
+                np.bitwise_xor.reduce(buf[sources[:, a]], axis=0, out=buf[targets[a]])
+            else:
+                b = a + batch
+                buf[targets[a:b]] = np.bitwise_xor.reduce(buf[sources[:, a:b]], axis=0)
 
 
 def _xor_rows(blocks: list, steps) -> None:
@@ -756,19 +753,19 @@ def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
     ``(rows, block)`` array) in that array.
 
     Every column read is asked for before any byte is XORed, so a source
-    that refuses one (a failed cluster node) raises first. Blocks of
-    ``_GATHER`` bytes or more run in place (:func:`_xor_rows`): a source
-    cell is a view of its column, a target in an ``out`` column is written
-    into it, and the other targets (virtual cells, cells of columns not in
-    ``out``, check rows) into one scratch array. Smaller blocks run per
-    chunk of every block: gather the cells the schedule reads, one index per
-    column, so they stay in cache for the steps; run the steps; copy out.
-    Either way a non-zero check row raises :class:`CorruptionError`.
+    that refuses one (a failed cluster node) raises first. Blocks of more
+    than ``_IN_PLACE`` bytes run in place (:func:`_xor_rows`): a source cell
+    is a view of its column, a target in an ``out`` column is written into
+    it, and the other targets (virtual cells, cells of columns not in
+    ``out``, check rows) into one scratch array. Smaller blocks are gathered
+    whole: the cells the schedule reads, one index per column, go into one
+    work buffer, the steps run on it, and the ``out`` columns are copied
+    out. Either way the check rows come last in the scratch array, and a
+    non-zero one raises :class:`CorruptionError`.
     """
     code, block = schedule.code, source.block_size
     columns = [source.column(c) for c, _, _ in schedule.reads]
-    checks = len(schedule.steps) - schedule.solves
-    if block >= _GATHER:
+    if block > _IN_PLACE:
         blocks: list = [None] * (code.rows * code.n + schedule.slots)
         for (c, _, col_rows), column in zip(schedule.reads, columns):
             for r in np.arange(code.rows)[col_rows].tolist():
@@ -784,20 +781,16 @@ def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
         for t, row in zip(spill, scratch):
             blocks[t] = row
         _xor_rows(blocks, schedule.steps)
-        if checks and scratch[-checks:].any():  # the check steps come last
-            raise CorruptionError("surviving columns are inconsistent: a parity check fails")
-        return
-    buf = np.empty((code.rows * code.n + schedule.slots, min(block, _CHUNK)), dtype=np.uint8)
-    for lo in range(0, block, _CHUNK):
-        chunk = buf[:, :min(block - lo, _CHUNK)]
-        hi = lo + chunk.shape[1]
+    else:
+        scratch = np.empty((code.rows * code.n + schedule.slots, block), dtype=np.uint8)
         for (_, rows, col_rows), column in zip(schedule.reads, columns):
-            chunk[rows] = column[col_rows, lo:hi]
-        _run_steps(chunk, schedule)
-        if checks and chunk[-checks:].any():
-            raise CorruptionError("surviving columns are inconsistent: a parity check fails")
+            scratch[rows] = column[col_rows]
+        _run_steps(scratch, schedule)
         for c, cells in out.items():
-            cells[:, lo:hi] = chunk[(c - 1) * code.rows:c * code.rows]
+            cells[:] = scratch[(c - 1) * code.rows:c * code.rows]
+    checks = len(schedule.steps) - schedule.solves
+    if checks and scratch[-checks:].any():  # the check steps come last
+        raise CorruptionError("surviving columns are inconsistent: a parity check fails")
 
 
 def encode(code: Code, info: np.ndarray) -> CodeGrid:
@@ -840,8 +833,8 @@ def mds_decode(code: Code, source, erased: list[int] | tuple[int, ...],
     anything else with ``column(c)`` and ``block_size``, such as a simulated
     cluster; erased columns are never asked for. The peel-order schedule of
     :func:`decode_recipe` runs on :func:`_execute`, which reads only the
-    survivor cells it needs, large blocks where they lie and small ones
-    gathered chunk by chunk. Each parity check no peel
+    survivor cells it needs, blocks over ``_IN_PLACE`` bytes where they lie
+    and smaller ones gathered whole. Each parity check no peel
     step used is XORed into a scratch row; any row left non-zero raises
     :class:`CorruptionError`. With n - k columns erased there are no such
     checks: every set of survivors then decodes to a codeword.

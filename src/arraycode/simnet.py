@@ -9,9 +9,9 @@ while the node is down. A repair session picks a strategy:
   cover), and the result records which strategy actually ran.
 * ``naive``  fetch k whole live columns, the first k in column order that
   decode the target, and decode the target column alone from them: the
-  decoder reads those columns in place from their nodes, chunk by chunk,
-  and runs only the steps that column depends on. For an MDS code these
-  are the k lowest-numbered live columns.
+  decoder reads those columns from their nodes, in place or gathered
+  whole by block size, and runs only the steps that column depends on. For
+  an MDS code these are the k lowest-numbered live columns.
 
 Nodes answer in deterministic order. When a node first fails, a private
 copy of its column is kept that only the verification step reads, so a
@@ -152,7 +152,7 @@ def run_repair(cluster: Cluster, target: int, strategy: str = "paper") -> Repair
         used = "naive"
         column = _naive_rebuild(cluster, target, ledger)
     verified = bool(np.array_equal(column, cluster.originals[target]))
-    cluster.columns[target - 1] = column.copy()
+    cluster.columns[target - 1] = column
     return RepairResult(target, used, ledger, verified, plan, column)
 
 

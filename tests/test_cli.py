@@ -1,12 +1,15 @@
 import csv
 import dataclasses
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from arraycode import analysis, cli
 from arraycode.cli import main
-from arraycode.planner import plan_star_double
+from arraycode.codes import Code, encode, mds_decode
+from arraycode.planner import execute_plan, plan_star_double
 
 
 def run(*argv):
@@ -330,3 +333,17 @@ def test_empty_file_container(tmp_path):
                "--p", "5") == 0
     assert run("extract", str(box), str(out)) == 0
     assert out.read_bytes() == b""
+
+
+def test_zero_byte_blocks(tmp_path, capsys):
+    """Blocks of 0 bytes encode, decode, run a repair plan and repair from a
+    container, though no step has a byte to XOR."""
+    code = Code.make("evenodd", 5)
+    grid = encode(code, np.zeros(code.info_shape + (0,), dtype=np.uint8))
+    assert grid.cells.shape == (code.rows, code.n, 0)
+    assert mds_decode(code, grid, [2, code.n]).cells.shape == grid.cells.shape
+    assert execute_plan(code.spec.plan(code, (1,)), grid)[1].shape == (code.rows, 0)
+    box = tmp_path / "zero.aec"
+    box.write_bytes(struct.pack("<5sBIIIQ", b"AERC1", 1, 5, 2, 0, 0))
+    assert run("repair", str(box), "--fail", "1") == 0
+    assert "verified" in capsys.readouterr().out

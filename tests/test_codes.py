@@ -319,20 +319,19 @@ def test_encode_matches_reference(case):
     assert np.array_equal(encode(code, info).cells, _reference_encode(code, info))
 
 
-# every family at a block of two executor chunks and a tail, which runs
-# gathered chunk by chunk, and at a block just over ``_GATHER``, which runs in
-# place
+# every family on both sides of the executor's switch: at ``_IN_PLACE``, the
+# largest block that is gathered whole, and just over it, which runs in place
 _EXECUTOR_BLOCKS = [
     pytest.param(family, block, id=family + suffix)
-    for block, suffix in ((2 * codes._CHUNK + 5, ""), (codes._GATHER + 5, "-in-place"))
+    for block, suffix in ((codes._IN_PLACE, ""), (codes._IN_PLACE + 5, "-in-place"))
     for family in ["evenodd", "evenodd-ext", "rdp", "xcode", "star"]]
 
 
 @pytest.mark.parametrize("family, block", _EXECUTOR_BLOCKS)
 def test_blocks_over_one_executor_chunk(family, block):
     """Encode, a two-column decode and every single-column repair plan come
-    out bit-exact on both executor paths: the chunk loop with its short last
-    chunk, and the in-place run."""
+    out bit-exact on both executor paths: the largest gathered block, and
+    the smallest block that runs in place."""
     code = Code.make(family, 5)
     info = random_info(code, block, np.random.default_rng(7))
     grid = encode(code, info)
@@ -351,8 +350,8 @@ def test_blocks_over_one_executor_chunk(family, block):
 @pytest.mark.parametrize("family, block", _EXECUTOR_BLOCKS)
 def test_corruption_in_the_last_partial_chunk(family, block):
     """A byte flipped near the end of a surviving block is caught when
-    redundancy is left: in the short last chunk of the gathered run, and
-    in the check rows of the in-place run."""
+    redundancy is left, on both executor paths: in the check rows of the
+    gathered buffer, and in the scratch check rows of the in-place run."""
     code = Code.make(family, 5)
     grid = encode(code, random_info(code, block, np.random.default_rng(8)))
     erased = list(range(2, code.erasure_tolerance + 1))  # fewer than the tolerance
@@ -429,7 +428,7 @@ def _schedule_runs(draw):
     code = Code.make(family, draw(st.sampled_from([5, 7, 13])), draw(st.sampled_from([2, 3])))
     erased = draw(st.lists(st.integers(1, code.n), min_size=1,
                            max_size=code.erasure_tolerance, unique=True))
-    block = draw(st.sampled_from([1, 16, 4096, 2 * codes._CHUNK + 5, 65536]))
+    block = draw(st.sampled_from([1, 16, 4096, codes._IN_PLACE, codes._IN_PLACE + 5, 65536]))
     return code, tuple(erased), block, draw(st.integers(0, 2**32 - 1))
 
 
@@ -437,8 +436,8 @@ def _schedule_runs(draw):
 @given(_schedule_runs())
 def test_levelled_run_matches_step_by_step(case):
     """The executor writes what running the steps one by one writes, at
-    every block size its batching sees, and at 65536 bytes, which run in
-    place."""
+    every block size its batching sees up to ``_IN_PLACE``, and at
+    ``_IN_PLACE + 5`` and 65536 bytes, which run in place."""
     code, erased, block, seed = case
     rng = np.random.default_rng(seed)
     for schedule in _schedules(code, erased):

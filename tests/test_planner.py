@@ -352,10 +352,10 @@ def test_transmission_sources_never_erased():
 
 def test_execute_on_cluster_refuses_dead_node():
     """A plan read through a cluster cannot read a failed node's column,
-    gathered (4-byte blocks) or in place (a block over ``_GATHER``)."""
+    gathered (4-byte blocks) or in place (a block over ``_IN_PLACE``)."""
     plan = plan_evenodd_single(Code.make("evenodd", 5), 1)
     assert 3 in {t.source for t in plan.transmissions}
-    for block in (4, codes._GATHER + 5):
+    for block in (4, codes._IN_PLACE + 5):
         cluster = simnet.create_cluster("evenodd", 5, block_size=block, seed=3)
         simnet.fail_nodes(cluster, [1, 3])
         with pytest.raises(PlanError):
@@ -394,7 +394,7 @@ def _single_plans(code):
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 @settings(max_examples=4, deadline=None)
 @given(block=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-@example(block=codes._GATHER + 5, seed=0)  # runs in place
+@example(block=codes._IN_PLACE + 5, seed=0)  # runs in place
 def test_execute_matches_reference_fold(p, block, seed):
     rng = np.random.default_rng(seed)
     star = Code.make("star", p)
