@@ -11,7 +11,6 @@ from .core import (
     PlanError,
     UnrecoverableError,
     mod_index,
-    parity_group_members,
 )
 
 __version__ = "0.1.0"
@@ -25,7 +24,6 @@ __all__ = [
     "mds_decode",
     "random_info",
     "mod_index",
-    "parity_group_members",
     "ArraycodeError",
     "ParameterError",
     "UnrecoverableError",

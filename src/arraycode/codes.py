@@ -46,9 +46,9 @@ NumPy calls per level rather than one per step.
 * :func:`encode` runs one schedule per code on its own buffer: each
   adjuster from its line, then every parity cell from its check.
 * Decoding and plan execution read data only through :func:`_execute`,
-  from the live columns of a grid or a simulated cluster: large blocks are
-  read as views of those columns and solved straight into the caller's
-  columns; small ones are gathered into one buffer, run, and copied out.
+  from the live columns of a grid or a simulated cluster, into the caller's
+  arrays for every column the schedule writes: large blocks are read and
+  solved where they lie; small ones are gathered, run and copied out.
 * :func:`mds_decode` runs a schedule compiled once per erasure pattern. It
   peels the parity checks: a check with one unknown cell left solves that
   cell, from survivors and cells solved before it. Adjusters are also
@@ -489,8 +489,8 @@ class XorSchedule(UserDict):
     @cached_property
     def reads(self) -> tuple:
         """``(column, buffer rows, column rows)`` of each column's stored
-        cells the steps read and never write: what :func:`_execute` views
-        or gathers, worked out once per schedule."""
+        cells the steps read and never write, worked out once per schedule:
+        what :func:`_execute` gathers, or in place the columns it views."""
         rows, n = self.code.rows, self.code.n
         read = np.zeros(rows * n + self.slots, dtype=bool)
         read[np.concatenate([s for _, s in self.steps])] = True
@@ -750,14 +750,15 @@ def _xor_rows(blocks: list, steps) -> None:
 def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
     """Run ``schedule`` on the columns ``source.column(c)`` it reads, and
     leave the solved cells of each column of ``out`` (column ->
-    ``(rows, block)`` array) in that array.
+    ``(rows, block)`` array) in that array. ``out`` names every column whose
+    stored cells the schedule writes.
 
     Every column read is asked for before any byte is XORed, so a source
     that refuses one (a failed cluster node) raises first. Blocks of more
-    than ``_IN_PLACE`` bytes run in place (:func:`_xor_rows`): a source cell
-    is a view of its column, a target in an ``out`` column is written into
-    it, and the other targets (virtual cells, cells of columns not in
-    ``out``, check rows) into one scratch array. Smaller blocks are gathered
+    than ``_IN_PLACE`` bytes run in place (:func:`_xor_rows`): every column
+    read and every ``out`` column is viewed whole, row by row, so sources
+    are read where they lie and targets written into ``out``; the virtual
+    cells and check rows share one scratch array. Smaller blocks are gathered
     whole: the cells the schedule reads, one index per column, go into one
     work buffer, the steps run on it, and the ``out`` columns are copied
     out. Either way the check rows come last in the scratch array, and a
@@ -766,20 +767,12 @@ def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
     code, block = schedule.code, source.block_size
     columns = [source.column(c) for c, _, _ in schedule.reads]
     if block > _IN_PLACE:
-        blocks: list = [None] * (code.rows * code.n + schedule.slots)
-        for (c, _, col_rows), column in zip(schedule.reads, columns):
-            for r in np.arange(code.rows)[col_rows].tolist():
-                blocks[(c - 1) * code.rows + r] = column[r]
-        spill = []
-        for t, _ in schedule.steps:
-            c, r = divmod(t, code.rows)
-            if c + 1 in out:
-                blocks[t] = out[c + 1][r]
-            else:
-                spill.append(t)
-        scratch = np.empty((len(spill), block), dtype=np.uint8)
-        for t, row in zip(spill, scratch):
-            blocks[t] = row
+        scratch = np.empty((schedule.slots, block), dtype=np.uint8)
+        blocks: list = [None] * (code.rows * code.n) + list(scratch)
+        for (c, _, _), column in zip(schedule.reads, columns):
+            blocks[(c - 1) * code.rows:c * code.rows] = column
+        for c, cells in out.items():
+            blocks[(c - 1) * code.rows:c * code.rows] = cells
         _xor_rows(blocks, schedule.steps)
     else:
         scratch = np.empty((code.rows * code.n + schedule.slots, block), dtype=np.uint8)
@@ -852,7 +845,7 @@ def mds_decode(code: Code, source, erased: list[int] | tuple[int, ...],
     """
     schedule = decode_recipe(code, erased, wanted=wanted)
     cells = cell_view(code, np.empty((code.rows * code.n, source.block_size), dtype=np.uint8))
-    _execute(schedule, source, {c: cells[:, c - 1] for c in wanted or erased})
+    _execute(schedule, source, {c: cells[:, c - 1] for c in erased})
     if wanted is None:
         for c in range(1, code.n + 1):
             if c not in erased:

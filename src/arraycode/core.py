@@ -6,10 +6,9 @@ arithmetic can land on it, but it is never stored. A parity line of slope
 ``v`` through index ``i`` visits, in column ``j``, the row ``<i + v*(1-j)>``
 where ``<x>`` wraps into ``1..p``.
 
-:func:`parity_group_members` lists a line as plain ``Coord`` values: the
-tests' reference line. The codes build lines as arrays, and the counting
-oracles in ``analysis`` mark them on a boolean grid straight from this
-formula, never from a closed form or ``common_block_count``'s residue table.
+The codes build lines from this formula as arrays, and the counting oracles
+in ``analysis`` mark them on a boolean grid, never from a closed form or
+``common_block_count``'s residue table.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "ParityGroupId",
     "is_prime",
     "mod_index",
-    "parity_group_members",
 ]
 
 
@@ -94,24 +92,3 @@ def is_prime(n: int) -> bool:
 def mod_index(x: int, p: int) -> int:
     """Wrap an arbitrary integer into the index range 1..p."""
     return (x - 1) % p + 1
-
-
-def _check_group(p: int, g: ParityGroupId) -> None:
-    if not is_prime(p) or p < 3:
-        raise ParameterError(f"p must be an odd prime, got {p}")
-    if not -p < g.slope < p:
-        raise ParameterError(f"slope {g.slope} out of range for p={p}")
-    if not 0 <= g.index <= p - 1:
-        raise ParameterError(f"group index {g.index} out of range for p={p}")
-
-
-def parity_group_members(p: int, g: ParityGroupId) -> list[Coord]:
-    """Information-cell coordinates of the parity line ``g``, column order.
-
-    Column ``j`` contributes the cell in row ``<index + slope*(1-j)>``.
-    Exactly one member per column; for a non-zero slope exactly one of them
-    lies in the imaginary row.
-    """
-    _check_group(p, g)
-    v, i = g.slope, g.index
-    return [Coord(mod_index(i + v * (1 - j), p), j) for j in range(1, p + 1)]

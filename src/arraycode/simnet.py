@@ -170,7 +170,7 @@ def _naive_rebuild(cluster: Cluster, target: int,
         except UnrecoverableError:
             continue
         ledger.blocks.update(dict.fromkeys(sources, code.rows))
-        return decoded.column(target).copy()
+        return decoded.column(target)
     raise UnrecoverableError(f"no {code.k} of the live columns {live} decode column {target}")
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from arraycode import analysis as an
 from arraycode.codes import family_spec
-from arraycode.core import ParameterError, ParityGroupId, is_prime, parity_group_members
+from arraycode.core import ParameterError, ParityGroupId, is_prime
+from test_core import group_members
 
 
 def _primes(lo, hi):
@@ -24,7 +25,7 @@ def _ref_common_block_oracle(p, partition, classes):
     for v in classes:
         cells = set()
         for m in partition[v]:
-            for c in parity_group_members(p, ParityGroupId(v, m)):
+            for c in group_members(p, ParityGroupId(v, m)):
                 if c.col != 1:
                     cells.add(c)
         covered.append(cells)
@@ -64,7 +65,7 @@ def _ref_brute_force_min_single(p):
             fm |= bit(row, col)
         flat_mask.append(fm)
         sm = 0
-        for c in parity_group_members(p, ParityGroupId(1, row)):
+        for c in group_members(p, ParityGroupId(1, row)):
             if c.col != 1 and c.row != p:
                 sm |= bit(c.row, c.col)
         sloped_mask.append(sm)

@@ -21,7 +21,8 @@ from arraycode import (
     random_info,
     simnet,
 )
-from arraycode.core import Coord, ParityGroupId, parity_group_members
+from arraycode.core import Coord, ParityGroupId
+from test_core import group_members
 
 
 def _families(p):
@@ -185,7 +186,7 @@ def _label_agrees(code, gid, cells):
     if code.family == "rdp" and gid.slope == 0:
         return cells[0] == Coord(gid.index, p) and stored == {
             Coord(gid.index, j) for j in range(1, p)}
-    line = {c for c in parity_group_members(p, gid) if c.row != p}
+    line = {c for c in group_members(p, gid) if c.row != p}
     if code.family == "rdp":
         return cells[0] == Coord(gid.index, p + 1) and stored == line
     pcol = code.parity_col(gid.slope)
@@ -329,9 +330,10 @@ _EXECUTOR_BLOCKS = [
 
 @pytest.mark.parametrize("family, block", _EXECUTOR_BLOCKS)
 def test_blocks_over_one_executor_chunk(family, block):
-    """Encode, a two-column decode and every single-column repair plan come
-    out bit-exact on both executor paths: the largest gathered block, and
-    the smallest block that runs in place."""
+    """Encode, a two-column decode and every single-column repair, by plan
+    and by the naive one-column decode (parity columns fall back to it under
+    ``paper``), come out bit-exact on both executor paths: the largest
+    gathered block, and the smallest block that runs in place."""
     code = Code.make(family, 5)
     info = random_info(code, block, np.random.default_rng(7))
     grid = encode(code, info)
@@ -339,12 +341,15 @@ def test_blocks_over_one_executor_chunk(family, block):
     broken = grid.copy()
     broken.cells[:, [1, code.n - 1]] = 0
     assert np.array_equal(mds_decode(code, broken, [2, code.n]).cells, grid.cells)
-    for col in code.systematic_cols():
-        cluster = simnet.cluster_from_grid(grid)
-        simnet.fail_nodes(cluster, [col])
-        result = simnet.run_repair(cluster, col)
-        assert result.strategy_used == "paper", col
-        assert np.array_equal(result.column, grid.column(col)), col
+    for strategy in ("paper", "naive"):
+        for col in range(1, code.n + 1):
+            cluster = simnet.cluster_from_grid(grid)
+            simnet.fail_nodes(cluster, [col])
+            result = simnet.run_repair(cluster, col, strategy)
+            planned = strategy == "paper" and col in code.systematic_cols()
+            assert result.strategy_used == ("paper" if planned else "naive"), (strategy, col)
+            assert np.array_equal(result.column, grid.column(col)), (strategy, col)
+            assert result.verified, (strategy, col)
 
 
 @pytest.mark.parametrize("family, block", _EXECUTOR_BLOCKS)
