@@ -38,10 +38,13 @@ ordered ``(target, sources)`` XOR schedule over work-buffer rows XORs its
 source rows into its target. The block size alone picks one of two paths.
 Blocks of more than ``_IN_PLACE`` (8 KiB) bytes run in place: each step XORs
 its source blocks one at a time into its target, where they lie, one NumPy
-call per source and no copy. Smaller blocks are gathered whole and run level
-by level, each level's steps of one width in one gather and one reduction
-(:attr:`XorSchedule.groups`), so a schedule of small blocks costs a few
-NumPy calls per level rather than one per step.
+call per source and no copy. Smaller blocks are gathered whole and run as
+a program compiled once per schedule and block size (:func:`_compile`), in
+one of two forms: levelled, each level's steps of one width in one gather
+and one reduction, or, for a peel chain, its paths gathered end to end, each
+path one prefix XOR. The form making fewer NumPy calls at that block size
+runs, so a schedule of small blocks costs a few calls per level or per
+batch of paths rather than one per step.
 
 * :func:`encode` runs one schedule per code on its own buffer: each
   adjuster from its line, then every parity cell from its check.
@@ -54,8 +57,9 @@ NumPy calls per level rather than one per step.
   cell, from survivors and cells solved before it. Adjusters are also
   defined by the XOR of the slope-0 and slope-v parity columns, so every
   two-column erasure peels. Cells peeling cannot reach are solved by GF(2)
-  elimination. A caller that wants fewer columns than are erased gets the
-  cached schedule pruned to the steps those columns depend on.
+  elimination. Each step records the earlier steps it reads and its level.
+  A caller that wants fewer columns than are erased gets the cached schedule
+  pruned, along those links, to the steps those columns depend on.
 * Verification reuses the executor: each parity check no peel step used is
   XORed into a scratch row that must come out zero. With n - k columns
   erased there are none, since every set of survivors then decodes to a
@@ -399,7 +403,8 @@ _IN_PLACE = 8192
 # p=7 with 4 KiB blocks, batches under a 64 KiB budget made CLI repairs 3-4%
 # slower, and a 256 KiB budget made encodes about 2x slower)
 _GATHER = 32 * 1024
-# compiled schedules kept; each holds about 0.1 MB at p=53
+# compiled schedules kept; at p=53 each holds 0.04-0.05 MB with its 16-byte
+# program (tracemalloc over cold naive decodes of each family)
 _CACHE_SIZE = 128
 
 
@@ -409,17 +414,29 @@ class XorSchedule(UserDict):
     verification check. The first ``solves`` steps compute cells from given
     cells or earlier targets; the rest XOR each check into its scratch row.
     ``eliminated`` holds the solved cells peeling could not reach, solved by
-    GF(2) elimination.
+    GF(2) elimination. Step i writes row ``targets[i]`` from ``widths[i]``
+    rows of ``sources``, from ``starts[i]``. Whoever builds a schedule
+    records how its steps depend on each other: ``links`` pairs each step
+    that reads an earlier step's target (readers ascending) with that step,
+    and ``levels`` puts each step one level above the highest step it reads
+    (0 when it reads only given rows).
 
     As a mapping, a schedule is its recipe: target row -> source rows.
     """
 
-    def __init__(self, code: Code, steps: tuple, solves: int, eliminated: tuple[int, ...] = ()):
-        self.code = code
-        self.steps = steps
-        self.solves = solves
-        self.slots = len(code.slopes[1:]) + len(steps) - solves  # virtual cells, scratch rows
-        self.eliminated = eliminated
+    def __init__(self, code: Code, targets: np.ndarray, sources: np.ndarray,
+                 widths: np.ndarray, solves: int, levels: np.ndarray,
+                 links: tuple[np.ndarray, np.ndarray], eliminated: tuple[int, ...] = ()):
+        self.code, self.solves, self.eliminated = code, solves, eliminated
+        self.targets, self.sources, self.widths = targets, sources, widths
+        self.starts, self.levels, self.links = np.cumsum(widths) - widths, levels, links
+        self.slots = len(code.slopes[1:]) + len(targets) - solves  # virtual cells, scratch rows
+        self._programs: dict[int, tuple] = {}
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """The steps as ``(target, sources)`` pairs, in order."""
+        return tuple(zip(self.targets.tolist(), np.split(self.sources, self.starts[1:])))
 
     @cached_property
     def data(self) -> dict[int, np.ndarray]:  # the mapping's contents
@@ -428,63 +445,38 @@ class XorSchedule(UserDict):
     def pruned(self, keep) -> "XorSchedule":
         """The solve steps that the buffer rows ``keep`` or the checks depend
         on, in order, over the same buffer layout: walking the links from
-        reading to writing step backwards (:attr:`_links`), a step is kept
-        when its target is kept or a kept step or check reads it."""
-        step_of = {t: i for i, (t, _) in enumerate(self.steps)}
-        kept = [False] * self.solves + [True] * (len(self.steps) - self.solves)
-        for row in keep:
-            if row in step_of:
-                kept[step_of[row]] = True
-        readers, writers = self._links
+        the last reading step back, a step is kept when its target is kept
+        or a kept step reads it. When the kept steps are the first ones (a
+        peel chain cut after the last step ``keep`` needs), the pruned
+        schedule views this one's arrays."""
+        wanted = np.zeros(self.code.rows * self.code.n + self.slots, dtype=bool)
+        wanted[keep] = True
+        kept = wanted[self.targets]
+        kept[self.solves:] = True
+        kept, (readers, writers) = kept.tolist(), self.links
         for step, by in zip(reversed(readers.tolist()), reversed(writers.tolist())):
             kept[by] = kept[by] or kept[step]
-        return XorSchedule(self.code, tuple(s for s, k in zip(self.steps, kept) if k),
-                           sum(kept[:self.solves]),
-                           tuple(c for c in self.eliminated if kept[step_of[c]]))
+        count = sum(kept)
+        if count == len(kept):
+            return self
+        if all(kept[:count]):  # the first steps: views of this one's arrays
+            links = int(np.searchsorted(readers, count))
+            parts = (self.targets[:count], self.sources[:self.starts[count]], self.widths[:count],
+                     count, self.levels[:count], (readers[:links], writers[:links]))
+        else:
+            kept = np.array(kept)
+            index, live = np.cumsum(kept) - 1, kept[readers]
+            parts = (self.targets[kept], self.sources[np.repeat(kept, self.widths)],
+                     self.widths[kept], int(kept[:self.solves].sum()), self.levels[kept],
+                     (index[readers[live]], index[writers[live]]))
+        return XorSchedule(self.code, *parts, tuple(c for c in self.eliminated if c in parts[0]))
 
-    @cached_property
-    def _links(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each source that another step writes, as the index of the step
-        reading it (ascending) and of the step writing it: one mask over
-        the steps' sources laid end to end."""
-        steps = self.steps
-        writer = np.full(self.code.rows * self.code.n + self.slots, -1)
-        writer[[t for t, _ in steps]] = np.arange(len(steps))
-        written = writer[np.concatenate([s for _, s in steps])]
-        hits = np.flatnonzero(written >= 0)
-        readers = np.repeat(np.arange(len(steps)), [len(s) for _, s in steps])[hits]
-        return readers, written[hits]
-
-    @cached_property
-    def narrowest(self) -> int:
-        """The fewest sources any step reads."""
-        return min(len(s) for _, s in self.steps)
-
-    @cached_property
-    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The steps as ``(targets, sources)`` groups, level by level, that
-        :func:`_run_steps` runs; worked out once per schedule.
-
-        A step's level is one more than the highest level among the steps
-        that wrote its sources (0 when it reads only given rows), so the
-        steps of one level never read each other's targets. Each row is
-        written at most once and read only after it is written, so running
-        the levels in order gives what running the steps in order does. The
-        steps of one level and one width form a group; ``sources`` is its
-        ``(width, steps)`` matrix, one column per step, so a gather of some
-        of its columns reduces over axis 0. A group of one step is that
-        step, ``(target, sources)``, as :attr:`steps` holds it.
-        """
-        readers, writers = self._links
-        level = [0] * len(self.steps)
-        for step, by in zip(readers.tolist(), writers.tolist()):
-            if level[by] >= level[step]:
-                level[step] = level[by] + 1
-        members: dict[tuple[int, int], list] = {}
-        for step, lv in zip(self.steps, level):
-            members.setdefault((lv, len(step[1])), []).append(step)
-        return tuple((np.array([t for t, _ in m]), np.array([s for _, s in m]).T)
-                     if len(m) > 1 else m[0] for _, m in sorted(members.items()))
+    def program(self, block: int) -> tuple:
+        """What :func:`_run_steps` runs on blocks of ``block`` bytes,
+        compiled once per block size by :func:`_compile`."""
+        if block not in self._programs:
+            self._programs[block] = _compile(self, block)
+        return self._programs[block]
 
     @cached_property
     def reads(self) -> tuple:
@@ -493,16 +485,18 @@ class XorSchedule(UserDict):
         what :func:`_execute` gathers, or in place the columns it views."""
         rows, n = self.code.rows, self.code.n
         read = np.zeros(rows * n + self.slots, dtype=bool)
-        read[np.concatenate([s for _, s in self.steps])] = True
-        read[[t for t, _ in self.steps]] = False
-        cols, col_rows = np.nonzero(read[:rows * n].reshape(n, rows))
-        ends = np.cumsum(np.bincount(cols, minlength=n)).tolist()
-        out = []
-        for c, (lo, hi) in enumerate(zip([0, *ends], ends)):
-            if hi - lo == rows:  # a whole column: slices copy without a temporary
+        read[self.sources] = True
+        read[self.targets] = False
+        grid = read[:rows * n].reshape(n, rows)
+        counts = grid.sum(axis=1)
+        col_rows = np.nonzero(grid[(counts > 0) & (counts < rows)])[1]  # of columns read in part
+        out, lo = [], 0
+        for c, count in enumerate(counts.tolist()):
+            if count == rows:  # a whole column: slices copy without a temporary
                 out.append((c + 1, slice(c * rows, (c + 1) * rows), slice(None)))
-            elif hi > lo:
-                out.append((c + 1, c * rows + col_rows[lo:hi], col_rows[lo:hi]))
+            elif count:
+                out.append((c + 1, c * rows + col_rows[lo:lo + count], col_rows[lo:lo + count]))
+                lo += count
         return tuple(out)
 
 
@@ -547,6 +541,21 @@ def _coords(code: Code, rows) -> list[Coord]:
 _decode_equations = lru_cache(maxsize=2)(Equations)
 
 
+@lru_cache(maxsize=8)  # decoding alone builds these, for the codes it decodes
+def _peel_index(code: Code) -> tuple[np.ndarray, ...]:
+    """The decoder's checks (``Equations.checks``) as the peel reads them:
+    ``cells`` lists every check's cells end to end, as int32, which halves
+    the sources each cached schedule holds, the ``sizes[e]`` cells of check
+    ``e`` from ``starts[e]``; ``on`` lists the checks through each buffer
+    row, row by row, the ``on_sizes[c]`` of row ``c`` from ``on_starts[c]``.
+    Returns ``(cells, starts, sizes, on, on_starts, on_sizes)``."""
+    checks = _decode_equations(code).checks
+    cells, sizes = np.concatenate(checks).astype(np.int32), np.array([len(c) for c in checks])
+    on_sizes = np.bincount(cells, minlength=code.rows * code.n + len(code.slopes[1:]))
+    on = np.repeat(np.arange(len(checks)), sizes)[np.argsort(cells, kind="stable")]
+    return cells, np.cumsum(sizes) - sizes, sizes, on, np.cumsum(on_sizes) - on_sizes, on_sizes
+
+
 @lru_cache(maxsize=8)
 def _encode_schedule(code: Code) -> XorSchedule:
     """Parity generation, compiled from the decoder's equations.
@@ -554,11 +563,20 @@ def _encode_schedule(code: Code) -> XorSchedule:
     Each sloped adjuster line is solved into its virtual cell first, then
     every parity check for the parity cell it lists first, in equation
     order. The column identities that also define the adjusters are left
-    out: they serve decoding only and would double a step's sources.
+    out: they serve decoding only and would double a step's sources. The
+    steps others read (adjuster lines, RDP's row checks) read information
+    cells only, so a step that reads a target is at level 1.
     """
     stored = code.rows * code.n
     eqs = sorted(_decode_equations(code).labelled, key=lambda eq: eq[0] < stored)
-    return XorSchedule(code, tuple((int(eq[0]), eq[1:]) for eq in eqs), len(eqs))
+    targets, widths = np.array([eq[0] for eq in eqs]), np.array([len(eq) - 1 for eq in eqs])
+    sources = np.concatenate([eq[1:] for eq in eqs])
+    writer = np.full(stored + len(code.slopes[1:]), -1)
+    writer[targets] = np.arange(len(eqs))
+    written = writer[sources]
+    readers, writers = np.repeat(np.arange(len(eqs)), widths)[written >= 0], written[written >= 0]
+    return XorSchedule(code, targets, sources, widths, len(eqs),
+                       np.isin(np.arange(len(eqs)), readers).astype(np.intp), (readers, writers))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -576,58 +594,87 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     pruned, from the cached one for all of them, to the steps its cells
     and the checks depend on. Cells are work-buffer rows. Returns None,
     cached like a schedule, when the pattern's checks are rank-deficient.
+
+    The peel moves only numbers of unknown cells, and records for each step
+    the earlier steps it reads (its check's other unknowns) and its level:
+    each unknown's checks come from :func:`_peel_index` in one lookup, and
+    every step's sources are cut from its cells in one pass after.
     """
     if wanted != erased:
         whole = _solve_schedule(code, erased, erased)
         return None if whole is None else whole.pruned(_column_rows(code, wanted))
-    eqs = _decode_equations(code).checks
-    stored = code.rows * code.n
-    lost = _column_rows(code, erased)
-    virtual = range(stored, stored + len(code.slopes[1:]))
-    unknowns = lost + list(virtual)
-    is_unknown = np.zeros(virtual.stop, dtype=bool)
-    is_unknown[unknowns] = True
-    unknown_of = [eq[is_unknown[eq]].tolist() for eq in eqs]
-    eqs_of: dict[int, list[int]] = {}
-    for e, cells in enumerate(unknown_of):
-        for c in cells:
-            eqs_of.setdefault(c, []).append(e)
-    left = [len(u) for u in unknown_of]
-    queue = [e for e, count in enumerate(left) if count == 1]
-    recipe: dict[int, np.ndarray] = {}
-    eliminated: list[int] = []
-    used: set[int] = set()
-
-    def solve(target: int, sources: np.ndarray) -> None:
-        recipe[target] = sources
-        for e2 in eqs_of[target]:
-            left[e2] -= 1
-            if left[e2] == 1:
-                queue.append(e2)
-
-    options: dict[int, np.ndarray] = {}
+    cells, starts, sizes, on, on_starts, on_sizes = _peel_index(code)
+    stored, virtual = code.rows * code.n, len(code.slopes[1:])
+    unknowns = np.array(_column_rows(code, erased) + list(range(stored, stored + virtual)))
+    counts = on_sizes[unknowns]  # each unknown's checks, then each check's unknowns
+    ends = np.cumsum(counts)
+    on = on[np.arange(ends[-1]) + np.repeat(on_starts[unknowns] - ends + counts, counts)]
+    checks_of, on_bounds = on.tolist(), [0, *ends.tolist()]
+    unknown_of = np.repeat(np.arange(len(unknowns)), counts)[np.argsort(on, kind="stable")]
+    left = np.bincount(on, minlength=len(sizes))
+    unknown_of, bounds = unknown_of.tolist(), [0, *np.cumsum(left).tolist()]
+    queue, left = np.flatnonzero(left == 1).tolist(), left.tolist()
+    step_of = [-1] * len(unknowns)  # the step solving each unknown
+    check, solved, level, readers, writers, eliminated = [], [], [], [], [], []
+    options: dict[int, np.ndarray] | None = None
     while True:
-        while queue:
+        if queue:
             e = queue.pop()
-            target = next((c for c in unknown_of[e] if c not in recipe), None)
-            if target is not None:  # else another check solved its last unknown
-                used.add(e)
-                solve(target, eqs[e][eqs[e] != target])
-        rest = [c for c in unknowns if c not in recipe]
-        if not rest:
-            break
-        # peeling stalled: solve the cheapest cell elimination offers, then peel on
-        if not options:
-            options = _eliminate(eqs, rest)
+            if not left[e]:
+                continue  # another check solved its last unknown
+            us = unknown_of[bounds[e]:bounds[e + 1]]
+        elif rest := [u for u, s in enumerate(step_of) if s < 0]:
+            # peeling stalled: solve the cheapest cell elimination offers, then peel on
+            options = options or _eliminate(_decode_equations(code).checks,
+                                            unknowns[rest].tolist())
             if options is None:
                 return None
-        target = min(rest, key=lambda c: len(options[c]))
-        eliminated.append(target)
-        solve(target, options[target])
-    checks = () if len(erased) == code.n - code.k else \
-        [eq for e, eq in enumerate(eqs) if e not in used]
-    steps = (*recipe.items(), *((virtual.stop + i, eq) for i, eq in enumerate(checks)))
-    return XorSchedule(code, steps, len(recipe), tuple(eliminated))
+            e, target = -1, min(rest, key=lambda u: len(options[int(unknowns[u])]))
+            eliminated.append(int(unknowns[target]))
+            us = [target, *np.flatnonzero(np.isin(unknowns, options[eliminated[-1]])).tolist()]
+        else:
+            break
+        i, lv = len(check), 0
+        for u in us:  # the one unknown left, and the steps that solved the others
+            by = step_of[u]
+            if by < 0:
+                target = u
+            else:
+                readers.append(i)
+                writers.append(by)
+                if level[by] >= lv:
+                    lv = level[by] + 1
+        step_of[target] = i
+        solved.append(target)
+        check.append(e)
+        level.append(lv)
+        for e in checks_of[on_bounds[target]:on_bounds[target + 1]]:
+            left[e] -= 1
+            if left[e] == 1:
+                queue.append(e)
+    solves = len(check)
+    for e in [] if len(erased) == code.n - code.k else sorted(set(range(len(left))) - set(check)):
+        reads = [step_of[u] for u in unknown_of[bounds[e]:bounds[e + 1]]]  # a check to verify
+        readers += [len(check)] * len(reads)
+        writers += reads
+        level.append(max([level[by] + 1 for by in reads], default=0))
+        check.append(e)
+    targets = np.concatenate([unknowns[solved], stored + virtual + np.arange(len(check) - solves)])
+    # every step's sources in one pass: its check's cells but its target
+    check = np.array(check)
+    sizes = sizes[check] * (check >= 0)  # an eliminated step's come from elimination
+    ends = np.cumsum(sizes)
+    cells = cells[np.arange(ends[-1]) + np.repeat(starts[check] - ends + sizes, sizes)]
+    sources = cells[cells != np.repeat(targets, sizes)]
+    widths = sizes - ((check >= 0) & (np.arange(len(check)) < solves))
+    if eliminated:
+        parts = np.split(sources, np.cumsum(widths)[:-1])
+        for i in np.flatnonzero(check < 0).tolist():
+            parts[i] = options[int(targets[i])]
+        sources, widths = np.concatenate(parts), np.array([len(s) for s in parts])
+    return XorSchedule(code, targets, sources, widths, solves, np.array(level, dtype=np.intp),
+                       (np.array(readers, dtype=np.intp), np.array(writers, dtype=np.intp)),
+                       tuple(eliminated))
 
 
 def _eliminate(eqs, unknowns: list[int]) -> dict[int, np.ndarray] | None:
@@ -701,37 +748,124 @@ def decode_recipe(code: Code, erased: tuple[int, ...], *,
 
 def _run_steps(buf: np.ndarray, schedule: XorSchedule) -> None:
     """Run the steps of ``schedule`` on the rows of ``buf``: XOR each step's
-    source rows into its target row.
-
-    Blocks of more than ``_IN_PLACE`` bytes run in place, over whole rows
-    (:func:`_xor_rows`). Smaller blocks run level by level
-    (:attr:`XorSchedule.groups`): the steps of a group run as batches of one
-    gather each, ``buf[sources[:, a:b]]`` of shape ``(width, steps, block)``
-    reduced over axis 0 (about 2x faster at 16-byte blocks than reducing a
-    ``(steps, width)`` gather over axis 1), so a batch costs a few NumPy
-    calls whatever its size. A batch is cut so its gather stays within
-    ``_GATHER`` bytes; a batch of one step reduces straight into its target
-    row. When no two steps fit in one gather (4 KiB blocks at p=7) nothing
-    can batch, and the steps run in schedule order, each a group of one,
-    without working out levels.
-    """
-    block = buf.shape[1]
-    if block > _IN_PLACE:
+    source rows into its target row. Blocks of more than ``_IN_PLACE`` bytes
+    run in place, over whole rows (:func:`_xor_rows`); smaller ones run the
+    schedule's program for their size (:meth:`XorSchedule.program`)."""
+    if buf.shape[1] > _IN_PLACE:
         _xor_rows(list(buf), schedule.steps)
         return
-    groups = schedule.groups if 2 * block * schedule.narrowest <= _GATHER else schedule.steps
-    for targets, sources in groups:
-        if sources.ndim == 1:  # a group of one step
-            np.bitwise_xor.reduce(buf[sources], axis=0, out=buf[targets])
-            continue
-        width, count = sources.shape
-        batch = _GATHER // max(width * block, 1)
-        for a in range(0, count, max(batch, 1)):
-            if batch < 2 or a + 1 == count:
-                np.bitwise_xor.reduce(buf[sources[:, a]], axis=0, out=buf[targets[a]])
-            else:
-                b = a + batch
-                buf[targets[a:b]] = np.bitwise_xor.reduce(buf[sources[:, a:b]], axis=0)
+    for run, *args in schedule.program(buf.shape[1]):
+        run(buf, *args)
+
+
+def _reduce_one(buf: np.ndarray, target: int, sources: np.ndarray) -> None:
+    np.bitwise_xor.reduce(buf.take(sources, axis=0), axis=0, out=buf[target])
+
+
+def _reduce_batch(buf: np.ndarray, targets: np.ndarray, sources: np.ndarray) -> None:
+    buf[targets] = np.bitwise_xor.reduce(buf.take(sources, axis=0), axis=0)
+
+
+def _run_paths(buf: np.ndarray, targets: np.ndarray, rows: np.ndarray,
+               segments: tuple, ends: np.ndarray) -> None:
+    gathered = buf.take(rows, axis=0)
+    for a, b in segments:
+        np.bitwise_xor.accumulate(gathered[a:b], axis=0, out=gathered[a:b])
+    buf[targets] = gathered.take(ends, axis=0)
+
+
+def _compile(schedule: XorSchedule, block: int) -> tuple:
+    """The operations that run ``schedule`` on blocks of ``block`` bytes,
+    each ``(function, targets, sources, ...)`` for ``function(buf, ...)``.
+
+    Levelled form: the steps of one level and one width form a group, and
+    the groups run level by level, as no step reads a target of its own
+    level. A group runs in batches, each one gather of its ``(width,
+    steps)`` source matrix reduced over axis 0 (about 2x faster at 16-byte
+    blocks than a ``(steps, width)`` gather over axis 1); a batch of one
+    step reduces straight into its target.
+
+    Path form: when each step above level 0 reads no target above level 0
+    but that of the step above level 0 just before it, those steps form
+    paths (a peel chain), and a step's target is the XOR of the sources of
+    its path up to it, the targets the path reads left out. After the level-0
+    groups, the paths' sources are gathered end to end in batches, each path
+    in a batch one prefix XOR (:func:`_run_paths`); a path cut by a batch
+    reads its last target again as a source in the next one.
+
+    A gather keeps within ``_GATHER`` bytes unless one step alone reads
+    more. The form making fewer NumPy calls at this block size runs (two per
+    single step, three per batch, three per path batch and one per path in
+    it), the levelled form on a tie; when no two steps fit in one gather,
+    each runs alone, in schedule order (4 KiB blocks at p=7).
+    """
+    block = max(block, 1)  # zero-byte blocks batch as one-byte ones do
+    levels, widths = schedule.levels, schedule.widths
+    if 2 * int(widths.min()) * block > _GATHER:
+        return tuple((_reduce_one, t, schedule.sources[a:a + w]) for t, a, w in zip(
+            schedule.targets.tolist(), schedule.starts.tolist(), widths.tolist()))
+    span = int(widths.max()) + 1
+    key, count = np.unique(levels * span + widths, return_counts=True)
+    batch = np.maximum(_GATHER // (key % span * block), 1)
+    calls = 3 * -(-count // batch) - np.where(batch == 1, count, count % batch == 1)
+    flat = int(calls[key < span].sum())  # the level-0 groups
+    paths = _paths(schedule, block, int(calls.sum()) - flat)
+    if paths is None:
+        return _levelled(schedule, block, np.arange(len(levels)))
+    return _levelled(schedule, block, np.flatnonzero(levels == 0)) + paths
+
+
+def _levelled(schedule: XorSchedule, block: int, ids: np.ndarray) -> tuple:
+    targets, sources, starts = schedule.targets, schedule.sources, schedule.starts
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, key in zip(ids.tolist(), zip(schedule.levels[ids].tolist(),
+                                        schedule.widths[ids].tolist())):
+        members.setdefault(key, []).append(i)
+    ops = []
+    for (_, width), group in sorted(members.items()):
+        batch = max(_GATHER // (width * block), 1)
+        for chunk in (group[a:a + batch] for a in range(0, len(group), batch)):
+            ops.append((_reduce_one, int(targets[chunk[0]]), sources[starts[chunk[0]]:][:width])
+                       if len(chunk) == 1 else (_reduce_batch, targets[chunk],
+                                                sources[starts[chunk] + np.arange(width)[:, None]]))
+    return tuple(ops)
+
+
+def _paths(schedule: XorSchedule, block: int, spare: int) -> tuple | None:
+    """The path batches of the steps above level 0, or None when those do
+    not form paths or make ``spare`` NumPy calls or more (:func:`_compile`)."""
+    levels, (readers, writers) = schedule.levels, schedule.links
+    later = np.flatnonzero(levels > 0)
+    place = np.full(len(levels), -1)
+    place[later] = np.arange(len(later))
+    chain = levels[writers] > 0
+    after = place[readers[chain]]
+    if 3 + len(later) - len(after) >= spare or (after != place[writers[chain]] + 1).any():
+        return None
+    follows = np.zeros(len(later), dtype=bool)  # reads the target of the step before
+    follows[after] = True
+    widths = schedule.widths[later]
+    cuts, size, budget, calls = [0], 0, max(_GATHER // block, 1), 4
+    for k, width in enumerate((widths - follows).tolist()):
+        if k > cuts[-1] and size + width > budget:
+            cuts.append(k)  # a new batch, where the step reads the target before it again
+            size, follows[k], calls = int(follows[k]), False, calls + 4
+        elif not follows[k] and k:
+            calls += 1
+        size += width
+    if calls >= spare:
+        return None
+    targets = schedule.targets[later]
+    cells = schedule.sources[np.repeat(levels > 0, schedule.widths)]
+    cells = cells[cells != np.repeat(np.where(follows, np.roll(targets, 1), -1), widths)]
+    top = np.concatenate([[0], np.cumsum(widths - follows)])
+    ops = []
+    for a, b in zip(cuts, cuts[1:] + [len(later)]):
+        heads = (top[a:b][~follows[a:b]] - top[a]).tolist()
+        ops.append((_run_paths, targets[a:b], cells[top[a]:top[b]],
+                    tuple(zip(heads, heads[1:] + [top[b] - top[a]])),
+                    top[a + 1:b + 1] - top[a] - 1))
+    return tuple(ops)
 
 
 def _xor_rows(blocks: list, steps) -> None:
@@ -760,9 +894,10 @@ def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
     are read where they lie and targets written into ``out``; the virtual
     cells and check rows share one scratch array. Smaller blocks are gathered
     whole: the cells the schedule reads, one index per column, go into one
-    work buffer, the steps run on it, and the ``out`` columns are copied
-    out. Either way the check rows come last in the scratch array, and a
-    non-zero one raises :class:`CorruptionError`.
+    work buffer, the schedule's program for the block size runs on it
+    (:func:`_run_steps`), and the ``out`` columns are copied out. Either way
+    the check rows come last in the scratch array, and a non-zero one raises
+    :class:`CorruptionError`.
     """
     code, block = schedule.code, source.block_size
     columns = [source.column(c) for c, _, _ in schedule.reads]
@@ -777,11 +912,12 @@ def _execute(schedule: XorSchedule, source, out: dict[int, np.ndarray]) -> None:
     else:
         scratch = np.empty((code.rows * code.n + schedule.slots, block), dtype=np.uint8)
         for (_, rows, col_rows), column in zip(schedule.reads, columns):
-            scratch[rows] = column[col_rows]
+            scratch[rows] = column[col_rows] if isinstance(col_rows, slice) else \
+                column.take(col_rows, axis=0)
         _run_steps(scratch, schedule)
         for c, cells in out.items():
             cells[:] = scratch[(c - 1) * code.rows:c * code.rows]
-    checks = len(schedule.steps) - schedule.solves
+    checks = len(schedule.targets) - schedule.solves
     if checks and scratch[-checks:].any():  # the check steps come last
         raise CorruptionError("surviving columns are inconsistent: a parity check fails")
 

@@ -396,12 +396,10 @@ def _step_by_step(buf, steps):
         buf[target] = np.bitwise_xor.reduce(buf[sources], axis=0)
 
 
-def _group_steps(group):
-    """The ``(target, source list)`` steps of one executor group."""
-    targets, sources = group
-    if sources.ndim == 1:
-        return [(int(targets), sources.tolist())]
-    return [(t, sources[:, j].tolist()) for j, t in enumerate(targets.tolist())]
+def _op_rows(op):
+    """The rows one compiled operation writes and the rows it reads."""
+    _, written, read, *_ = op
+    return np.atleast_1d(written).tolist(), np.ravel(read).tolist()
 
 
 def _plan_schedule(code, erased):
@@ -427,22 +425,36 @@ def _schedules(code, erased):
     return [s for s in out if s is not None]
 
 
+def _naive_erased(code, failed):
+    """The columns a naive rebuild erases: all but the first k live ones."""
+    live = [c for c in range(1, code.n + 1) if c not in failed]
+    return tuple(sorted(set(range(1, code.n + 1)) - set(live[:code.k])))
+
+
+# the block sizes the small-block forms see, then both sides of the switch to
+# running in place
+_RUN_BLOCKS = [1, 16, 512, 4096, codes._IN_PLACE, codes._IN_PLACE + 5]
+
+
 @st.composite
 def _schedule_runs(draw):
     family = draw(st.sampled_from(["evenodd", "evenodd-ext", "rdp", "xcode", "star"]))
-    code = Code.make(family, draw(st.sampled_from([5, 7, 13])), draw(st.sampled_from([2, 3])))
+    code = Code.make(family, draw(st.sampled_from([5, 7, 13, 53])), draw(st.sampled_from([2, 3])))
     erased = draw(st.lists(st.integers(1, code.n), min_size=1,
                            max_size=code.erasure_tolerance, unique=True))
-    block = draw(st.sampled_from([1, 16, 4096, codes._IN_PLACE, codes._IN_PLACE + 5, 65536]))
+    if draw(st.booleans()):  # what a naive rebuild of these failures decodes
+        erased = _naive_erased(code, erased)
+    block = draw(st.sampled_from(_RUN_BLOCKS + ([65536] if code.p < 53 else [])))
     return code, tuple(erased), block, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(_schedule_runs())
 def test_levelled_run_matches_step_by_step(case):
-    """The executor writes what running the steps one by one writes, at
-    every block size its batching sees up to ``_IN_PLACE``, and at
-    ``_IN_PLACE + 5`` and 65536 bytes, which run in place."""
+    """The executor writes what running the steps one by one writes, in
+    whichever form a schedule compiles to at every block size up to
+    ``_IN_PLACE``, and at ``_IN_PLACE + 5`` and 65536 bytes, which run in
+    place; also at p=53 and for the patterns a naive rebuild decodes."""
     code, erased, block, seed = case
     rng = np.random.default_rng(seed)
     for schedule in _schedules(code, erased):
@@ -455,20 +467,75 @@ def test_levelled_run_matches_step_by_step(case):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_groups_are_levels(p):
-    """Every step sits in exactly one group, and no group reads a row that
-    a step of its own group or of a later one writes."""
+    """Every step's target is written by exactly one compiled operation, and
+    no operation reads a row that it or a later operation writes, in both
+    forms: at 16-byte blocks (levelled, and paths where chains peel) and at
+    4 KiB (one step at a time)."""
     for code in _families(p) + ([Code("evenodd-ext", p, 5)] if p > 5 else []):
         for erased in itertools.chain.from_iterable(
                 itertools.combinations(range(1, code.n + 1), t)
                 for t in range(1, code.erasure_tolerance + 1)):
-            for schedule in _schedules(code, erased):
-                groups = [_group_steps(g) for g in schedule.groups]
-                assert sorted(step for g in groups for step in g) == \
-                    sorted((t, s.tolist()) for t, s in schedule.steps), (code, erased)
+            for schedule, block in itertools.product(_schedules(code, erased), (16, 4096)):
+                ops = [_op_rows(op) for op in schedule.program(block)]
+                assert sorted(t for written, _ in ops for t in written) == \
+                    sorted(t for t, _ in schedule.steps), (code, erased, block)
                 later = set()
-                for group in reversed(groups):
-                    later.update(t for t, _ in group)
-                    assert not later & {r for _, s in group for r in s}, (code, erased)
+                for written, read in reversed(ops):
+                    later.update(written)
+                    assert not later & set(read), (code, erased, block)
+
+
+def _forms(schedule, block):
+    return {op[0] for op in schedule.program(block)}
+
+
+@pytest.mark.parametrize("family", ["evenodd", "rdp", "xcode"])
+def test_two_column_decodes_compile_to_paths(family):
+    """A two-data-column decode at p=53 is a peel chain: with 16-byte blocks
+    it compiles to the path form, whole or pruned to one column, as the
+    naive rebuild asks; at p=7 with 4 KiB blocks it stays levelled."""
+    rng = np.random.default_rng(11)
+    for p, block, form in ((53, 16, codes._run_paths), (7, 4096, codes._reduce_one)):
+        code = Code.make(family, p)
+        for _ in range(4):
+            pair = tuple(sorted(rng.choice(np.arange(1, code.info_cols + 1), 2, replace=False)))
+            erased = _naive_erased(code, pair)
+            for wanted in (None, pair[:1]):
+                schedule = codes.decode_recipe(code, erased, wanted=wanted)
+                assert form in _forms(schedule, block), (code, erased, wanted)
+                assert _forms(schedule, block) <= {codes._run_paths, codes._reduce_one,
+                                                   codes._reduce_batch}
+                if form is codes._reduce_one:
+                    assert codes._run_paths not in _forms(schedule, block)
+
+
+@pytest.mark.parametrize("p", [7, 53])
+def test_single_column_plans_compile_levelled(p):
+    """Every single-column plan runs levelled at every gathered block size:
+    its groups read no group's target, so no path is longer than one step."""
+    for code in _families(p):
+        for col in code.systematic_cols():
+            schedule = _plan_schedule(code, (col,))
+            for block in (16, 512, 4096, codes._IN_PLACE):
+                assert codes._run_paths not in _forms(schedule, block), (code, col, block)
+
+
+@pytest.mark.parametrize("code, erased", [
+    (Code.make("star", 7), (1, 2, 3)), (Code.make("star", 13), (2, 5, 9)),
+    (Code("evenodd-ext", 7, 5), (1, 2, 4, 5, 9)), (Code("evenodd-ext", 11, 5), (1, 3, 4))])
+def test_stalled_and_wide_patterns_run_bit_exactly(code, erased):
+    """Patterns the peel stalls on (three STAR data columns, solved by
+    elimination) and r = 5 patterns decode bit-exactly at 16-byte blocks,
+    whichever form they compile to."""
+    grid = encode(code, random_info(code, 16, np.random.default_rng(len(erased))))
+    broken = grid.copy()
+    broken.cells[:, [c - 1 for c in erased]] = 0x5A
+    if code.family == "star":
+        assert codes.decode_recipe(code, erased).eliminated
+    assert np.array_equal(mds_decode(code, broken, erased).cells, grid.cells)
+    for col in erased:
+        fixed = mds_decode(code, broken, erased, wanted=[col])
+        assert np.array_equal(fixed.column(col), grid.column(col)), (code, erased, col)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -669,6 +736,59 @@ def _survivor_sums(code, pattern, recipe):
             bits ^= of(c)
         sums[target] = bits
     return of
+
+
+def _reference_peel(code, erased):
+    """The peel written plainly, cell by cell, as the decoder peeled before
+    it recorded links, as a reference: a stack of checks with one unknown
+    cell left, each solving that cell from its other cells; cells peeling
+    cannot reach come from ``codes._eliminate``. Returns target row ->
+    source rows, in solve order."""
+    eqs = codes._decode_equations(code)
+    checks, stored = eqs.checks, code.rows * code.n
+    unknowns = [(c - 1) * code.rows + r for c in erased for r in range(code.rows)]
+    unknowns += list(range(stored, stored + len(code.slopes[1:])))
+    unknown_of = [[c for c in check.tolist() if c in unknowns] for check in checks]
+    checks_of = {c: [e for e, cells in enumerate(unknown_of) if c in cells] for c in unknowns}
+    left = [len(cells) for cells in unknown_of]
+    queue = [e for e, count in enumerate(left) if count == 1]
+    recipe, options = {}, None
+
+    def solve(target, sources):
+        recipe[target] = sources
+        for e in checks_of[target]:
+            left[e] -= 1
+            if left[e] == 1:
+                queue.append(e)
+
+    while True:
+        while queue:
+            e = queue.pop()
+            target = next((c for c in unknown_of[e] if c not in recipe), None)
+            if target is not None:
+                solve(target, checks[e][checks[e] != target])
+        rest = [c for c in unknowns if c not in recipe]
+        if not rest:
+            return recipe
+        options = options or codes._eliminate(checks, rest)
+        target = min(rest, key=lambda c: len(options[c]))
+        solve(target, options[target])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_peel_solves_the_reference_system(p):
+    """For every pattern of up to tolerance columns, the decoder solves the
+    cells a plain cell-by-cell peel solves, and each solved cell's sources
+    XOR to the same survivor set as the reference's (``_survivor_sums``)."""
+    for code in _families(p) + ([Code("evenodd-ext", p, 5)] if p > 5 else []):
+        for pattern in _within_tolerance(code):
+            recipe, _ = _in_coords(code, codes.decode_recipe(code, pattern))
+            reference = {_coord(code, t): tuple(_coord(code, c) for c in s.tolist())
+                         for t, s in _reference_peel(code, pattern).items()}
+            assert recipe.keys() == reference.keys(), (code, pattern)
+            got, want = _survivor_sums(code, pattern, recipe), \
+                _survivor_sums(code, pattern, reference)
+            assert all(got(c) == want(c) for c in recipe), (code, pattern)
 
 
 def _gf2_rank(vectors):
