@@ -57,7 +57,7 @@ batch of paths rather than one per step.
   cell, from survivors and cells solved before it. Adjusters are also
   defined by the XOR of the slope-0 and slope-v parity columns, so every
   two-column erasure peels. Cells peeling cannot reach are solved by GF(2)
-  elimination. Each step records the earlier steps it reads and its level.
+  elimination. The peel records the earlier steps each step reads.
   A caller that wants fewer columns than are erased gets the cached schedule
   pruned, along those links, to the steps those columns depend on.
 * Verification reuses the executor: each parity check no peel step used is
@@ -403,7 +403,7 @@ _IN_PLACE = 8192
 # p=7 with 4 KiB blocks, batches under a 64 KiB budget made CLI repairs 3-4%
 # slower, and a 256 KiB budget made encodes about 2x slower)
 _GATHER = 32 * 1024
-# compiled schedules kept; at p=53 each holds 0.04-0.05 MB with its 16-byte
+# compiled schedules kept; at p=53 each holds 0.03-0.05 MB with its 16-byte
 # program (tracemalloc over cold naive decodes of each family)
 _CACHE_SIZE = 128
 
@@ -415,23 +415,24 @@ class XorSchedule(UserDict):
     cells or earlier targets; the rest XOR each check into its scratch row.
     ``eliminated`` holds the solved cells peeling could not reach, solved by
     GF(2) elimination. Step i writes row ``targets[i]`` from ``widths[i]``
-    rows of ``sources``, from ``starts[i]``. Whoever builds a schedule
-    records how its steps depend on each other: ``links`` pairs each step
-    that reads an earlier step's target (readers ascending) with that step,
-    and ``levels`` puts each step one level above the highest step it reads
-    (0 when it reads only given rows).
+    rows of ``sources``, from ``starts[i]``. ``links`` pairs each step that
+    reads an earlier step's target (readers ascending) with that step: the
+    peel passes the links it records, other schedules derive them when
+    asked, and :attr:`levels` follow from the links.
 
     As a mapping, a schedule is its recipe: target row -> source rows.
     """
 
     def __init__(self, code: Code, targets: np.ndarray, sources: np.ndarray,
-                 widths: np.ndarray, solves: int, levels: np.ndarray,
-                 links: tuple[np.ndarray, np.ndarray], eliminated: tuple[int, ...] = ()):
+                 widths: np.ndarray, solves: int, links: tuple | None = None,
+                 eliminated: tuple[int, ...] = ()):
         self.code, self.solves, self.eliminated = code, solves, eliminated
         self.targets, self.sources, self.widths = targets, sources, widths
-        self.starts, self.levels, self.links = np.cumsum(widths) - widths, levels, links
+        self.starts = np.cumsum(widths) - widths
         self.slots = len(code.slopes[1:]) + len(targets) - solves  # virtual cells, scratch rows
         self._programs: dict[int, tuple] = {}
+        if links is not None:
+            self.links = links
 
     @cached_property
     def steps(self) -> tuple[tuple[int, np.ndarray], ...]:
@@ -441,6 +442,27 @@ class XorSchedule(UserDict):
     @cached_property
     def data(self) -> dict[int, np.ndarray]:  # the mapping's contents
         return dict(self.steps[:self.solves])
+
+    @cached_property
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each source that another step writes, as the index of the step
+        reading it (ascending) and of the step writing it: one mask over the
+        sources."""
+        writer = np.full(self.code.rows * self.code.n + self.slots, -1)
+        writer[self.targets] = np.arange(len(self.targets))
+        written = writer[self.sources]
+        hit = written >= 0
+        return np.repeat(np.arange(len(self.targets)), self.widths)[hit], written[hit]
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Each step's level: one above the highest step it reads, 0 when it
+        reads only given rows, so no step reads a target of its own level."""
+        level = [0] * len(self.targets)
+        for step, by in zip(*(side.tolist() for side in self.links)):
+            if level[by] >= level[step]:
+                level[step] = level[by] + 1
+        return np.array(level)
 
     def pruned(self, keep) -> "XorSchedule":
         """The solve steps that the buffer rows ``keep`` or the checks depend
@@ -462,12 +484,12 @@ class XorSchedule(UserDict):
         if all(kept[:count]):  # the first steps: views of this one's arrays
             links = int(np.searchsorted(readers, count))
             parts = (self.targets[:count], self.sources[:self.starts[count]], self.widths[:count],
-                     count, self.levels[:count], (readers[:links], writers[:links]))
+                     count, (readers[:links], writers[:links]))
         else:
             kept = np.array(kept)
             index, live = np.cumsum(kept) - 1, kept[readers]
             parts = (self.targets[kept], self.sources[np.repeat(kept, self.widths)],
-                     self.widths[kept], int(kept[:self.solves].sum()), self.levels[kept],
+                     self.widths[kept], int(kept[:self.solves].sum()),
                      (index[readers[live]], index[writers[live]]))
         return XorSchedule(self.code, *parts, tuple(c for c in self.eliminated if c in parts[0]))
 
@@ -525,6 +547,21 @@ class Equations:
         self.labelled = [row[:-1] if pad else row for row, pad in zip(self.table, padded)]
         self.checks = self.labelled + list(self.identities.values())
 
+    @cached_property
+    def peel_index(self) -> tuple[np.ndarray, ...]:
+        """The peel's index, built on a code's first decode (``analyze``
+        sweeps never build it): ``checks`` end to end as int32, which halves
+        the sources a cached schedule holds, with each check's start and
+        size; then the checks through each buffer row, row by row, with each
+        row's start and count. Returns ``(cells, starts, sizes, on,
+        on_starts, on_sizes)``."""
+        cells = np.concatenate(self.checks).astype(np.int32)
+        sizes = np.array([len(check) for check in self.checks])
+        on_sizes = np.bincount(cells, minlength=self.code.rows * self.code.n + len(
+            self.code.slopes[1:]))
+        on = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(cells, kind="stable")]
+        return cells, np.cumsum(sizes) - sizes, sizes, on, np.cumsum(on_sizes) - on_sizes, on_sizes
+
 
 def _coords(code: Code, rows) -> list[Coord]:
     """The :class:`Coord` of each work-buffer row: ``Coord(r, c)`` for the
@@ -537,23 +574,9 @@ def _coords(code: Code, rows) -> list[Coord]:
 
 
 # A sweep over p would fill a larger cache with its largest codes (about 0.3
-# MB each at p=101 and r <= 3); two cover the code in use.
+# MB each at p=101 and r <= 3, and 0.4-0.55 MB more for the peel's index
+# once one decodes); two cover the code in use.
 _decode_equations = lru_cache(maxsize=2)(Equations)
-
-
-@lru_cache(maxsize=8)  # decoding alone builds these, for the codes it decodes
-def _peel_index(code: Code) -> tuple[np.ndarray, ...]:
-    """The decoder's checks (``Equations.checks``) as the peel reads them:
-    ``cells`` lists every check's cells end to end, as int32, which halves
-    the sources each cached schedule holds, the ``sizes[e]`` cells of check
-    ``e`` from ``starts[e]``; ``on`` lists the checks through each buffer
-    row, row by row, the ``on_sizes[c]`` of row ``c`` from ``on_starts[c]``.
-    Returns ``(cells, starts, sizes, on, on_starts, on_sizes)``."""
-    checks = _decode_equations(code).checks
-    cells, sizes = np.concatenate(checks).astype(np.int32), np.array([len(c) for c in checks])
-    on_sizes = np.bincount(cells, minlength=code.rows * code.n + len(code.slopes[1:]))
-    on = np.repeat(np.arange(len(checks)), sizes)[np.argsort(cells, kind="stable")]
-    return cells, np.cumsum(sizes) - sizes, sizes, on, np.cumsum(on_sizes) - on_sizes, on_sizes
 
 
 @lru_cache(maxsize=8)
@@ -563,20 +586,12 @@ def _encode_schedule(code: Code) -> XorSchedule:
     Each sloped adjuster line is solved into its virtual cell first, then
     every parity check for the parity cell it lists first, in equation
     order. The column identities that also define the adjusters are left
-    out: they serve decoding only and would double a step's sources. The
-    steps others read (adjuster lines, RDP's row checks) read information
-    cells only, so a step that reads a target is at level 1.
+    out: they serve decoding only and would double a step's sources.
     """
     stored = code.rows * code.n
     eqs = sorted(_decode_equations(code).labelled, key=lambda eq: eq[0] < stored)
-    targets, widths = np.array([eq[0] for eq in eqs]), np.array([len(eq) - 1 for eq in eqs])
-    sources = np.concatenate([eq[1:] for eq in eqs])
-    writer = np.full(stored + len(code.slopes[1:]), -1)
-    writer[targets] = np.arange(len(eqs))
-    written = writer[sources]
-    readers, writers = np.repeat(np.arange(len(eqs)), widths)[written >= 0], written[written >= 0]
-    return XorSchedule(code, targets, sources, widths, len(eqs),
-                       np.isin(np.arange(len(eqs)), readers).astype(np.intp), (readers, writers))
+    return XorSchedule(code, np.array([eq[0] for eq in eqs]), np.concatenate(
+        [eq[1:] for eq in eqs]), np.array([len(eq) - 1 for eq in eqs]), len(eqs))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -595,27 +610,29 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     and the checks depend on. Cells are work-buffer rows. Returns None,
     cached like a schedule, when the pattern's checks are rank-deficient.
 
-    The peel moves only numbers of unknown cells, and records for each step
-    the earlier steps it reads (its check's other unknowns) and its level:
-    each unknown's checks come from :func:`_peel_index` in one lookup, and
-    every step's sources are cut from its cells in one pass after.
+    The peel moves only numbers of unknown cells: each unknown's checks come
+    from :attr:`Equations.peel_index` in one lookup, and each check's unknowns
+    from sorting those. It records for each step the earlier steps it
+    reads (its check's other unknowns), and every step's sources are cut
+    from the checks in one pass after.
     """
     if wanted != erased:
         whole = _solve_schedule(code, erased, erased)
         return None if whole is None else whole.pruned(_column_rows(code, wanted))
-    cells, starts, sizes, on, on_starts, on_sizes = _peel_index(code)
+    eqs = _decode_equations(code)
+    cells, starts, sizes, on, on_starts, on_sizes = eqs.peel_index
     stored, virtual = code.rows * code.n, len(code.slopes[1:])
-    unknowns = np.array(_column_rows(code, erased) + list(range(stored, stored + virtual)))
-    counts = on_sizes[unknowns]  # each unknown's checks, then each check's unknowns
-    ends = np.cumsum(counts)
-    on = on[np.arange(ends[-1]) + np.repeat(on_starts[unknowns] - ends + counts, counts)]
-    checks_of, on_bounds = on.tolist(), [0, *ends.tolist()]
+    unknowns = np.array(_column_rows(code, erased) + list(range(stored, stored + virtual)),
+                        dtype=np.intp)
+    counts = on_sizes[unknowns]
+    on = _segments(on, on_starts[unknowns], counts)  # each unknown's checks
+    checks_of, on_bounds = on.tolist(), [0, *np.cumsum(counts).tolist()]
     unknown_of = np.repeat(np.arange(len(unknowns)), counts)[np.argsort(on, kind="stable")]
-    left = np.bincount(on, minlength=len(sizes))
+    left = np.bincount(on, minlength=len(sizes))  # each check's unknowns
     unknown_of, bounds = unknown_of.tolist(), [0, *np.cumsum(left).tolist()]
     queue, left = np.flatnonzero(left == 1).tolist(), left.tolist()
     step_of = [-1] * len(unknowns)  # the step solving each unknown
-    check, solved, level, readers, writers, eliminated = [], [], [], [], [], []
+    check, solved, readers, writers, eliminated = [], [], [], [], []
     options: dict[int, np.ndarray] | None = None
     while True:
         if queue:
@@ -625,8 +642,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
             us = unknown_of[bounds[e]:bounds[e + 1]]
         elif rest := [u for u, s in enumerate(step_of) if s < 0]:
             # peeling stalled: solve the cheapest cell elimination offers, then peel on
-            options = options or _eliminate(_decode_equations(code).checks,
-                                            unknowns[rest].tolist())
+            options = options or _eliminate(eqs.checks, unknowns[rest].tolist())
             if options is None:
                 return None
             e, target = -1, min(rest, key=lambda u: len(options[int(unknowns[u])]))
@@ -634,20 +650,15 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
             us = [target, *np.flatnonzero(np.isin(unknowns, options[eliminated[-1]])).tolist()]
         else:
             break
-        i, lv = len(check), 0
         for u in us:  # the one unknown left, and the steps that solved the others
-            by = step_of[u]
-            if by < 0:
+            if step_of[u] < 0:
                 target = u
             else:
-                readers.append(i)
-                writers.append(by)
-                if level[by] >= lv:
-                    lv = level[by] + 1
-        step_of[target] = i
+                readers.append(len(check))
+                writers.append(step_of[u])
+        step_of[target] = len(check)
         solved.append(target)
         check.append(e)
-        level.append(lv)
         for e in checks_of[on_bounds[target]:on_bounds[target + 1]]:
             left[e] -= 1
             if left[e] == 1:
@@ -657,14 +668,12 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
         reads = [step_of[u] for u in unknown_of[bounds[e]:bounds[e + 1]]]  # a check to verify
         readers += [len(check)] * len(reads)
         writers += reads
-        level.append(max([level[by] + 1 for by in reads], default=0))
         check.append(e)
     targets = np.concatenate([unknowns[solved], stored + virtual + np.arange(len(check) - solves)])
     # every step's sources in one pass: its check's cells but its target
-    check = np.array(check)
+    check = np.array(check, dtype=np.intp)
     sizes = sizes[check] * (check >= 0)  # an eliminated step's come from elimination
-    ends = np.cumsum(sizes)
-    cells = cells[np.arange(ends[-1]) + np.repeat(starts[check] - ends + sizes, sizes)]
+    cells = _segments(cells, starts[check], sizes)
     sources = cells[cells != np.repeat(targets, sizes)]
     widths = sizes - ((check >= 0) & (np.arange(len(check)) < solves))
     if eliminated:
@@ -672,9 +681,15 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
         for i in np.flatnonzero(check < 0).tolist():
             parts[i] = options[int(targets[i])]
         sources, widths = np.concatenate(parts), np.array([len(s) for s in parts])
-    return XorSchedule(code, targets, sources, widths, solves, np.array(level, dtype=np.intp),
+    return XorSchedule(code, targets, sources, widths, solves,
                        (np.array(readers, dtype=np.intp), np.array(writers, dtype=np.intp)),
                        tuple(eliminated))
+
+
+def _segments(array: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``array[starts[i]:starts[i] + sizes[i]]`` for each i, end to end."""
+    ends = np.cumsum(sizes)
+    return array[np.arange(int(sizes.sum())) + np.repeat(starts - ends + sizes, sizes)]
 
 
 def _eliminate(eqs, unknowns: list[int]) -> dict[int, np.ndarray] | None:
@@ -800,11 +815,11 @@ def _compile(schedule: XorSchedule, block: int) -> tuple:
     each runs alone, in schedule order (4 KiB blocks at p=7).
     """
     block = max(block, 1)  # zero-byte blocks batch as one-byte ones do
-    levels, widths = schedule.levels, schedule.widths
+    widths = schedule.widths
     if 2 * int(widths.min()) * block > _GATHER:
         return tuple((_reduce_one, t, schedule.sources[a:a + w]) for t, a, w in zip(
             schedule.targets.tolist(), schedule.starts.tolist(), widths.tolist()))
-    span = int(widths.max()) + 1
+    levels, span = schedule.levels, int(widths.max()) + 1
     key, count = np.unique(levels * span + widths, return_counts=True)
     batch = np.maximum(_GATHER // (key % span * block), 1)
     calls = 3 * -(-count // batch) - np.where(batch == 1, count, count % batch == 1)
@@ -825,9 +840,9 @@ def _levelled(schedule: XorSchedule, block: int, ids: np.ndarray) -> tuple:
     for (_, width), group in sorted(members.items()):
         batch = max(_GATHER // (width * block), 1)
         for chunk in (group[a:a + batch] for a in range(0, len(group), batch)):
-            ops.append((_reduce_one, int(targets[chunk[0]]), sources[starts[chunk[0]]:][:width])
-                       if len(chunk) == 1 else (_reduce_batch, targets[chunk],
-                                                sources[starts[chunk] + np.arange(width)[:, None]]))
+            rows = sources[starts[chunk] + np.arange(width)[:, None]]  # (width, steps)
+            ops.append((_reduce_one, int(targets[chunk[0]]), rows[:, 0]) if len(chunk) == 1
+                       else (_reduce_batch, targets[chunk], rows))
     return tuple(ops)
 
 

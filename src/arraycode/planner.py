@@ -38,8 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .analysis import default_partition, validate_partition
-from .codes import (Code, XorSchedule, _column_rows, _coords, _decode_equations, _execute,
-                    _virtual)
+from .codes import Code, XorSchedule, _column_rows, _coords, _decode_equations, _execute
 from .core import Coord, ParameterError, ParityGroupId, PlanError, mod_index
 
 __all__ = [
@@ -206,8 +205,7 @@ def _check(plan: RepairPlan) -> tuple:
     are shipped, each cell a group reads besides its target is shipped or
     rebuilt by an earlier group, and every stored cell of the recovered
     column is a target. Returns the equations, each group's check, the mask
-    of the cells each group reads, the slopes of the adjusters and the first
-    group rebuilding each cell (the group count where none does)."""
+    of the cells each group reads and the slopes of the adjusters."""
     code, targets, rows = plan.code, plan.targets, plan.code.rows
     stored = rows * code.n
     eqs, cells, parity = plan._cells()
@@ -232,7 +230,7 @@ def _check(plan: RepairPlan) -> tuple:
     col = plan.recover_col
     if len(missed := np.flatnonzero(first[(col - 1) * rows:col * rows] == len(targets))):
         raise PlanError(f"no group rebuilds rows {(missed + 1).tolist()} of column {col}")
-    return eqs, cells, read, adjusters, first
+    return eqs, cells, read, adjusters
 
 
 def _ordered_rows(p: int, erased_col: int) -> list[int]:
@@ -368,28 +366,16 @@ def execute_plan(plan: RepairPlan, source) -> dict[int, np.ndarray]:
     adjuster the decoder's column identity, and the steps run on the
     decoder's executor. A plan that breaks the rule of :func:`_check`
     raises :class:`PlanError` before any byte is read.
-
-    The steps arrive levelled from what :func:`_check` works out: each
-    identity at level 0, each group one level above the highest step whose
-    target it reads (an identity, or the first group rebuilding a cell).
     """
     code, targets = plan.code, plan.targets
-    eqs, cells, read, adjusters, first = _check(plan)
+    eqs, cells, read, adjusters = _check(plan)
     ids = [eqs.identities[v] for v in adjusters]
-    flat, widths = cells[read], read.sum(axis=1)
-    writer = np.where(first < len(targets), first + len(ids), -1)  # the step writing each row
-    writer[[_virtual(code, v) for v in adjusters]] = range(len(ids))
-    written = writer[flat]
-    readers = np.repeat(np.arange(len(ids), len(ids) + len(targets)), widths)[written >= 0]
-    writers, levels = written[written >= 0], [0] * (len(ids) + len(targets))
-    for step, by in zip(readers.tolist(), writers.tolist()):
-        levels[step] = max(levels[step], levels[by] + 1)
     columns = {c: np.empty((code.rows, source.block_size), dtype=np.uint8)
                for c in set((targets // code.rows + 1).tolist())}
     _execute(XorSchedule(code, np.array([s[0] for s in ids] + targets.tolist()),
-                         np.concatenate([*(s[1:] for s in ids), flat]),
-                         np.array([len(s) - 1 for s in ids] + widths.tolist()), len(levels),
-                         np.array(levels), (readers, writers)), source, columns)
+                         np.concatenate([*(s[1:] for s in ids), cells[read]]),
+                         np.array([len(s) - 1 for s in ids] + read.sum(axis=1).tolist()),
+                         len(ids) + len(targets)), source, columns)
     return columns
 
 

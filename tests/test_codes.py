@@ -396,10 +396,25 @@ def _step_by_step(buf, steps):
         buf[target] = np.bitwise_xor.reduce(buf[sources], axis=0)
 
 
-def _op_rows(op):
-    """The rows one compiled operation writes and the rows it reads."""
-    _, written, read, *_ = op
-    return np.atleast_1d(written).tolist(), np.ravel(read).tolist()
+def _op_steps(op):
+    """The ``(target, sources)`` steps one compiled operation runs, sources
+    sorted, and the rows it reads. A path's step reads its own cells of the
+    gathered rows and, unless it starts the path, the target before it."""
+    run, targets, rows, *rest = op
+    if run is codes._reduce_one:
+        return [(targets, sorted(rows.tolist()))], rows.tolist()
+    if run is codes._reduce_batch:
+        return [(t, sorted(s)) for t, s in zip(targets.tolist(), rows.T.tolist())], \
+            rows.ravel().tolist()
+    assert run is codes._run_paths
+    segments, ends = rest
+    heads, steps, lo = {a for a, _ in segments}, [], 0
+    for i, (t, end) in enumerate(zip(targets.tolist(), ends.tolist())):
+        own = rows[lo:end + 1].tolist() + ([] if lo in heads else [int(targets[i - 1])])
+        steps.append((t, sorted(own)))
+        lo = end + 1
+    assert lo == len(rows) and sorted(heads) == [a for a, _ in segments]
+    return steps, rows.tolist()
 
 
 def _plan_schedule(code, erased):
@@ -467,21 +482,22 @@ def test_levelled_run_matches_step_by_step(case):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_groups_are_levels(p):
-    """Every step's target is written by exactly one compiled operation, and
-    no operation reads a row that it or a later operation writes, in both
-    forms: at 16-byte blocks (levelled, and paths where chains peel) and at
-    4 KiB (one step at a time)."""
+    """The compiled operations run exactly the schedule's steps, each step
+    once with its own sources, and no operation reads a row that it or a
+    later operation writes: at 16-byte blocks (levelled, and paths where
+    chains peel) and at 4 KiB (one step at a time)."""
     for code in _families(p) + ([Code("evenodd-ext", p, 5)] if p > 5 else []):
         for erased in itertools.chain.from_iterable(
                 itertools.combinations(range(1, code.n + 1), t)
                 for t in range(1, code.erasure_tolerance + 1)):
             for schedule, block in itertools.product(_schedules(code, erased), (16, 4096)):
-                ops = [_op_rows(op) for op in schedule.program(block)]
-                assert sorted(t for written, _ in ops for t in written) == \
-                    sorted(t for t, _ in schedule.steps), (code, erased, block)
+                ops = [_op_steps(op) for op in schedule.program(block)]
+                assert sorted(step for steps, _ in ops for step in steps) == \
+                    sorted((t, sorted(s.tolist())) for t, s in schedule.steps), \
+                    (code, erased, block)
                 later = set()
-                for written, read in reversed(ops):
-                    later.update(written)
+                for steps, read in reversed(ops):
+                    later.update(t for t, _ in steps)
                     assert not later & set(read), (code, erased, block)
 
 
@@ -637,6 +653,24 @@ def test_decode_detects_corruption():
     broken.cells[1, 2, 0] ^= 0x40  # silent damage in a surviving column
     with pytest.raises(CorruptionError):
         mds_decode(code, broken, [1])
+
+
+@pytest.mark.parametrize("block", [16, codes._IN_PLACE + 5])
+def test_nothing_erased_verifies_every_check(block):
+    """With nothing erased every parity check is verified: the grid comes
+    back as it is, and one flipped bit in any column raises
+    :class:`CorruptionError`, also in RDP and X-code, which solve no
+    virtual cell first."""
+    rng = np.random.default_rng(block)
+    for code in _families(7):
+        grid = encode(code, random_info(code, block, rng))
+        assert np.array_equal(mds_decode(code, grid, []).cells, grid.cells), code
+        for col in range(1, code.n + 1):
+            broken = grid.copy()
+            broken.cells[rng.integers(code.rows), col - 1, rng.integers(block)] ^= 1 << \
+                rng.integers(8)
+            with pytest.raises(CorruptionError):
+                mds_decode(code, broken, [])
 
 
 def test_grid_copy_is_deep():
