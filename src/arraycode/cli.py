@@ -8,11 +8,15 @@ Subcommands: encode, extract, repair, analyze, oracle. Exit codes:
     3  I/O failure
     4  unrecoverable erasure pattern
     5  oracle result contradicts the closed form
+
+``main(argv)`` may be called any number of times in one process: each
+command's parser is built on its first use and reused for every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -76,15 +80,17 @@ def _add_oracle(sub) -> None:
     orc.add_argument("--r", type=int, default=3)
 
 
-def _parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: with only the subcommand ``argv[0]`` names,
-    or every subcommand when it names none (``--help``, no arguments, an
-    unknown command), so usage text and errors list them all."""
+@functools.cache
+def _parser(named: str | None) -> argparse.ArgumentParser:
+    """The parser with only the subcommand ``named``, or with every
+    subcommand for ``None`` (``argv`` names none: ``--help``, no arguments,
+    an unknown command), so usage text and errors list them all. Each is
+    built once per process, on first use, and reused for every later
+    ``argv``."""
     ap = argparse.ArgumentParser(prog="arraycode",
                                  description="Binary MDS array codes with "
                                              "bandwidth-efficient repair")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (add, _) in _COMMANDS.items():
         if named in (None, name):
             add(sub)
@@ -93,7 +99,8 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv).parse_args(argv)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _parser(named).parse_args(argv)
     try:
         return _COMMANDS[args.cmd][1](args)
     except OracleMismatch as exc:

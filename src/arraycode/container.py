@@ -26,7 +26,9 @@ X-code, whose parity rows sit under each column's information rows.
 
 :func:`write_container` is the one writer of this format and
 :func:`read_container` the one reader: a file is the only form a
-container takes, and nothing else packs or parses a header.
+container takes, and nothing else packs or parses a header. The writer
+sends the header, then the whole body in one ``fh.write`` straight from
+the grid's buffer, since a grid in memory has the body's layout.
 """
 
 from __future__ import annotations
@@ -109,13 +111,14 @@ def extract_payload(grid: CodeGrid, payload_length: int, fh) -> None:
 
 
 def write_container(path, grid: CodeGrid, payload_length: int) -> None:
-    # header, then one column at a time: no copy of the whole body is built
+    """Write ``grid`` to ``path``: the header, then the body in one
+    ``fh.write``. Every grid the library builds is column-major in memory,
+    so the body is a view of its buffer; any other grid is copied once."""
     code = grid.code
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FAMILY_TAGS[code.family], code.p, code.r,
                               grid.block_size, payload_length))
-        for col in range(1, code.n + 1):
-            fh.write(np.ascontiguousarray(grid.column(col)))
+        fh.write(np.ascontiguousarray(grid.cells.transpose(1, 0, 2)))
 
 
 def read_container(path) -> tuple[CodeGrid, int]:

@@ -181,6 +181,68 @@ def test_subcommand_help(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: arraycode {command} ")
 
 
+# each command runs with options given, then with them left out, so a value or
+# file that leaks from one call to the next shows; then help and parse errors,
+# after parsers for other commands were built and used
+REUSE_SEQUENCE = [
+    ["encode", "payload", "a.aec", "--family", "evenodd-ext", "--p", "5", "--r", "4",
+     "--block-size", "8"],
+    ["encode", "payload", "b.aec", "--family", "evenodd-ext", "--p", "5"],
+    ["repair", "a.aec", "--fail", "1,3", "--report", "a.json", "--plan", "a.plan"],
+    ["repair", "b.aec", "--fail", "2", "--strategy", "naive"],
+    ["repair", "a.aec", "--fail", "4"],
+    ["extract", "a.aec", "a.out"],
+    ["analyze", "--family", "rdp", "--p-range", "5:7", "--csv", "rdp.csv"],
+    ["analyze", "--family", "evenodd", "--p-range", "5"],
+    ["oracle", "--mode", "f-check", "--p", "5", "--r", "4"],
+    ["oracle", "--mode", "evenodd-min", "--p", "5"],
+    ["--help"],
+    ["repair", "--help"],
+    ["encode", "--help"],
+    ["repair", "b.aec"],  # no --fail
+    ["encode", "payload", "c.aec", "--family", "bogus", "--p", "5"],
+    ["bogus"],
+    [],
+    ["extract", "b.aec", "b.out"],
+]
+
+
+def test_cached_parsers_match_fresh_ones(sample, monkeypatch, capsys):
+    """``main`` called again and again in one process reuses each command's
+    parser: every command of a sequence gives the exit code, stdout, stderr
+    and files it gives when its parser is built afresh."""
+    tmp, _, data = sample
+
+    def session(name, fresh):
+        work = tmp / name
+        work.mkdir()
+        (work / "payload").write_bytes(data)
+        monkeypatch.chdir(work)
+        cli._parser.cache_clear()
+        seen = []
+        for argv in REUSE_SEQUENCE:
+            if fresh:
+                cli._parser.cache_clear()
+            rc = run(*argv)
+            out, err = capsys.readouterr()
+            files = {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+            seen.append((argv, rc, out, err, files))
+        return seen
+
+    reused = session("reused", fresh=False)
+    assert cli._parser.cache_info().currsize == 6  # every command, and the full parser
+    fresh = session("fresh", fresh=True)
+    for step, fresh_step in zip(reused, fresh, strict=True):
+        assert step == fresh_step, step[0]
+    codes = [rc for _, rc, *_ in reused]
+    assert codes == [0] * 13 + [2] * 4 + [0]
+    files, first_repair = reused[-1][-1], reused[2][-1]
+    assert files["a.out"] == files["b.out"] == data
+    assert files["b.aec"][10:18] == struct.pack("<II", 3, 16)  # the default r and block size
+    assert len(files) == 8  # one report, one plan and one CSV were written, once each
+    assert files["a.json"] == first_repair["a.json"] and files["a.plan"] == first_repair["a.plan"]
+
+
 def test_exit_code_io_error(tmp_path):
     assert run("extract", str(tmp_path / "missing.aerc"),
                str(tmp_path / "out")) == 3

@@ -204,12 +204,14 @@ def test_file_io(tmp_path):
 
 
 def test_written_file_matches_struct_layout(tmp_path):
+    """Also for a caller's grid that is not column-major in memory."""
     code = Code.make("star", 5)
     payload = bytes(range(150))
     grid = _encode(code, payload, 8)
     path = tmp_path / "s.aerc"
-    ct.write_container(path, grid, len(payload))
-    assert path.read_bytes() == _file_bytes(grid, len(payload))
+    for cells in (grid.cells, np.ascontiguousarray(grid.cells)):
+        ct.write_container(path, CodeGrid(code, cells), len(payload))
+        assert path.read_bytes() == _file_bytes(grid, len(payload))
 
 
 # per family, the sha256 of the file ``arraycode encode`` writes at
