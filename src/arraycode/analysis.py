@@ -207,14 +207,6 @@ def exact_union_bandwidth(p: int, r: int,
     return int(covered[:-1].sum()) + (p - 1) + r
 
 
-def covered_imaginary_cells(p: int, r: int,
-                            partition: Partition | None = None) -> int:
-    if partition is None:
-        partition = default_partition(p, r)
-    covered = np.logical_or.reduce([_covered(p, v, cls) for v, cls in enumerate(partition)])
-    return int(covered[-1].sum())
-
-
 def transfer_inequality_holds(p: int, partition: Partition | None = None) -> bool:
     """Is the three-parity repair cheap enough that eighteen repairs cost
     less than 13p^2 + 34p - 47 blocks? Holds for every prime p >= 13."""

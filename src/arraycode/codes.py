@@ -57,9 +57,9 @@ batch of paths rather than one per step.
   cell, from survivors and cells solved before it. Adjusters are also
   defined by the XOR of the slope-0 and slope-v parity columns, so every
   two-column erasure peels. Cells peeling cannot reach are solved by GF(2)
-  elimination. The peel records the earlier steps each step reads.
-  A caller that wants fewer columns than are erased gets the cached schedule
-  pruned, along those links, to the steps those columns depend on.
+  elimination. A caller that wants fewer columns than are erased gets the
+  cached schedule pruned to the steps those columns depend on, along the
+  links the schedule derives from its own steps.
 * Verification reuses the executor: each parity check no peel step used is
   XORed into a scratch row that must come out zero. With n - k columns
   erased there are none, since every set of survivors then decodes to a
@@ -415,24 +415,20 @@ class XorSchedule(UserDict):
     cells or earlier targets; the rest XOR each check into its scratch row.
     ``eliminated`` holds the solved cells peeling could not reach, solved by
     GF(2) elimination. Step i writes row ``targets[i]`` from ``widths[i]``
-    rows of ``sources``, from ``starts[i]``. ``links`` pairs each step that
-    reads an earlier step's target (readers ascending) with that step: the
-    peel passes the links it records, other schedules derive them when
-    asked, and :attr:`levels` follow from the links.
+    rows of ``sources``, from ``starts[i]``. :attr:`links` pairs each step
+    that reads an earlier step's target with that step, derived from the
+    steps when asked, and :attr:`levels` follow from the links.
 
     As a mapping, a schedule is its recipe: target row -> source rows.
     """
 
     def __init__(self, code: Code, targets: np.ndarray, sources: np.ndarray,
-                 widths: np.ndarray, solves: int, links: tuple | None = None,
-                 eliminated: tuple[int, ...] = ()):
+                 widths: np.ndarray, solves: int, eliminated: tuple[int, ...] = ()):
         self.code, self.solves, self.eliminated = code, solves, eliminated
         self.targets, self.sources, self.widths = targets, sources, widths
         self.starts = np.cumsum(widths) - widths
         self.slots = len(code.slopes[1:]) + len(targets) - solves  # virtual cells, scratch rows
         self._programs: dict[int, tuple] = {}
-        if links is not None:
-            self.links = links
 
     @cached_property
     def steps(self) -> tuple[tuple[int, np.ndarray], ...]:
@@ -446,13 +442,16 @@ class XorSchedule(UserDict):
     @cached_property
     def links(self) -> tuple[np.ndarray, np.ndarray]:
         """Each source that another step writes, as the index of the step
-        reading it (ascending) and of the step writing it: one mask over the
-        sources."""
-        writer = np.full(self.code.rows * self.code.n + self.slots, -1)
+        reading it (ascending) and of the step writing it: one mask of the
+        written rows, taken over the sources."""
+        size, sources = self.code.rows * self.code.n + self.slots, self.sources.astype(np.intp)
+        written = np.zeros(size, dtype=bool)
+        written[self.targets] = True
+        hit = np.flatnonzero(written.take(sources))
+        writer = np.empty(size, dtype=np.intp)
         writer[self.targets] = np.arange(len(self.targets))
-        written = writer[self.sources]
-        hit = written >= 0
-        return np.repeat(np.arange(len(self.targets)), self.widths)[hit], written[hit]
+        return (np.searchsorted(self.starts, hit, side="right") - 1,
+                writer.take(sources.take(hit)))
 
     @cached_property
     def levels(self) -> np.ndarray:
@@ -482,15 +481,12 @@ class XorSchedule(UserDict):
         if count == len(kept):
             return self
         if all(kept[:count]):  # the first steps: views of this one's arrays
-            links = int(np.searchsorted(readers, count))
             parts = (self.targets[:count], self.sources[:self.starts[count]], self.widths[:count],
-                     count, (readers[:links], writers[:links]))
+                     count)
         else:
             kept = np.array(kept)
-            index, live = np.cumsum(kept) - 1, kept[readers]
             parts = (self.targets[kept], self.sources[np.repeat(kept, self.widths)],
-                     self.widths[kept], int(kept[:self.solves].sum()),
-                     (index[readers[live]], index[writers[live]]))
+                     self.widths[kept], int(kept[:self.solves].sum()))
         return XorSchedule(self.code, *parts, tuple(c for c in self.eliminated if c in parts[0]))
 
     def program(self, block: int) -> tuple:
@@ -611,10 +607,10 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     cached like a schedule, when the pattern's checks are rank-deficient.
 
     The peel moves only numbers of unknown cells: each unknown's checks come
-    from :attr:`Equations.peel_index` in one lookup, and each check's unknowns
-    from sorting those. It records for each step the earlier steps it
-    reads (its check's other unknowns), and every step's sources are cut
-    from the checks in one pass after.
+    from :attr:`Equations.peel_index` in one lookup, and each check keeps the
+    count and the XOR of the numbers of its unsolved unknowns, so the one
+    left is that XOR; every step's sources are cut from the checks in one
+    pass after.
     """
     if wanted != erased:
         whole = _solve_schedule(code, erased, erased)
@@ -627,48 +623,38 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     counts = on_sizes[unknowns]
     on = _segments(on, on_starts[unknowns], counts)  # each unknown's checks
     checks_of, on_bounds = on.tolist(), [0, *np.cumsum(counts).tolist()]
-    unknown_of = np.repeat(np.arange(len(unknowns)), counts)[np.argsort(on, kind="stable")]
+    last = np.zeros(len(sizes), dtype=np.intp)  # the XOR of each check's unsolved unknowns
+    np.bitwise_xor.at(last, on, np.repeat(np.arange(len(unknowns)), counts))
     left = np.bincount(on, minlength=len(sizes))  # each check's unknowns
-    unknown_of, bounds = unknown_of.tolist(), [0, *np.cumsum(left).tolist()]
-    queue, left = np.flatnonzero(left == 1).tolist(), left.tolist()
-    step_of = [-1] * len(unknowns)  # the step solving each unknown
-    check, solved, readers, writers, eliminated = [], [], [], [], []
+    queue, left, last = np.flatnonzero(left == 1).tolist(), left.tolist(), last.tolist()
+    done = [False] * len(unknowns)  # each unknown solved yet
+    check, solved, eliminated = [], [], []
     options: dict[int, np.ndarray] | None = None
     while True:
         if queue:
             e = queue.pop()
             if not left[e]:
                 continue  # another check solved its last unknown
-            us = unknown_of[bounds[e]:bounds[e + 1]]
-        elif rest := [u for u, s in enumerate(step_of) if s < 0]:
+            target = last[e]  # the one unknown left
+        elif rest := [u for u, d in enumerate(done) if not d]:
             # peeling stalled: solve the cheapest cell elimination offers, then peel on
             options = options or _eliminate(eqs.checks, unknowns[rest].tolist())
             if options is None:
                 return None
             e, target = -1, min(rest, key=lambda u: len(options[int(unknowns[u])]))
             eliminated.append(int(unknowns[target]))
-            us = [target, *np.flatnonzero(np.isin(unknowns, options[eliminated[-1]])).tolist()]
         else:
             break
-        for u in us:  # the one unknown left, and the steps that solved the others
-            if step_of[u] < 0:
-                target = u
-            else:
-                readers.append(len(check))
-                writers.append(step_of[u])
-        step_of[target] = len(check)
+        done[target] = True
         solved.append(target)
         check.append(e)
         for e in checks_of[on_bounds[target]:on_bounds[target + 1]]:
             left[e] -= 1
+            last[e] ^= target
             if left[e] == 1:
                 queue.append(e)
     solves = len(check)
-    for e in [] if len(erased) == code.n - code.k else sorted(set(range(len(left))) - set(check)):
-        reads = [step_of[u] for u in unknown_of[bounds[e]:bounds[e + 1]]]  # a check to verify
-        readers += [len(check)] * len(reads)
-        writers += reads
-        check.append(e)
+    check += sorted(set(range(len(left))) - set(check)) if len(erased) < code.n - code.k else []
     targets = np.concatenate([unknowns[solved], stored + virtual + np.arange(len(check) - solves)])
     # every step's sources in one pass: its check's cells but its target
     check = np.array(check, dtype=np.intp)
@@ -681,9 +667,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
         for i in np.flatnonzero(check < 0).tolist():
             parts[i] = options[int(targets[i])]
         sources, widths = np.concatenate(parts), np.array([len(s) for s in parts])
-    return XorSchedule(code, targets, sources, widths, solves,
-                       (np.array(readers, dtype=np.intp), np.array(writers, dtype=np.intp)),
-                       tuple(eliminated))
+    return XorSchedule(code, targets, sources, widths, solves, tuple(eliminated))
 
 
 def _segments(array: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -542,16 +542,18 @@ def test_single_column_plans_compile_levelled(p):
 def test_stalled_and_wide_patterns_run_bit_exactly(code, erased):
     """Patterns the peel stalls on (three STAR data columns, solved by
     elimination) and r = 5 patterns decode bit-exactly at 16-byte blocks,
-    whichever form they compile to."""
-    grid = encode(code, random_info(code, 16, np.random.default_rng(len(erased))))
-    broken = grid.copy()
-    broken.cells[:, [c - 1 for c in erased]] = 0x5A
+    whichever form they compile to, and at ``_IN_PLACE + 5`` bytes, in
+    place."""
     if code.family == "star":
         assert codes.decode_recipe(code, erased).eliminated
-    assert np.array_equal(mds_decode(code, broken, erased).cells, grid.cells)
-    for col in erased:
-        fixed = mds_decode(code, broken, erased, wanted=[col])
-        assert np.array_equal(fixed.column(col), grid.column(col)), (code, erased, col)
+    for block in (16, codes._IN_PLACE + 5):
+        grid = encode(code, random_info(code, block, np.random.default_rng(len(erased))))
+        broken = grid.copy()
+        broken.cells[:, [c - 1 for c in erased]] = 0x5A
+        assert np.array_equal(mds_decode(code, broken, erased).cells, grid.cells)
+        for col in erased:
+            fixed = mds_decode(code, broken, erased, wanted=[col])
+            assert np.array_equal(fixed.column(col), grid.column(col)), (code, erased, col, block)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -688,14 +690,31 @@ def _within_tolerance(code):
         yield from itertools.combinations(cols, t)
 
 
+def _assert_links(schedule):
+    """``schedule.links`` pairs each step, readers ascending, with exactly
+    the earlier steps whose targets it reads (a walk keeping the step that
+    last wrote each row)."""
+    writer, want = {}, []
+    for step, (target, sources) in enumerate(schedule.steps):
+        want += [(step, writer[c]) for c in sources.tolist() if c in writer]
+        writer[target] = step
+    readers, writers = (side.tolist() for side in schedule.links)
+    assert readers == sorted(readers)
+    assert sorted(zip(readers, writers)) == sorted(want)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_schedule_reads_only_known_cells(p):
     """Each step reads surviving stored cells or targets of earlier steps,
-    and the schedule rebuilds every erased cell."""
+    the schedule rebuilds every erased cell, and its links, like the encode
+    schedule's, name exactly the earlier steps each step reads."""
     for code in _families(p):
         stored_rows = range(1, code.rows + 1)
+        _assert_links(codes._encode_schedule(code))
         for pattern in _within_tolerance(code):
-            recipe, _ = _in_coords(code, codes.decode_recipe(code, pattern))
+            schedule = codes.decode_recipe(code, pattern)
+            _assert_links(schedule)
+            recipe, _ = _in_coords(code, schedule)
             lost = {Coord(r, c) for c in pattern for r in stored_rows}
             assert lost <= recipe.keys(), (code.family, pattern)
             done = set()
@@ -773,11 +792,10 @@ def _survivor_sums(code, pattern, recipe):
 
 
 def _reference_peel(code, erased):
-    """The peel written plainly, cell by cell, as the decoder peeled before
-    it recorded links, as a reference: a stack of checks with one unknown
-    cell left, each solving that cell from its other cells; cells peeling
-    cannot reach come from ``codes._eliminate``. Returns target row ->
-    source rows, in solve order."""
+    """The peel written plainly, cell by cell, as a reference: a stack of
+    checks with one unknown cell left, each solving that cell from its
+    other cells; cells peeling cannot reach come from ``codes._eliminate``.
+    Returns target row -> source rows, in solve order."""
     eqs = codes._decode_equations(code)
     checks, stored = eqs.checks, code.rows * code.n
     unknowns = [(c - 1) * code.rows + r for c in erased for r in range(code.rows)]
@@ -879,16 +897,21 @@ def test_verification_checks_of_unchecked_extended_code():
 def test_pruned_schedule_rebuilds_wanted_column(p):
     """For every n - k pattern and each wanted column, the pruned schedule
     is a subsequence of the full one, reads only surviving cells or cells
-    solved before, and rebuilds the column bit-exactly."""
+    solved before, links each step to exactly the earlier steps it reads,
+    and rebuilds the column bit-exactly."""
     rng = np.random.default_rng(200 + p)
     for code in _families(p):
         grid = encode(code, random_info(code, 3, rng))
         for pattern in itertools.combinations(range(1, code.n + 1), code.n - code.k):
-            full, _ = _in_coords(code, codes.decode_recipe(code, pattern))
+            whole = codes.decode_recipe(code, pattern)
+            _assert_links(whole)
+            full, _ = _in_coords(code, whole)
             broken = grid.copy()
             broken.cells[:, [c - 1 for c in pattern]] = 0xA5
             for col in pattern:
-                pruned, _ = _in_coords(code, codes.decode_recipe(code, pattern, wanted=(col,)))
+                schedule = codes.decode_recipe(code, pattern, wanted=(col,))
+                _assert_links(schedule)
+                pruned, _ = _in_coords(code, schedule)
                 order = list(full)
                 positions = [order.index(t) for t in pruned]
                 assert positions == sorted(positions), (code.family, pattern, col)

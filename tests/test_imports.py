@@ -1,7 +1,8 @@
 """Rules checked over the source of every ``src/arraycode`` module: no
-import goes unread, every name in ``__all__`` exists, a function imports a
-package module only to break an import cycle, and no line outside the
-``codes.FAMILIES`` table branches on a family name."""
+import goes unread, every name in ``__all__`` exists, no module-level name
+goes unexported and unread, a function imports a package module only to
+break an import cycle, and no line outside the ``codes.FAMILIES`` table
+branches on a family name."""
 
 import ast
 import importlib
@@ -10,6 +11,17 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arraycode"
+
+
+def _string_exprs(tree: ast.Module):
+    """The strings of a module that parse as an expression (a string
+    annotation, an ``__all__`` entry), parsed."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -23,14 +35,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    used = {n.id for expr in [tree, *_string_exprs(tree)] for n in ast.walk(expr)
+            if isinstance(n, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -53,6 +59,54 @@ def test_unused_import_check_sees_a_leftover():
                      "from .core import Coord\n"
                      "def f(n) -> 'Coord':\n    return list(repeat(n, 2))\n")
     assert _unused_imports(tree) == ["chain (line 1)"]
+
+
+def _dead_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and assigned names that no module's
+    ``__all__`` exports and no module reads: as a name, an attribute, an
+    imported name or inside a string that parses as an expression, as
+    :func:`_unused_imports` looks. Dunder names are left to Python."""
+    defined, read = [], set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, n.id, node.lineno) for target in targets
+                            for n in ast.walk(target) if isinstance(n, ast.Name)]
+        for expr in [tree, *_string_exprs(tree)]:
+            for node in ast.walk(expr):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name.split(".")[-1])
+    return [f"{module}.{name} (line {line})" for module, name, line in defined
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_no_dead_names():
+    assert _dead_names({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_dead_name_check_sees_each_form():
+    sources = {"a": "__all__ = ['f']\n"
+                    "def f():\n    return g()\n"
+                    "def g():\n    pass\n"
+                    "def dead():\n    pass\n"
+                    "X = Y = 1\n"
+                    "Z: int = 2\n"
+                    "class C:\n    pass\n"
+                    "class Gone:\n    pass\n",
+               "b": "from .a import X as ex\n"
+                    "from . import a\n"
+                    "W = a.Z, ex\n"
+                    "T = 'C'\n"}
+    assert _dead_names(sources) == ["a.dead (line 6)", "a.Y (line 8)", "a.Gone (line 12)",
+                                    "b.W (line 3)", "b.T (line 4)"]
 
 
 def _package_imports(node: ast.AST, modules) -> list[str]:
