@@ -415,18 +415,19 @@ class XorSchedule(UserDict):
     cells or earlier targets; the rest XOR each check into its scratch row.
     ``eliminated`` holds the solved cells peeling could not reach, solved by
     GF(2) elimination. Step i writes row ``targets[i]`` from ``widths[i]``
-    rows of ``sources``, from ``starts[i]``. :attr:`links` pairs each step
-    that reads an earlier step's target with that step, derived from the
-    steps when asked, and :attr:`levels` follow from the links.
+    rows of ``sources``, from ``starts[i]``. ``starts``, :attr:`links` and
+    :attr:`levels` are derived from the steps when first read; each link
+    pairs a step that reads an earlier step's target with that step.
 
     As a mapping, a schedule is its recipe: target row -> source rows.
     """
+
+    starts = cached_property(lambda self: np.cumsum(self.widths) - self.widths)
 
     def __init__(self, code: Code, targets: np.ndarray, sources: np.ndarray,
                  widths: np.ndarray, solves: int, eliminated: tuple[int, ...] = ()):
         self.code, self.solves, self.eliminated = code, solves, eliminated
         self.targets, self.sources, self.widths = targets, sources, widths
-        self.starts = np.cumsum(widths) - widths
         self.slots = len(code.slopes[1:]) + len(targets) - solves  # virtual cells, scratch rows
         self._programs: dict[int, tuple] = {}
 
@@ -527,8 +528,8 @@ class Equations:
     that have checks. The virtual cell ``s`` of slope ``v`` is defined twice:
     by its adjuster line, labelled ``(v, 0)``, and by ``identities[v]``,
     ``s = (XOR of the slope-0 parity column) XOR (XOR of the slope-v parity
-    column)`` (p-1 is even), so every two-column erasure peels. ``labelled``
-    and ``checks`` (then the identities) list each check's cells.
+    column)`` (p-1 is even), so every two-column erasure peels. The checks
+    are stored once, in ``table`` and ``identities``.
     """
 
     def __init__(self, code: Code):
@@ -539,20 +540,19 @@ class Equations:
         self.index = np.concatenate([index for _, index, _ in blocks])
         self.identities = {v: np.array([_virtual(code, v), *_column_rows(
             code, (code.parity_col(0), code.parity_col(v)))]) for v in code.slopes[1:]}
-        padded = (self.table[:, -1] < 0).tolist()
-        self.labelled = [row[:-1] if pad else row for row, pad in zip(self.table, padded)]
-        self.checks = self.labelled + list(self.identities.values())
 
     @cached_property
     def peel_index(self) -> tuple[np.ndarray, ...]:
         """The peel's index, built on a code's first decode (``analyze``
-        sweeps never build it): ``checks`` end to end as int32, which halves
-        the sources a cached schedule holds, with each check's start and
-        size; then the checks through each buffer row, row by row, with each
-        row's start and count. Returns ``(cells, starts, sizes, on,
-        on_starts, on_sizes)``."""
-        cells = np.concatenate(self.checks).astype(np.int32)
-        sizes = np.array([len(check) for check in self.checks])
+        sweeps never build it): the checks of ``table``, padding dropped,
+        then the identities, end to end as int32, which halves the sources a
+        cached schedule holds, with each check's start and size; then the
+        checks through each buffer row, row by row, with each row's start
+        and count. Returns ``(cells, starts, sizes, on, on_starts,
+        on_sizes)``."""
+        valid, ids = self.table >= 0, list(self.identities.values())
+        cells = np.concatenate([self.table[valid], *ids]).astype(np.int32)
+        sizes = np.array(valid.sum(axis=1).tolist() + [len(s) for s in ids])
         on_sizes = np.bincount(cells, minlength=self.code.rows * self.code.n + len(
             self.code.slopes[1:]))
         on = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(cells, kind="stable")]
@@ -584,10 +584,10 @@ def _encode_schedule(code: Code) -> XorSchedule:
     order. The column identities that also define the adjusters are left
     out: they serve decoding only and would double a step's sources.
     """
-    stored = code.rows * code.n
-    eqs = sorted(_decode_equations(code).labelled, key=lambda eq: eq[0] < stored)
-    return XorSchedule(code, np.array([eq[0] for eq in eqs]), np.concatenate(
-        [eq[1:] for eq in eqs]), np.array([len(eq) - 1 for eq in eqs]), len(eqs))
+    table = _decode_equations(code).table
+    table = table[np.argsort(table[:, 0] < code.rows * code.n, kind="stable")]
+    valid = table[:, 1:] >= 0
+    return XorSchedule(code, table[:, 0], table[:, 1:][valid], valid.sum(axis=1), len(table))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -615,8 +615,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
     if wanted != erased:
         whole = _solve_schedule(code, erased, erased)
         return None if whole is None else whole.pruned(_column_rows(code, wanted))
-    eqs = _decode_equations(code)
-    cells, starts, sizes, on, on_starts, on_sizes = eqs.peel_index
+    cells, starts, sizes, on, on_starts, on_sizes = _decode_equations(code).peel_index
     stored, virtual = code.rows * code.n, len(code.slopes[1:])
     unknowns = np.array(_column_rows(code, erased) + list(range(stored, stored + virtual)),
                         dtype=np.intp)
@@ -638,7 +637,7 @@ def _solve_schedule(code: Code, erased: tuple[int, ...],
             target = last[e]  # the one unknown left
         elif rest := [u for u, d in enumerate(done) if not d]:
             # peeling stalled: solve the cheapest cell elimination offers, then peel on
-            options = options or _eliminate(eqs.checks, unknowns[rest].tolist())
+            options = options or _eliminate(np.split(cells, starts[1:]), unknowns[rest].tolist())
             if options is None:
                 return None
             e, target = -1, min(rest, key=lambda u: len(options[int(unknowns[u])]))

@@ -20,12 +20,12 @@ adjuster line itself. Blocks wanted by several groups are shipped once,
 which is where the bandwidth savings come from. Plans only target data
 columns; a parity column is decoded whole, at naive cost, by the cluster.
 
-One rule (:func:`_check`) holds for every plan, when it is built and before
-:func:`execute_plan` reads a byte: a group reads only shipped cells and the
-targets of earlier groups, and the groups rebuild the whole recovered
-column. :func:`execute_plan` runs each group as one step on the decoder's
-executor (``codes._execute``), reading only the shipped blocks, from the
-live columns.
+A plan is immutable and is checked once, when it is built, by the one rule
+that makes its schedule (:attr:`RepairPlan.schedule`): a group reads only
+shipped cells and the targets of earlier groups, and the groups rebuild the
+whole recovered column. :func:`execute_plan` runs that schedule, each group
+one step, on the decoder's executor (``codes._execute``), reading only the
+shipped blocks, from the live columns.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .analysis import default_partition, validate_partition
-from .codes import Code, XorSchedule, _column_rows, _coords, _decode_equations, _execute
+from .codes import Code, XorSchedule, _coords, _decode_equations, _execute
 from .core import Coord, ParameterError, ParityGroupId, PlanError, mod_index
 
 __all__ = [
@@ -82,14 +82,15 @@ class GroupUse:
     adjuster_slope: int | None = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class RepairPlan:
     """A repair plan: group ``g`` rebuilds the cell ``targets[g]`` from the
     labelled check ``checks[g]``, a row of the decoder's ``Equations.table``;
     groups run in order. Transmissions (:attr:`sources`): the sum of each of
     ``sum_slopes``, the parity block of each group whose check heads with a
     stored cell other than its target, then the ``raw`` cells, ascending.
-    ``groups`` and ``transmissions`` are views, made on first read.
+    A plan is immutable; its :attr:`schedule`, which checks it, and the
+    ``groups`` and ``transmissions`` views are made on first read.
     """
 
     code: Code
@@ -107,8 +108,9 @@ class RepairPlan:
         return len(self.sources)
 
     def parity_block_count(self) -> int:
-        return int(self._cells()[2].sum())
+        return int(self._cells[2].sum())
 
+    @cached_property
     def _cells(self):
         """The decoder's equations, each group's check (head first, padded
         with -1) and which groups ship the check's head as a parity block."""
@@ -116,17 +118,56 @@ class RepairPlan:
         cells, stored = eqs.table[self.checks], self.code.rows * self.code.n
         return eqs, cells, (cells[:, 0] < stored) & (cells[:, 0] != self.targets)
 
+    @cached_property
+    def schedule(self) -> XorSchedule:
+        """The plan's steps on the decoder's executor: each adjuster from its
+        column identity, then each group's target from the other cells of
+        its check. Raises :class:`PlanError` unless no transmission comes
+        from an erased column, the sums of every adjuster a check names are
+        shipped, each cell a group reads besides its target is shipped or
+        rebuilt by an earlier group, and every stored cell of the recovered
+        column is a target."""
+        code, targets, rows = self.code, self.targets, self.code.rows
+        stored = rows * code.n
+        eqs, cells, parity = self._cells
+        known = np.zeros(stored + len(eqs.identities), dtype=bool)  # shipped, then virtual
+        known[self.raw] = known[cells[parity, 0]] = True
+        sums = {code.parity_col(v) for v in self.sum_slopes}
+        if bad := [c for c in self.erased if c in sums or known[(c - 1) * rows:c * rows].any()]:
+            raise PlanError(f"transmission sourced from erased column {bad[0]}")
+        adjusters = sorted({code.slopes[c - stored + 1] for c in cells[cells >= stored].tolist()})
+        if missing := [v for v in adjusters if not {0, v} <= set(self.sum_slopes)]:
+            raise PlanError(f"adjuster for slope {missing[0]} not shipped")
+        known[stored:] = True  # the adjusters, from the sums
+        order = np.arange(len(targets))
+        first = np.full(len(known), len(targets))  # the first group rebuilding each cell
+        np.minimum.at(first, targets, order)
+        read = (cells >= 0) & (cells != targets[:, None])
+        if (late := read & ~known[cells] & (first[cells] >= order[:, None])).any():
+            g, m = np.argwhere(late)[0]
+            target, needed = _coords(code, (targets[g], cells[g, m]))
+            raise PlanError(f"{target} needs {needed}, "
+                            "neither shipped nor rebuilt by an earlier group")
+        col = self.recover_col
+        if len(missed := np.flatnonzero(first[(col - 1) * rows:col * rows] == len(targets))):
+            raise PlanError(f"no group rebuilds rows {(missed + 1).tolist()} of column {col}")
+        ids = [eqs.identities[v] for v in adjusters]
+        return XorSchedule(code, np.array([s[0] for s in ids] + targets.tolist()),
+                           np.concatenate([*(s[1:] for s in ids), cells[read]]),
+                           np.array([len(s) - 1 for s in ids] + read.sum(axis=1).tolist()),
+                           len(ids) + len(targets))
+
     @property
     def sources(self) -> np.ndarray:
         """The column serving each transmission, in transmission order."""
-        _, cells, parity = self._cells()
+        _, cells, parity = self._cells
         sums = np.array([self.code.parity_col(v) for v in self.sum_slopes], dtype=np.intp)
         return np.concatenate([sums, np.concatenate([cells[parity, 0], self.raw])
                                // self.code.rows + 1])
 
     @cached_property
     def groups(self) -> tuple[GroupUse, ...]:
-        eqs, cells, parity = self._cells()
+        eqs, cells, parity = self._cells
         stored = self.code.rows * self.code.n
         coords = _coords(self.code, range(stored))
         return tuple(
@@ -139,7 +180,7 @@ class RepairPlan:
 
     @cached_property
     def transmissions(self) -> tuple[Transmission, ...]:
-        eqs, cells, parity = self._cells()
+        eqs, cells, parity = self._cells
         sums = len(self.sum_slopes)
         sent = _coords(self.code, np.concatenate([cells[parity, 0], self.raw]))
         return tuple(map(partial(tuple.__new__, Transmission), zip(  # at C speed
@@ -161,19 +202,19 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
     Each stored cell the checks read outside the erased columns is shipped
     once: as a parity block if it heads a check, else raw.
     """
+    eqs = _decode_equations(code)
+    rows, stored = code.rows, code.rows * code.n
+    lost = np.zeros(stored + len(eqs.identities), dtype=bool)
     for col in erased:
         if not 1 <= col <= code.info_cols:
             raise ParameterError(f"erased column {col} is not a data column")
-    eqs = _decode_equations(code)
-    rows, stored = code.rows, code.rows * code.n
+        lost[(col - 1) * rows:col * rows] = True
     choices = [(r, c, v) for (r, c), v in choices]
     for r, c, v in choices:  # a cell of an erased column, and a slope with checks
         if c not in erased or not 0 < r <= rows or v not in eqs.slopes:
             raise PlanError(f"no slope-{v} check through {Coord(r, c)}")
     row, col, slope = np.fromiter(chain.from_iterable(choices), dtype=np.intp).reshape(-1, 3).T
     target = (col - 1) * rows + row - 1
-    lost = np.zeros(stored + len(eqs.identities), dtype=bool)
-    lost[_column_rows(code, erased)] = True
     check = _lookup(eqs, lost, target, slope)
     if (check < 0).any():
         g = int(np.argmax(check < 0))
@@ -184,7 +225,7 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
     shipped[cells[:, 0]] = False
     plan = RepairPlan(code, erased, erased[0], check, target, np.flatnonzero(shipped),
                       tuple(sum_slopes), **extra)
-    _check(plan)
+    plan.schedule  # checks the plan and makes its schedule
     return plan
 
 
@@ -197,40 +238,6 @@ def _lookup(eqs, lost: np.ndarray, target: np.ndarray, slope: np.ndarray) -> np.
     check, k = np.nonzero(lost[eqs.table] & (eqs.table >= 0))
     on[(eqs.slope[check] - lo) * stored + eqs.table[check, k]] = check
     return on[(slope - lo) * stored + target]
-
-
-def _check(plan: RepairPlan) -> tuple:
-    """Raise :class:`PlanError` unless ``plan`` can run: no transmission
-    comes from an erased column, the sums of every adjuster a check names
-    are shipped, each cell a group reads besides its target is shipped or
-    rebuilt by an earlier group, and every stored cell of the recovered
-    column is a target. Returns the equations, each group's check, the mask
-    of the cells each group reads and the slopes of the adjusters."""
-    code, targets, rows = plan.code, plan.targets, plan.code.rows
-    stored = rows * code.n
-    eqs, cells, parity = plan._cells()
-    known = np.zeros(stored + len(eqs.identities), dtype=bool)  # shipped, then virtual
-    known[plan.raw] = known[cells[parity, 0]] = True
-    sums = {code.parity_col(v) for v in plan.sum_slopes}
-    if bad := [c for c in plan.erased if c in sums or known[(c - 1) * rows:c * rows].any()]:
-        raise PlanError(f"transmission sourced from erased column {bad[0]}")
-    adjusters = sorted({code.slopes[c - stored + 1] for c in cells[cells >= stored].tolist()})
-    if missing := [v for v in adjusters if not {0, v} <= set(plan.sum_slopes)]:
-        raise PlanError(f"adjuster for slope {missing[0]} not shipped")
-    known[stored:] = True  # the adjusters, from the sums
-    order = np.arange(len(targets))
-    first = np.full(len(known), len(targets))  # the first group rebuilding each cell
-    np.minimum.at(first, targets, order)
-    read = (cells >= 0) & (cells != targets[:, None])
-    if (late := read & ~known[cells] & (first[cells] >= order[:, None])).any():
-        g, m = np.argwhere(late)[0]
-        target, needed = _coords(code, (targets[g], cells[g, m]))
-        raise PlanError(f"{target} needs {needed}, "
-                        "neither shipped nor rebuilt by an earlier group")
-    col = plan.recover_col
-    if len(missed := np.flatnonzero(first[(col - 1) * rows:col * rows] == len(targets))):
-        raise PlanError(f"no group rebuilds rows {(missed + 1).tolist()} of column {col}")
-    return eqs, cells, read, adjusters
 
 
 def _ordered_rows(p: int, erased_col: int) -> list[int]:
@@ -361,21 +368,14 @@ def execute_plan(plan: RepairPlan, source) -> dict[int, np.ndarray]:
     other, only the targets' rows are defined.
 
     ``source`` is a :class:`CodeGrid` or anything else with ``column(c)``
-    and ``block_size``, such as a simulated cluster. Each group becomes one
-    step over work-buffer rows, target <- the other cells of its check, each
-    adjuster the decoder's column identity, and the steps run on the
-    decoder's executor. A plan that breaks the rule of :func:`_check`
-    raises :class:`PlanError` before any byte is read.
+    and ``block_size``, such as a simulated cluster. It runs the plan's
+    :attr:`~RepairPlan.schedule`, made when the plan was checked, on the
+    decoder's executor, so a plan that breaks the rule raises
+    :class:`PlanError` before any byte is read.
     """
-    code, targets = plan.code, plan.targets
-    eqs, cells, read, adjusters = _check(plan)
-    ids = [eqs.identities[v] for v in adjusters]
-    columns = {c: np.empty((code.rows, source.block_size), dtype=np.uint8)
-               for c in set((targets // code.rows + 1).tolist())}
-    _execute(XorSchedule(code, np.array([s[0] for s in ids] + targets.tolist()),
-                         np.concatenate([*(s[1:] for s in ids), cells[read]]),
-                         np.array([len(s) - 1 for s in ids] + read.sum(axis=1).tolist()),
-                         len(ids) + len(targets)), source, columns)
+    columns = {c: np.empty((plan.code.rows, source.block_size), dtype=np.uint8)
+               for c in set((plan.targets // plan.code.rows + 1).tolist())}
+    _execute(plan.schedule, source, columns)
     return columns
 
 

@@ -1,7 +1,6 @@
 import itertools
 import pickle
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from arraycode import (
     codes,
     encode,
     mds_decode,
-    planner,
     random_info,
     simnet,
 )
@@ -168,11 +166,12 @@ def parity_check_equations(code):
     """Coordinate sets of stored cells, each XOR-summing to zero: every
     stored parity block once, listed first, with the cells that define it,
     a sloped adjuster expanded into its line."""
-    eqs, stored = codes._decode_equations(code), code.rows * code.n
-    lines = {eq[0]: eq[1:] for eq in eqs.labelled if eq[0] >= stored}
+    stored = code.rows * code.n
+    checks = [row[row >= 0] for row in codes._decode_equations(code).table]
+    lines = {eq[0]: eq[1:] for eq in checks if eq[0] >= stored}
     return [[_coord(code, c) for c in np.concatenate(
         [eq[eq < stored], *(lines[v] for v in eq[eq >= stored])]).tolist()]
-        for eq in eqs.labelled if eq[0] < stored]
+        for eq in checks if eq[0] < stored]
 
 
 def _label_agrees(code, gid, cells):
@@ -418,15 +417,10 @@ def _op_steps(op):
 
 
 def _plan_schedule(code, erased):
-    """The schedule ``execute_plan`` compiles for the family's plan of the
-    data columns ``erased``, or None when the family has no such plan."""
+    """The schedule ``execute_plan`` runs for the family's plan of the data
+    columns ``erased``, or None when the family has no such plan."""
     plan = code.spec.plan(code, erased)
-    if plan is None:
-        return None
-    compiled = []
-    with mock.patch.object(planner, "_execute", lambda s, source, out: compiled.append(s)):
-        planner.execute_plan(plan, encode(code, random_info(code, 1, np.random.default_rng(0))))
-    return compiled[0]
+    return None if plan is None else plan.schedule
 
 
 def _schedules(code, erased):
@@ -796,8 +790,8 @@ def _reference_peel(code, erased):
     checks with one unknown cell left, each solving that cell from its
     other cells; cells peeling cannot reach come from ``codes._eliminate``.
     Returns target row -> source rows, in solve order."""
-    eqs = codes._decode_equations(code)
-    checks, stored = eqs.checks, code.rows * code.n
+    eqs, stored = codes._decode_equations(code), code.rows * code.n
+    checks = [row[row >= 0] for row in eqs.table] + list(eqs.identities.values())
     unknowns = [(c - 1) * code.rows + r for c in erased for r in range(code.rows)]
     unknowns += list(range(stored, stored + len(code.slopes[1:])))
     unknown_of = [[c for c in check.tolist() if c in unknowns] for check in checks]

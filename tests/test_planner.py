@@ -321,6 +321,33 @@ def test_execute_refuses_source_in_erased_column():
         execute_plan(bad, grid)
 
 
+def test_a_plan_is_checked_once(monkeypatch):
+    """Building a plan, reading its gamma and running it twice runs the
+    plan's rule once, and ``execute_plan`` hands the executor the very
+    schedule the rule made."""
+    rule, runs, executed = planner.RepairPlan.schedule.func, [], []
+    monkeypatch.setattr(planner.RepairPlan.schedule, "func",
+                        lambda plan: runs.append(plan) or rule(plan))
+    run = planner._execute
+    monkeypatch.setattr(planner, "_execute",
+                        lambda schedule, *args: executed.append(schedule) or run(schedule, *args))
+    code = Code.make("evenodd", 7)
+    plan = plan_evenodd_single(code, 2)
+    assert plan.gamma == evenodd_bandwidth(7, 3)
+    run_and_verify(code, plan)
+    run_and_verify(code, plan)
+    assert runs == [plan]
+    assert len(executed) == 2 and all(s is plan.schedule for s in executed)
+
+
+def test_a_plan_is_frozen():
+    plan = plan_evenodd_single(Code.make("evenodd", 5), 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.raw = plan.raw[:-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.sum_slopes = (0,)
+
+
 def test_plan_json_schema():
     plan = plan_star_double(Code.make("star", 5), (1, 2))
     doc = plan_to_json(plan)
