@@ -221,58 +221,61 @@ def _virtual(code: Code, slope: int) -> int:
     return code.rows * code.n + code.slopes.index(slope) - 1
 
 
+def _mod_sum(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``(a[:, None] + b) mod p`` for ``a`` and ``b`` in 0..p-1."""
+    out = a[:, None] + b
+    return np.subtract(out, p, out=out, where=out >= p)
+
+
 def _lines(code: Code, slope: int, index: np.ndarray) -> np.ndarray:
     """Work-buffer rows of the stored cells of the lines of ``slope`` through
     ``index``, a line per row in column order, imaginary cells dropped."""
-    p = code.p
-    col = np.arange(1, p + 1)
-    row = (index[:, None] + slope * (1 - col) - 1) % p + 1
-    cells = (col - 1) * code.rows + row - 1
-    return cells[row != p].reshape(len(index), -1)
+    # no int64 % over the (lines x p) array: it was most of a cold Equations
+    # build at large p, and a call at p=101 took 80 us with it, 41 without
+    # (p=53: 29 and 19; p=5: 9 either way; in-process, best of 20 x 500)
+    p, col = code.p, np.arange(code.p)
+    row = _mod_sum((index - 1) % p, -slope * col % p, p)  # row - 1 of each cell
+    return (row + col * code.rows)[row != p - 1].reshape(len(index), -1)
 
 
-def _xcode_cols(p: int, slope: int) -> np.ndarray:
-    """``[col - 1, row - 1]``: the column where the X-code line of ``slope``
-    stored in ``col`` crosses data row ``row``."""
-    step = 1 if slope == -1 else -1
-    return (np.arange(1, p + 1)[:, None] + step * np.arange(2, p) - 1) % p + 1
+Checks = tuple[list[tuple[int, np.ndarray]], np.ndarray]  # see FamilySpec.equations
 
 
-# the labelled checks of one slope: (slope, label indexes, (checks x width)
-# work-buffer rows, each check's head first, padded with -1)
-SlopeChecks = tuple[int, np.ndarray, np.ndarray]
-
-
-def _tree_equations(code: Code) -> list[SlopeChecks]:
+def _tree_equations(code: Code) -> Checks:
     """Slope-v check i lists its parity cell, its line, then the virtual
     adjuster cell of the slope; check 0 is the adjuster line, headed by that
     virtual cell."""
     p, rows = code.p, code.rows
-    out = []
-    for v in code.slopes:
-        index = np.arange(0 if v else 1, p)
-        head = (code.parity_col(v) - 1) * rows + index - 1
-        parts = [head, _lines(code, v, index)]
+    labels = [(v, np.arange(0 if v else 1, p)) for v in code.slopes]
+    table = np.empty((len(labels) * p - 1, p + 1), dtype=np.intp)  # slope 0 has no check 0
+    for (v, index), block in zip(labels, np.split(table, range(p - 1, len(table), p))):
+        block[:, 0] = (code.parity_col(v) - 1) * rows + index - 1
+        block[:, 1:p if v else p + 1] = _lines(code, v, index)  # a sloped line has p - 1 cells
         if v:
-            head[0] = _virtual(code, v)
-            parts.append(np.where(index > 0, head[0], -1))
-        out.append((v, index, np.column_stack(parts)))
-    return out
+            block[0, 0] = block[1:, p] = _virtual(code, v)
+            block[0, p] = -1
+    return labels, table
 
 
-def _rdp_equations(code: Code) -> list[SlopeChecks]:
-    """Row checks (slope 0) then diagonal checks, which read row parity;
-    the diagonal through (p, 1) carries no check."""
+def _rdp_equations(code: Code) -> Checks:
+    """Row checks (slope 0), headed by their row-parity cells, then diagonal
+    checks, which read row parity; the diagonal through (p, 1) has none."""
     p, index = code.p, np.arange(1, code.p)
-    diagonal = np.column_stack([p * code.rows + index - 1, _lines(code, 1, index)])
-    return [(0, index, np.roll(_lines(code, 0, index), 1, axis=1)), (1, index, diagonal)]
+    table = np.empty((2, p - 1, p), dtype=np.intp)
+    table[:, :, 0] = np.array([[p - 1], [p]]) * code.rows + index - 1  # columns p, p + 1
+    table[0, :, 1:], table[1, :, 1:] = _lines(code, 0, index)[:, :-1], _lines(code, 1, index)
+    return [(0, index), (1, index)], table.reshape(-1, p)
 
 
-def _xcode_equations(code: Code) -> list[SlopeChecks]:
-    p, index = code.p, np.arange(1, code.p + 1)
-    return [(v, index, np.column_stack([(index - 1) * p + prow - 1,
-                                        (_xcode_cols(p, v) - 1) * p + np.arange(p - 2)]))
-            for v, prow in ((-1, p - 1), (1, p))]
+def _xcode_equations(code: Code) -> Checks:
+    """Check i of slope -1 (+1) lists the parity cell of column i, then its
+    line's data cell in each row r = 1..p-2: column <i + r + 1> (<i - r - 1>)."""
+    p, index, row = code.p, np.arange(1, code.p + 1), np.arange(code.p - 2)
+    table = np.empty((2, p, p - 1), dtype=np.intp)
+    table[:, :, 0] = (index - 1) * p + np.array([[p - 2], [p - 1]])  # rows p - 1, p
+    for block, step in zip(table, (1, -1)):
+        block[:, 1:] = _mod_sum(index - 1, step * (row + 2) % p, p) * p + row
+    return [(-1, index), (1, index)], table.reshape(-1, p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +300,9 @@ def _tree_geometry(p: int, slopes: tuple[int, ...]) -> Geometry:
 class FamilySpec:
     """Everything the other layers need to know of one array-code family.
 
-    ``equations`` lists the family's parity checks slope by slope, over
-    work-buffer rows, each labelled with its :class:`~.core.ParityGroupId`
-    index; the decoder and the repair planners read them.
+    ``equations`` gives each slope with its checks' :class:`~.core.ParityGroupId`
+    indexes, and one table of the checks' work-buffer rows, slope by slope,
+    head first, padded with -1; the decoder and the repair planners read them.
     The planners and the closed form live in :mod:`.planner` and
     :mod:`.analysis`, which import this module: the table names each planner
     (a ``planner`` function taking the code) and reaches it and the closed
@@ -313,7 +316,7 @@ class FamilySpec:
     min_p: int
     geometry: Callable[[int, int], Geometry]  # (p, r) -> shape
     tolerance: int  # erasures decoding is proven for, if n - k allows
-    equations: Callable[[Code], list[SlopeChecks]]
+    equations: Callable[[Code], Checks]
     plan_single: str  # planner function: (code, erased data column) -> RepairPlan
     closed_form: Callable[[int, int], int]  # (p, r) -> blocks of its analyze plan
     plan_double: str | None = None  # planner function: (code, (col, other)) -> RepairPlan
@@ -533,13 +536,13 @@ class Equations:
     """
 
     def __init__(self, code: Code):
-        blocks = code.spec.equations(code)
-        self.code, self.slopes = code, tuple(v for v, _, _ in blocks)
-        self.table = np.concatenate([cells for _, _, cells in blocks])
-        self.slope = np.concatenate([np.full(len(index), v) for v, index, _ in blocks])
-        self.index = np.concatenate([index for _, index, _ in blocks])
-        self.identities = {v: np.array([_virtual(code, v), *_column_rows(
-            code, (code.parity_col(0), code.parity_col(v)))]) for v in code.slopes[1:]}
+        labels, self.table = code.spec.equations(code)
+        self.code, self.slopes = code, tuple(v for v, _ in labels)
+        self.slope = np.repeat(self.slopes, [len(index) for _, index in labels])
+        self.index = np.concatenate([index for _, index in labels])
+        zero = code.p * code.rows + np.arange(code.rows)  # the slope-0 parity column
+        self.identities = {v: np.concatenate([[_virtual(code, v)], zero, zero + (
+            code.parity_col(v) - code.p - 1) * code.rows]) for v in code.slopes[1:]}
 
     @cached_property
     def peel_index(self) -> tuple[np.ndarray, ...]:

@@ -105,7 +105,7 @@ class RepairPlan:
     @property
     def gamma(self) -> int:
         """Total blocks moved: every transmission costs exactly one block."""
-        return len(self.sources)
+        return len(self.sum_slopes) + self.parity_block_count() + len(self.raw)
 
     def parity_block_count(self) -> int:
         return int(self._cells[2].sum())
@@ -130,31 +130,35 @@ class RepairPlan:
         code, targets, rows = self.code, self.targets, self.code.rows
         stored = rows * code.n
         eqs, cells, parity = self._cells
-        known = np.zeros(stored + len(eqs.identities), dtype=bool)  # shipped, then virtual
+        known = np.zeros(stored + len(eqs.identities), dtype=bool)  # the shipped cells
         known[self.raw] = known[cells[parity, 0]] = True
         sums = {code.parity_col(v) for v in self.sum_slopes}
         if bad := [c for c in self.erased if c in sums or known[(c - 1) * rows:c * rows].any()]:
             raise PlanError(f"transmission sourced from erased column {bad[0]}")
-        adjusters = sorted({code.slopes[c - stored + 1] for c in cells[cells >= stored].tolist()})
+        at = np.flatnonzero(~known[cells])  # with every virtual cell and pad
+        g, unknown = at // cells.shape[1], cells.take(at)  # each one's group and cell
+        adjusters = sorted({code.slopes[c - stored + 1] for c in unknown.tolist() if c >= stored})
         if missing := [v for v in adjusters if not {0, v} <= set(self.sum_slopes)]:
             raise PlanError(f"adjuster for slope {missing[0]} not shipped")
-        known[stored:] = True  # the adjusters, from the sums
-        order = np.arange(len(targets))
         first = np.full(len(known), len(targets))  # the first group rebuilding each cell
-        np.minimum.at(first, targets, order)
-        read = (cells >= 0) & (cells != targets[:, None])
-        if (late := read & ~known[cells] & (first[cells] >= order[:, None])).any():
-            g, m = np.argwhere(late)[0]
-            target, needed = _coords(code, (targets[g], cells[g, m]))
+        first[stored:] = -1  # the adjusters, from the sums, and the pads come first
+        np.minimum.at(first, targets, np.arange(len(targets)))
+        # first[c] == g only where c is group g's own target, which it writes
+        if (late := first[unknown] > g).any():
+            i = np.argmax(late)
+            target, needed = _coords(code, (targets[g[i]], unknown[i]))
             raise PlanError(f"{target} needs {needed}, "
                             "neither shipped nor rebuilt by an earlier group")
         col = self.recover_col
         if len(missed := np.flatnonzero(first[(col - 1) * rows:col * rows] == len(targets))):
             raise PlanError(f"no group rebuilds rows {(missed + 1).tolist()} of column {col}")
+        read = cells != targets[:, None]
+        read.flat[at[unknown < 0]] = False  # the pads
         ids = [eqs.identities[v] for v in adjusters]
-        return XorSchedule(code, np.array([s[0] for s in ids] + targets.tolist()),
+        return XorSchedule(code, np.concatenate([*(s[:1] for s in ids), targets]),
                            np.concatenate([*(s[1:] for s in ids), cells[read]]),
-                           np.array([len(s) - 1 for s in ids] + read.sum(axis=1).tolist()),
+                           np.concatenate([np.array([len(s) - 1 for s in ids], dtype=np.intp),
+                                           read.sum(axis=1)]),
                            len(ids) + len(targets))
 
     @property
@@ -209,11 +213,12 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
         if not 1 <= col <= code.info_cols:
             raise ParameterError(f"erased column {col} is not a data column")
         lost[(col - 1) * rows:col * rows] = True
-    choices = [(r, c, v) for (r, c), v in choices]
-    for r, c, v in choices:  # a cell of an erased column, and a slope with checks
+    flat = []
+    for (r, c), v in choices:  # a cell of an erased column, and a slope with checks
         if c not in erased or not 0 < r <= rows or v not in eqs.slopes:
             raise PlanError(f"no slope-{v} check through {Coord(r, c)}")
-    row, col, slope = np.fromiter(chain.from_iterable(choices), dtype=np.intp).reshape(-1, 3).T
+        flat += r, c, v
+    row, col, slope = np.array(flat, dtype=np.intp).reshape(-1, 3).T
     target = (col - 1) * rows + row - 1
     check = _lookup(eqs, lost, target, slope)
     if (check < 0).any():
@@ -221,10 +226,10 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
         raise PlanError(f"no slope-{slope[g]} check through {_coords(code, [target[g]])[0]}")
     cells = eqs.table[check]
     shipped = np.zeros(len(lost), dtype=bool)
-    shipped[cells[(cells >= 0) & (cells < stored) & ~lost[cells]]] = True
+    shipped[cells] = True  # a pad marks the last virtual cell
     shipped[cells[:, 0]] = False
-    plan = RepairPlan(code, erased, erased[0], check, target, np.flatnonzero(shipped),
-                      tuple(sum_slopes), **extra)
+    raw = np.flatnonzero(shipped[:stored] & ~lost[:stored])
+    plan = RepairPlan(code, erased, erased[0], check, target, raw, tuple(sum_slopes), **extra)
     plan.schedule  # checks the plan and makes its schedule
     return plan
 
@@ -232,11 +237,13 @@ def _plan(code: Code, erased: tuple[int, ...], choices: Iterable[tuple[tuple[int
 def _lookup(eqs, lost: np.ndarray, target: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """The row of ``eqs.table`` with the labelled check of each ``slope``
     through each ``target`` (a ``lost`` cell), or -1."""
-    stored = eqs.code.rows * eqs.code.n
-    lo = min(eqs.slopes)
+    # only evenodd-tree tables are padded, and a -1 pad reads the last row of
+    # ``lost``, a virtual cell, which is never lost
+    stored, lo = eqs.code.rows * eqs.code.n, min(eqs.slopes)
     on = np.full((max(eqs.slopes) - lo + 1) * stored, -1)  # per slope: buffer row -> check
-    check, k = np.nonzero(lost[eqs.table] & (eqs.table >= 0))
-    on[(eqs.slope[check] - lo) * stored + eqs.table[check, k]] = check
+    hit = np.flatnonzero(lost.take(eqs.table))
+    check = hit // eqs.table.shape[1]
+    on[(eqs.slope[check] - lo) * stored + eqs.table.take(hit)] = check
     return on[(slope - lo) * stored + target]
 
 

@@ -7,7 +7,9 @@ ones are the sizes the benchmark plans at (its ``wide-16b`` p=53, its
 ``bulk-64k`` p=31, its star-validate oracle and its ``analyze`` sweeps).
 The ``analyze --csv`` files of every family over p = 5..101 at each r in
 2..5 are pinned byte for byte as well, and so is the whole output of
-``repair`` at p = 7 under both strategies.
+``repair`` at p = 7 under both strategies, and each family's parity-check
+table (:class:`~arraycode.codes.Equations`), array by array, with its dtype,
+shape and order.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import pytest
 from arraycode import Code
 from arraycode.analysis import bandwidth_sweep
 from arraycode.cli import main
-from arraycode.codes import FAMILIES
+from arraycode.codes import FAMILIES, Equations
 from arraycode.planner import plan_evenodd_single, plan_to_json
 
 PRIMES = (5, 7, 11, 13)
@@ -198,3 +200,49 @@ REPAIR_GOLDEN = {
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_repair_output_digest(family, tmp_path, capsys):
     assert _repair_digest(family, tmp_path, capsys) == REPAIR_GOLDEN[family]
+
+
+def _equations_digest(codes) -> str:
+    """sha256 of each code's :class:`~arraycode.codes.Equations`: ``table``,
+    ``slope`` and ``index``, each as dtype, shape and bytes, then every
+    ``identities`` entry as its slope and the same three parts."""
+    h = hashlib.sha256()
+    for code in codes:
+        eqs = Equations(code)
+        arrays = [eqs.table, eqs.slope, eqs.index]
+        for v, ids in eqs.identities.items():
+            h.update(str(v).encode())
+            arrays.append(ids)
+        for a in arrays:
+            h.update(f"{a.dtype.str} {a.shape}\n".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# the parity checks the encoder, the peel and the planner all read, per family
+# at p = 5, 7, 53 and 101 with its default r, and evenodd-ext at p=13, r = 2..5
+EQUATIONS_GOLDEN = {
+    "evenodd":
+        "e4dc8d4c0c8dfd99d555261d4dce4a45114fc33c06db1b462e80d484d68fcaa9",
+    "evenodd-ext":
+        "e9762fc4d1afa49ee12b29c184e1b7e280823996677c72a6b2c41fd86899c1c1",
+    "rdp":
+        "253850947c0b01f6a1896f5d44d51df35a7d18d13211786d97d5f32f5027d4c9",
+    "xcode":
+        "5e64377a4ab19953a75f625d216fcc967300c9cb833d3bd3f677519860f285c0",
+    "star":
+        "e858fc3310ff9950a5f62dbe8527114e81c639450938f811467fbbd048ec2f0c",
+    "evenodd-ext-r2..5":
+        "5cee86a7d89eba5364a53716df7e5b331d326e354388f995f444c476606c5314",
+}
+
+
+def _equation_codes(name):
+    if name in FAMILIES:
+        return [Code.make(name, p) for p in (5, 7, 53, 101)]
+    return [Code("evenodd-ext", 13, r) for r in range(2, 6)]
+
+
+@pytest.mark.parametrize("name", list(EQUATIONS_GOLDEN))
+def test_equations_digest(name):
+    assert _equations_digest(_equation_codes(name)) == EQUATIONS_GOLDEN[name]

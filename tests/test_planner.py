@@ -288,6 +288,37 @@ def test_plan_refuses_a_check_the_code_lacks():
         _plan(Code.make("rdp", 5), (2,), [(Coord(4, 2), 1)])
 
 
+def test_lookup_reads_the_pads_as_a_virtual_cell():
+    """``_lookup`` indexes ``lost`` with every cell of ``Equations.table``,
+    the -1 pads too: only evenodd-tree tables are padded, and there -1 is
+    the last virtual cell, which no erasure loses. For every one- and
+    two-column erasure, each lost cell's check of each slope is the one a
+    scan of the checks finds (a stored cell lies on at most one check per
+    slope)."""
+    for family in FAMILIES:
+        for p in (5, 7):
+            code = Code.make(family, p)
+            eqs = codes._decode_equations(code)
+            stored, pads = code.rows * code.n, eqs.table < 0
+            assert pads.any() == bool(eqs.identities)
+            assert (eqs.table[pads] == -1).all()
+            on = {}
+            for i, (v, check) in enumerate(zip(eqs.slope.tolist(), eqs.table.tolist())):
+                for cell in check:
+                    if 0 <= cell < stored:
+                        assert (v, cell) not in on
+                        on[v, cell] = i
+            for count in (1, 2):
+                for erased in itertools.combinations(code.systematic_cols(), count):
+                    lost = np.zeros(stored + len(eqs.identities), dtype=bool)
+                    for c in erased:
+                        lost[(c - 1) * code.rows:c * code.rows] = True
+                    target = np.repeat(np.flatnonzero(lost), len(eqs.slopes))
+                    slope = np.tile(eqs.slopes, lost.sum())
+                    assert planner._lookup(eqs, lost, target, slope).tolist() == [
+                        on.get((v, t), -1) for v, t in zip(slope.tolist(), target.tolist())]
+
+
 # -- execution and serialization -------------------------------------------
 
 def test_execute_flags_missing_transmission():
